@@ -149,9 +149,9 @@ fn run_rounds(
                     let mut ib: Vec<u32> = (0..run).map(|j| ctx.ld(&idxs_s, a + j)).collect();
                     if 2 * p + 1 < runs {
                         let b = (2 * p + 1) * run;
-                        let mut qk: Vec<u32> = (0..run).map(|j| ctx.ld(&keys_s, b + j)).collect();
-                        let mut qi: Vec<u32> = (0..run).map(|j| ctx.ld(&idxs_s, b + j)).collect();
-                        let ops = merge_into_topk(&mut kb, &mut ib, &mut qk, &mut qi);
+                        let qk: Vec<u32> = (0..run).map(|j| ctx.ld(&keys_s, b + j)).collect();
+                        let qi: Vec<u32> = (0..run).map(|j| ctx.ld(&idxs_s, b + j)).collect();
+                        let ops = merge_into_topk(&mut kb, &mut ib, &qk, &qi);
                         ctx.ops(ops);
                     }
                     let out_base = p * run;

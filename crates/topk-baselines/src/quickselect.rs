@@ -420,10 +420,13 @@ mod tests {
         // §2.2: "QuickSelect, in the worst case, can remove only one
         // element per iteration." First-element pivots on ascending
         // input hit exactly that: every iteration strips one element.
+        // The partition writes candidates through atomic cursors, so
+        // their order (and so the next first pivot) follows the order
+        // blocks run in; one worker makes that order fixed.
         let n = 6000;
         let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let iterations = |pivot: PivotStrategy| {
-            let mut g = Gpu::new(DeviceSpec::a100());
+            let mut g = Gpu::with_pool(DeviceSpec::a100(), gpu_sim::BlockPool::new(1));
             let input = g.htod("in", &data);
             g.reset_profile();
             let out = QuickSelect { pivot }.select(&mut g, &input, 10);

@@ -92,9 +92,7 @@ fn bench_bitonic(c: &mut Criterion) {
                 b.iter(|| {
                     let mut lk = lk.clone();
                     let mut lp = lp.clone();
-                    let mut qk = qk.clone();
-                    let mut qp = qp.clone();
-                    black_box(merge_into_topk(&mut lk, &mut lp, &mut qk, &mut qp))
+                    black_box(merge_into_topk(&mut lk, &mut lp, &qk, &qp))
                 });
             },
         );

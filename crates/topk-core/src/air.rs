@@ -491,66 +491,55 @@ impl AirTopK {
                     Vec::new()
                 };
 
-                for i in start..end {
-                    let (v, idx) = if src_is_buf {
-                        (
-                            ctx.ld(&buf_val[read_sel], prob * cap + i),
-                            ctx.ld(&buf_idx[read_sel], prob * cap + i),
-                        )
-                    } else {
-                        (inputs.ld(ctx, prob, i), i as u32)
-                    };
-                    let bits = v.to_ordered();
-                    ctx.ops(4); // load index math + ordered-bit transform
-
-                    if pass == 0 {
+                // One loop per pass kind, so the pass-invariant flags
+                // stay out of the per-element work.
+                let ops = if pass == 0 {
+                    // Histogram of the first digit only.
+                    for i in start..end {
+                        let bits = inputs.ld(ctx, prob, i).to_ordered();
                         local_hist[digit_of::<T::Ordered>(bits, 0, b) as usize] += 1;
-                        ctx.ops(4); // digit extract + shared-memory histogram
-                        continue;
                     }
-
-                    // Skip elements that diverged from the kth prefix
-                    // in an earlier pass (they were output or discarded
-                    // there already).
-                    if !src_is_buf
-                        && pass >= 2
-                        && prefix_of::<T::Ordered>(bits, wid_prev2) != prefix_prev2
-                    {
-                        ctx.ops(1);
-                        continue;
+                    // load index math + ordered-bit transform, then
+                    // digit extract + shared-memory histogram
+                    8 * end.saturating_sub(start) as u64
+                } else {
+                    let filter = FusedFilter {
+                        ctrl: &ctrl,
+                        out_val: &out_val,
+                        out_idx: &out_idx,
+                        buf_val: &buf_val[write_sel],
+                        buf_idx: &buf_idx[write_sel],
+                        out_cursor: cb + OUT_CURSOR,
+                        buf_cursor: cb + bufcur_off + pass,
+                        out_base: prob * k,
+                        buf_base: prob * cap,
+                        k,
+                        cap,
+                        pass: pass as u32,
+                        bits_per_pass: b,
+                        target_prev,
+                    };
+                    if src_is_buf {
+                        let (val, idx) = (&buf_val[read_sel], &buf_idx[read_sel]);
+                        filter.sweep(ctx, start..end, &mut local_hist, early, store, |ctx, i| {
+                            let v = ctx.ld(val, prob * cap + i);
+                            Some((v, ctx.ld(idx, prob * cap + i)))
+                        })
+                    } else {
+                        // Skip elements that diverged from the kth prefix
+                        // in an earlier pass (they were output or
+                        // discarded there already).
+                        let check_prefix = pass >= 2;
+                        filter.sweep(ctx, start..end, &mut local_hist, early, store, |ctx, i| {
+                            let v = inputs.ld(ctx, prob, i);
+                            let diverged = check_prefix
+                                && prefix_of::<T::Ordered>(v.to_ordered(), wid_prev2)
+                                    != prefix_prev2;
+                            (!diverged).then_some((v, i as u32))
+                        })
                     }
-
-                    let d_prev = digit_of::<T::Ordered>(bits, pass as u32 - 1, b);
-                    ctx.ops(8); // digit extract + three-way filter branch logic
-                    if early {
-                        // Early-stop copy-out: committed results
-                        // (d < target) and every remaining candidate
-                        // (d == target) are all results.
-                        if d_prev <= target_prev {
-                            let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                            debug_assert!(pos < k);
-                            ctx.st_scatter(&out_val, prob * k + pos, v);
-                            ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                        }
-                    } else if d_prev < target_prev {
-                        // Guaranteed result (Algorithm 1 line 22).
-                        let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                        debug_assert!(pos < k);
-                        ctx.st_scatter(&out_val, prob * k + pos, v);
-                        ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                    } else if d_prev == target_prev {
-                        // Candidate: optionally buffer (line 17-18),
-                        // histogram this pass's digit (lines 19-20).
-                        if store {
-                            let pos = ctx.atomic_add(&ctrl, cb + bufcur_off + pass, 1) as usize;
-                            debug_assert!(pos < cap);
-                            ctx.st_scatter(&buf_val[write_sel], prob * cap + pos, v);
-                            ctx.st_scatter(&buf_idx[write_sel], prob * cap + pos, idx);
-                        }
-                        local_hist[digit_of::<T::Ordered>(bits, pass as u32, b) as usize] += 1;
-                        ctx.ops(2);
-                    }
-                }
+                };
+                ctx.ops(ops);
 
                 // Flush the block-local histogram to the global one.
                 if !local_hist.is_empty() {
@@ -759,6 +748,109 @@ impl AirTopK {
         // Workspace accounting is released by the caller's guard;
         // output buffers live on.
         Ok((out_val, out_idx))
+    }
+}
+
+/// Per-block constants of one fused filter pass (`pass >= 1`): the
+/// previous pass's target digit, and where results and buffered
+/// candidates go (Algorithm 1 lines 14-22).
+struct FusedFilter<'a, T: RadixKey> {
+    ctrl: &'a DeviceBuffer<u32>,
+    out_val: &'a DeviceBuffer<T>,
+    out_idx: &'a DeviceBuffer<u32>,
+    buf_val: &'a DeviceBuffer<T>,
+    buf_idx: &'a DeviceBuffer<u32>,
+    out_cursor: usize,
+    buf_cursor: usize,
+    out_base: usize,
+    buf_base: usize,
+    k: usize,
+    cap: usize,
+    pass: u32,
+    bits_per_pass: u32,
+    target_prev: u32,
+}
+
+impl<T: RadixKey> FusedFilter<'_, T> {
+    /// Filter `range` of the pass's source. `load` returns `None` for
+    /// an element already settled in an earlier pass. Returns the
+    /// compute ops the sweep costs.
+    fn sweep<L>(
+        &self,
+        ctx: &mut gpu_sim::BlockCtx<'_>,
+        range: std::ops::Range<usize>,
+        hist: &mut [u32],
+        early: bool,
+        store: bool,
+        load: L,
+    ) -> u64
+    where
+        L: FnMut(&mut gpu_sim::BlockCtx<'_>, usize) -> Option<(T, u32)>,
+    {
+        match (early, store) {
+            (true, _) => self.sweep_as::<true, false, L>(ctx, range, hist, load),
+            (false, true) => self.sweep_as::<false, true, L>(ctx, range, hist, load),
+            (false, false) => self.sweep_as::<false, false, L>(ctx, range, hist, load),
+        }
+    }
+
+    #[inline(always)]
+    fn sweep_as<const EARLY: bool, const STORE: bool, L>(
+        &self,
+        ctx: &mut gpu_sim::BlockCtx<'_>,
+        range: std::ops::Range<usize>,
+        hist: &mut [u32],
+        mut load: L,
+    ) -> u64
+    where
+        L: FnMut(&mut gpu_sim::BlockCtx<'_>, usize) -> Option<(T, u32)>,
+    {
+        let (b, pass, target) = (self.bits_per_pass, self.pass, self.target_prev);
+        let (mut skipped, mut candidates) = (0u64, 0u64);
+        let len = range.len() as u64;
+        for i in range {
+            let Some((v, idx)) = load(ctx, i) else {
+                skipped += 1;
+                continue;
+            };
+            let bits = v.to_ordered();
+            let d_prev = digit_of::<T::Ordered>(bits, pass - 1, b);
+            if EARLY {
+                // Early-stop copy-out: committed results (d < target)
+                // and every remaining candidate (d == target) are all
+                // results.
+                if d_prev <= target {
+                    self.emit(ctx, v, idx);
+                }
+            } else if d_prev < target {
+                // Guaranteed result (Algorithm 1 line 22).
+                self.emit(ctx, v, idx);
+            } else if d_prev == target {
+                // Candidate: optionally buffer (lines 17-18), histogram
+                // this pass's digit (lines 19-20).
+                if STORE {
+                    let pos = ctx.atomic_add(self.ctrl, self.buf_cursor, 1) as usize;
+                    debug_assert!(pos < self.cap);
+                    ctx.st_scatter(self.buf_val, self.buf_base + pos, v);
+                    ctx.st_scatter(self.buf_idx, self.buf_base + pos, idx);
+                }
+                hist[digit_of::<T::Ordered>(bits, pass, b) as usize] += 1;
+                candidates += 1;
+            }
+        }
+        // Per element: load index math + ordered-bit transform (4);
+        // then either the prefix check that settles it (1) or digit
+        // extract + three-way filter branch logic (8); candidates add
+        // the histogram update (2).
+        4 * len + skipped + 8 * (len - skipped) + 2 * candidates
+    }
+
+    #[inline(always)]
+    fn emit(&self, ctx: &mut gpu_sim::BlockCtx<'_>, v: T, idx: u32) {
+        let pos = ctx.atomic_add(self.ctrl, self.out_cursor, 1) as usize;
+        debug_assert!(pos < self.k);
+        ctx.st_scatter(self.out_val, self.out_base + pos, v);
+        ctx.st_scatter(self.out_idx, self.out_base + pos, idx);
     }
 }
 

@@ -27,14 +27,14 @@
 //! machinery that the WarpSelect and BlockSelect baselines instantiate
 //! with per-thread queues and a single block.
 
-use crate::bitonic::{bitonic_sort, merge_into_topk};
+use crate::bitonic::{merge_into_topk, sort_queue};
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::warp::{ballot, lane_rank, Lanes};
+use gpu_sim::warp::{ballot, Lanes};
 use gpu_sim::{
     Backend, BackendExt, BlockCtx, DeviceBuffer, DeviceScalar, Footprint, KernelContract,
     LaunchConfig,
@@ -318,6 +318,19 @@ pub(crate) struct WarpState<O: OrderedBits = u32> {
     /// Current kth-smallest ordered key (the insertion threshold).
     pub(crate) threshold: O,
     k: usize,
+    /// Queue flushes so far, published to
+    /// [`obs::AlgoCounters::gridselect_queue_merges`] on drop.
+    flushes: u64,
+}
+
+impl<O: OrderedBits> Drop for WarpState<O> {
+    fn drop(&mut self) {
+        if self.flushes > 0 {
+            obs::counters()
+                .gridselect_queue_merges
+                .fetch_add(self.flushes, Relaxed);
+        }
+    }
 }
 
 impl<O: OrderedBits> WarpState<O> {
@@ -344,6 +357,7 @@ impl<O: OrderedBits> WarpState<O> {
             lane_fill: [0; WARP_SIZE],
             threshold: O::MAX,
             k,
+            flushes: 0,
         }
     }
 
@@ -356,19 +370,17 @@ impl<O: OrderedBits> WarpState<O> {
         }
         // Observability hook: this sort+merge is the expensive event
         // the shared queue exists to make rare (§4) — count it.
-        obs::counters()
-            .gridselect_queue_merges
-            .fetch_add(1, Relaxed);
+        self.flushes += 1;
         for slot in self.queue_fill..self.queue_keys.len() {
             self.queue_keys[slot] = O::MAX;
         }
-        let mut ops = bitonic_sort(&mut self.queue_keys, &mut self.queue_idx, true);
+        let mut ops = sort_queue(&mut self.queue_keys, &mut self.queue_idx);
         let q = self.queue_keys.len().min(self.list_keys.len());
         ops += merge_into_topk(
             &mut self.list_keys,
             &mut self.list_idx,
-            &mut self.queue_keys[..q],
-            &mut self.queue_idx[..q],
+            &self.queue_keys[..q],
+            &self.queue_idx[..q],
         );
         ctx.ops(ops);
         self.queue_fill = 0;
@@ -629,8 +641,8 @@ where
             let ops = merge_into_topk(
                 &mut head[0].list_keys,
                 &mut head[0].list_idx,
-                &mut st.list_keys,
-                &mut st.list_idx,
+                &st.list_keys,
+                &st.list_idx,
             );
             ctx.ops(ops);
             obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
@@ -693,10 +705,10 @@ where
                     (0..klen).map(|i| ctx.ld(&scratch_idx, base0 + i)).collect();
                 for l in first + 1..last {
                     let b = (prob * bpp + l * step) * klen;
-                    let mut qk: Vec<T::Ordered> =
+                    let qk: Vec<T::Ordered> =
                         (0..klen).map(|i| ctx.ld(&scratch_keys, b + i)).collect();
-                    let mut qi: Vec<u32> = (0..klen).map(|i| ctx.ld(&scratch_idx, b + i)).collect();
-                    let ops = merge_into_topk(&mut keys, &mut idx, &mut qk, &mut qi);
+                    let qi: Vec<u32> = (0..klen).map(|i| ctx.ld(&scratch_idx, b + i)).collect();
+                    let ops = merge_into_topk(&mut keys, &mut idx, &qk, &qi);
                     ctx.ops(ops);
                     obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
                 }
@@ -772,37 +784,38 @@ impl<O: OrderedBits> WarpState<O> {
         let st = self;
         match queue {
             QueueKind::Shared { len } => {
-                // Parallel two-step insertion (Fig. 5).
+                // Parallel two-step insertion (Fig. 5). Qualified lanes
+                // are visited in lane order, so the r-th one has
+                // `lane_rank` r and claims slot `base + r`.
                 let mask = ballot(preds);
-                let count = mask.count_ones() as usize;
                 ctx.ops(WARP_SIZE as u64);
-                if count == 0 {
+                if mask == 0 {
                     return;
                 }
+                let count = mask.count_ones() as usize;
                 let base = st.queue_fill;
+                let mut lanes = mask;
+                let mut pos = base;
                 // Step 1: lanes whose slot fits.
-                for lane in 0..WARP_SIZE {
-                    if preds[lane] {
-                        let pos = base + lane_rank(mask, lane) as usize;
-                        if pos < len {
-                            st.queue_keys[pos] = keys[lane];
-                            st.queue_idx[pos] = idxs[lane];
-                        }
-                    }
+                while lanes != 0 && pos < len {
+                    let lane = lanes.trailing_zeros() as usize;
+                    st.queue_keys[pos] = keys[lane];
+                    st.queue_idx[pos] = idxs[lane];
+                    lanes &= lanes - 1;
+                    pos += 1;
                 }
                 if base + count >= len {
                     st.queue_fill = len;
                     st.flush(ctx);
                     // Step 2: overflow lanes insert into the emptied
                     // queue.
-                    for lane in 0..WARP_SIZE {
-                        if preds[lane] {
-                            let pos = base + lane_rank(mask, lane) as usize;
-                            if pos >= len {
-                                st.queue_keys[pos - len] = keys[lane];
-                                st.queue_idx[pos - len] = idxs[lane];
-                            }
-                        }
+                    let mut pos = 0;
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        st.queue_keys[pos] = keys[lane];
+                        st.queue_idx[pos] = idxs[lane];
+                        lanes &= lanes - 1;
+                        pos += 1;
                     }
                     st.queue_fill = base + count - len;
                 } else {
@@ -814,16 +827,15 @@ impl<O: OrderedBits> WarpState<O> {
                 // on *any* lane forces a whole-warp flush (WarpSelect's
                 // weakness under skew, §4).
                 let mut any_full = false;
-                for lane in 0..WARP_SIZE {
-                    if preds[lane] {
-                        let slot = lane * len + st.lane_fill[lane];
-                        st.queue_keys[slot] = keys[lane];
-                        st.queue_idx[slot] = idxs[lane];
-                        st.lane_fill[lane] += 1;
-                        if st.lane_fill[lane] == len {
-                            any_full = true;
-                        }
-                    }
+                let mut lanes = ballot(preds);
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as usize;
+                    let slot = lane * len + st.lane_fill[lane];
+                    st.queue_keys[slot] = keys[lane];
+                    st.queue_idx[slot] = idxs[lane];
+                    st.lane_fill[lane] += 1;
+                    any_full |= st.lane_fill[lane] == len;
+                    lanes &= lanes - 1;
                 }
                 ctx.ops(WARP_SIZE as u64);
                 if any_full {

@@ -11,6 +11,16 @@
 //! counters must be shareable across threads; the increments cost
 //! nothing next to the simulation itself).
 //!
+//! Most events are counted where they happen. GridSelect's queue
+//! flushes are the exception: they happen tens of thousands of times
+//! per call, so each warp counts its own in a plain integer and adds
+//! the total once, when its state drops at the end of the block (or
+//! when a streaming [`crate::WarpSelector`] is finished or dropped).
+//! A launch's blocks have all dropped their states by the time it
+//! returns, so per-launch and per-call totals are unchanged; only a
+//! snapshot taken from another thread *during* a launch can see fewer
+//! flushes than have run.
+//!
 //! The counters are process-wide and monotonic. Consumers that want
 //! per-run numbers take a [`AlgoCounters::snapshot`] before and after
 //! and diff with [`AlgoSnapshot::delta_since`] — that is what
@@ -48,7 +58,10 @@ pub struct AlgoCounters {
     pub air_one_block_selections: AtomicU64,
     /// GridSelect: shared-queue flushes (bitonic sort + merge into the
     /// maintained top-K list) — the expensive event the shared queue
-    /// exists to make rare (§4).
+    /// exists to make rare (§4). Also counts the per-thread-queue
+    /// flushes of WarpSelect and BlockSelect, which share the core.
+    /// Published per warp, once, when its state drops (see the module
+    /// docs); per-launch totals are exact.
     pub gridselect_queue_merges: AtomicU64,
     /// GridSelect: list-vs-list merges (cross-warp merges inside a
     /// block plus the tree-merge kernel's folds).

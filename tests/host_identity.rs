@@ -1,0 +1,664 @@
+//! Golden identity of the warp-select family and AIR Top-K.
+//!
+//! The host implementation of these selectors (queue flush, list
+//! merge, fused radix passes) may be rewritten for speed, but what they
+//! compute must not move: the values and indices in output order, the
+//! summed kernel meters and launch sequence that drive simulated time,
+//! and the algorithm-event counters. Every cell below is pinned to a
+//! constant recorded from the reference implementation.
+//!
+//! All runs use a one-worker block pool. AIR places results through
+//! atomic output cursors, so its output *order* depends on the order
+//! blocks run in; with one worker that order is fixed.
+
+use gpu_topk::gpu_sim::BlockPool;
+use gpu_topk::prelude::*;
+use gpu_topk::topk_core::obs;
+use gpu_topk::topk_core::{AlgoSnapshot, StreamingSelect};
+use std::sync::Mutex;
+
+/// Tests in this binary share the process-wide counters, so they run
+/// one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Ragged on purpose: the last warp group and the last block are
+/// partial, and K = 2048 still gets two GridSelect blocks (a tree
+/// merge) and two StreamingSelect chunks.
+const N: usize = 140_001;
+const KS: [usize; 5] = [1, 32, 100, 256, 2048];
+
+fn inputs() -> Vec<(&'static str, Vec<f32>)> {
+    let ties: Vec<f32> = (0..N)
+        .map(|i| ((i as u64).wrapping_mul(2_654_435_761) >> 7) % 16)
+        .map(|l| l as f32 - 8.0)
+        .collect();
+    vec![
+        ("uniform", datagen::generate(Distribution::Uniform, N, 11)),
+        ("ties16", ties),
+        ("equal", vec![1.5; N]),
+        (
+            "adversarial24",
+            datagen::generate(Distribution::RadixAdversarial { m_bits: 24 }, N, 5),
+        ),
+    ]
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn str(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.u64(b as u64);
+        }
+    }
+}
+
+fn snapshot_digest(d: &AlgoSnapshot) -> u64 {
+    let mut h = Fnv::new();
+    for x in [
+        d.air_passes,
+        d.air_buffer_writes,
+        d.air_adaptive_skips,
+        d.air_early_stops,
+        d.air_one_block_selections,
+        d.gridselect_queue_merges,
+        d.gridselect_list_merges,
+        d.radik_rounds,
+        d.radik_skipped_bits,
+        d.rowwise_compactions,
+        d.bucketed_selections,
+        d.twostage_reduces,
+        d.tuner_plan_hits,
+        d.tuner_plan_misses,
+        d.tuner_refinements,
+    ] {
+        h.u64(x);
+    }
+    h.0
+}
+
+/// `(outputs, meters, counters)` digests of one selection on a fresh
+/// one-worker device.
+fn cell(alg: &dyn TopKAlgorithm, data: &[f32], k: usize) -> [u64; 3] {
+    let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+    let input = gpu.htod("in", data);
+    gpu.reset_profile();
+    let before = obs::counters().snapshot();
+    let out = alg.select(&mut gpu, &input, k);
+    let delta = obs::counters().snapshot().delta_since(&before);
+    let (values, indices) = (out.values.to_vec(), out.indices.to_vec());
+    verify_topk(data, k, &values, &indices).unwrap_or_else(|e| panic!("{} k={k}: {e}", alg.name()));
+
+    let mut outputs = Fnv::new();
+    for (v, i) in values.iter().zip(&indices) {
+        outputs.u64(v.to_bits() as u64);
+        outputs.u64(*i as u64);
+    }
+    let mut meters = Fnv::new();
+    let mut max_shared = 0;
+    for r in gpu.reports() {
+        meters.str(&r.name);
+        meters.u64(r.cfg.grid_dim as u64);
+        meters.u64(r.cfg.block_dim as u64);
+        let s = &r.stats;
+        for x in [
+            s.bytes_read,
+            s.bytes_written,
+            s.bytes_scattered,
+            s.atomic_ops,
+            s.compute_ops,
+        ] {
+            meters.u64(x);
+        }
+        max_shared = max_shared.max(s.shared_mem_bytes);
+    }
+    meters.u64(max_shared);
+    meters.u64(gpu.elapsed_us().to_bits());
+    [outputs.0, meters.0, snapshot_digest(&delta)]
+}
+
+/// Run every (input, K) cell for `alg` and compare against `golden`,
+/// reporting every mismatching or missing cell in one failure.
+fn check(alg: &dyn TopKAlgorithm, golden: &[(&str, [u64; 3])]) {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut bad = Vec::new();
+    for (dist, data) in inputs() {
+        for k in KS {
+            if alg.max_k().is_some_and(|m| k > m) {
+                continue;
+            }
+            let key = format!("{dist} k={k}");
+            let got = cell(alg, &data, k);
+            let want = golden.iter().find(|(c, _)| *c == key).map(|(_, d)| *d);
+            if want != Some(got) {
+                bad.push(format!(
+                    "(\"{key}\", [{:#018x}, {:#018x}, {:#018x}]), // want {want:x?}",
+                    got[0], got[1], got[2]
+                ));
+            }
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "{}: {} cells differ from the golden digests:\n{}",
+        alg.name(),
+        bad.len(),
+        bad.join("\n")
+    );
+}
+
+#[test]
+fn gridselect_is_bit_identical() {
+    check(&GridSelect::default(), GRIDSELECT);
+}
+
+#[test]
+fn warpselect_is_bit_identical() {
+    check(&WarpSelect, WARPSELECT);
+}
+
+#[test]
+fn blockselect_is_bit_identical() {
+    check(&BlockSelect, BLOCKSELECT);
+}
+
+#[test]
+fn bitonic_topk_is_bit_identical() {
+    check(&BitonicTopK, BITONIC);
+}
+
+#[test]
+fn streaming_select_is_bit_identical() {
+    check(&StreamingSelect::default(), STREAMING);
+}
+
+#[test]
+fn air_topk_is_bit_identical() {
+    check(&AirTopK::default(), AIR);
+}
+
+const GRIDSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xad142c173b7e2cd7, 0x66c07cff87b041cc],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0xd7ce7a6906b6e3eb, 0x0728a0e3f16ab33e],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0x49e73a469a1c0682, 0xc2bb3576bbf9cd81],
+    ),
+    (
+        "uniform k=256",
+        [0xd60a0747a71adb1a, 0x95ebed22e37ce4ba, 0xe5b9ce9ea46deb13],
+    ),
+    (
+        "uniform k=2048",
+        [0x59b1e51c5c7582dc, 0x928a41daa2e88076, 0xb3e32376a9b73cd5],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x92dd2cb0ab5d0da7, 0xa741ab72253434a7],
+    ),
+    (
+        "ties16 k=32",
+        [0xf0351c78ae1214c8, 0x879ea27a3bd433e3, 0x7fcaa3af68fbd45d],
+    ),
+    (
+        "ties16 k=100",
+        [0x150baf59c2d22209, 0x9bcaf150535c7c33, 0x6ea61ced8eb61e0f],
+    ),
+    (
+        "ties16 k=256",
+        [0xb6c24b3b6e9f56a1, 0x98b3fdc68904eebc, 0xd72ecc1a6802eee6],
+    ),
+    (
+        "ties16 k=2048",
+        [0xc28a37041fdbad22, 0xb16548200f886945, 0x2e8eab7312f4cae0],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x92dd2cb0ab5d0da7, 0xa741ab72253434a7],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x82ef7c39d47f621a, 0xa741ab72253434a7],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xd6a1ee68639b2d5f, 0xfdcb350f0a559440],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x17c062a6592e4745, 0xe3f21c4b8bfa1a8c],
+    ),
+    (
+        "equal k=2048",
+        [0xd03bef1bb8f36b25, 0x43aab4fa81538860, 0xe622ca784c490e28],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0xcec5e526a745d02f, 0x6d4a316cf81e48be],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x381dde06e4a37e31, 0xbd62677830407f4b],
+    ),
+    (
+        "adversarial24 k=100",
+        [0xd63688043d804cdf, 0x1582c7aaf379e78f, 0xf024266f2ded2abd],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x8356f1a08e95e06f, 0xabf59d603b5bb9f5, 0xe134e4ce525a1475],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x1a3729b7abfde006, 0x097be171b1f63c8a, 0xa5f07b0b1d6672cd],
+    ),
+];
+const WARPSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xe4054e8fe58f4e47, 0xd7a64ca4a999c581],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0xef33f8eace86ae62, 0xd8289796128f6be6],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0x580b8c86509f25e2, 0x37c206c144ee588a],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0x4ce96f22aa461ca4, 0xee9b750b9fe98e21],
+    ),
+    (
+        "uniform k=2048",
+        [0x59978ac86ddc3704, 0xe922b82b40debf90, 0x195d5d6f1b935657],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x569634f5b85f636e, 0x1ce14bccfe381144],
+    ),
+    (
+        "ties16 k=32",
+        [0x566681a8a639fadf, 0xc7f8e58552a32f4d, 0xd7a64ca4a999c581],
+    ),
+    (
+        "ties16 k=100",
+        [0x522bda3d185499aa, 0x166a0bde70b395f4, 0xae509e536d9d0dce],
+    ),
+    (
+        "ties16 k=256",
+        [0x272a3d8f583ac77e, 0xb96c7a26ba1ab022, 0x017e45e74e8c2399],
+    ),
+    (
+        "ties16 k=2048",
+        [0x1b7071a75fc65507, 0x81d03ed42ad98498, 0x2bd88a1b5c742816],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x569634f5b85f636e, 0x1ce14bccfe381144],
+    ),
+    (
+        "equal k=32",
+        [0x2a55744bca3192c5, 0x11c0facc862d82ba, 0x1ce14bccfe381144],
+    ),
+    (
+        "equal k=100",
+        [0x2149ad8b6e773b85, 0xa7bd5281086f3ac3, 0x621c4af552d65d07],
+    ),
+    (
+        "equal k=256",
+        [0x725eca1469a29725, 0x6a918dc55db47ac4, 0xd7a64ca4a999c581],
+    ),
+    (
+        "equal k=2048",
+        [0x7b304e330fd9fa25, 0x3c19aa37fa918e63, 0x166a4288a10552a5],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0xdc44b7edec4d583a, 0x621c4af552d65d07],
+    ),
+    (
+        "adversarial24 k=32",
+        [0x2142d50d99058334, 0xb164eae74fc4d6c5, 0x38c69ca416d9a554],
+    ),
+    (
+        "adversarial24 k=100",
+        [0xc831bb04f4d3b3bf, 0xd83e98bf33157741, 0x70913e52481ccd74],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x07627ca8b49460b9, 0xfe398b8d95841245, 0x926b4d7c54fb79be],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0xf5544290b3f688d4, 0xe464e1e166aa335b, 0xb9c3ee43e93469b3],
+    ),
+];
+const BLOCKSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xce5430defdc89778, 0x4d2730cdb6daf7ab],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x97f5472e9062431d, 0xfa0bc44668f04e80],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0xb81c6b732ad07b6b, 0xcfb858b8271e61f9],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0x64013bc115170602, 0x1b6b2aaca6fc1b66],
+    ),
+    (
+        "uniform k=2048",
+        [0x26f93e8dd412a38c, 0x1a8d6ed1823a55e5, 0xfbec8a4be07ea39d],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x27e4efeeab3e0aa3, 0x3abfd23da517f0a2],
+    ),
+    (
+        "ties16 k=32",
+        [0x566681a8a639fadf, 0x12cc73be9bb5260b, 0x5d9e774a83e1e9b6],
+    ),
+    (
+        "ties16 k=100",
+        [0x5fab376179676129, 0x816f6d7e7d9d5bf6, 0x8c7facafaa4097d4],
+    ),
+    (
+        "ties16 k=256",
+        [0xe98c286410acd119, 0xd214030a69388b9d, 0x1cea695347ba4794],
+    ),
+    (
+        "ties16 k=2048",
+        [0x8cbe83cc7f5f22bf, 0x7c5f4c88b6acc09b, 0x00de45cb9ee9cd23],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x27e4efeeab3e0aa3, 0x3abfd23da517f0a2],
+    ),
+    (
+        "equal k=32",
+        [0x2a55744bca3192c5, 0x5a627f0b20ea3534, 0x3abfd23da517f0a2],
+    ),
+    (
+        "equal k=100",
+        [0x2149ad8b6e773b85, 0xc9af1ce7a3fee70e, 0x4fabcedef7911fae],
+    ),
+    (
+        "equal k=256",
+        [0x725eca1469a29725, 0xf589cda32db49f8d, 0x5d9e774a83e1e9b6],
+    ),
+    (
+        "equal k=2048",
+        [0x193109f7b6afa825, 0x256f1af9343857d4, 0x20e3ad2c304cf626],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x5d8919eb1a3d86f6, 0x364b1c191fa5b3a1],
+    ),
+    (
+        "adversarial24 k=32",
+        [0x80c5968b1eca8a7a, 0x3989fbc9ef48b47f, 0xc241229837ad2660],
+    ),
+    (
+        "adversarial24 k=100",
+        [0xbb61f37e0aea1197, 0x6029f1f3b7e6fa17, 0xa16ba950fcb9c6e0],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x44270bcedfc5e0f6, 0xdb1fe818964936a4, 0xb4d8674bae74c9be],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x8899ecb16530d2d0, 0x6f2756803862825b, 0x001bf2e3266df871],
+    ),
+];
+const BITONIC: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xbb4fbe27f563186b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x13d35d41412c9e14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0xcd7f44aa1643b3b0, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0x1ebae316f35f72e9, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0xbb4fbe27f563186b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x77e15acb12922ac8, 0x13d35d41412c9e14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0x3945140e89a5f10d, 0xcd7f44aa1643b3b0, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0x7b6f6230218218dd, 0x1ebae316f35f72e9, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xbb4fbe27f563186b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x13d35d41412c9e14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xcd7f44aa1643b3b0, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x1ebae316f35f72e9, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0xbb4fbe27f563186b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x13d35d41412c9e14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0xc97c188190cd3257, 0xcd7f44aa1643b3b0, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x89e46e1f763bec9d, 0x1ebae316f35f72e9, 0xde9fa0da6fc22a85],
+    ),
+];
+const STREAMING: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x60b2fa19eb9961c8, 0x2ad3f4388a88db4c],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x7f32656e54bb1cf5, 0x92ed986dbdf12023],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0xeab91d4cea3ae5db, 0x8aefae5525dd6e55],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0xa96893456a97f473, 0xee9b750b9fe98e21],
+    ),
+    (
+        "uniform k=2048",
+        [0xb87c7f95fe58f71c, 0x4d19d30c92092244, 0x83e1c27b628a8f90],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x2417bcd476ec5f86, 0xd7a64ca4a999c581],
+    ),
+    (
+        "ties16 k=32",
+        [0xf0351c78ae1214c8, 0x5ec723c7cbc9c3c4, 0x77084796a54f8c13],
+    ),
+    (
+        "ties16 k=100",
+        [0xa0389087c13a7e0d, 0xe5761863ee84e13d, 0xdf21ebcbd8b7d0ea],
+    ),
+    (
+        "ties16 k=256",
+        [0xb6603d8da27d905d, 0xc218c863e4ceee57, 0x53a757985d8fec9a],
+    ),
+    (
+        "ties16 k=2048",
+        [0xee82516525a610b5, 0x15e0128b05866c0e, 0x45cf55eecc73053e],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x2417bcd476ec5f86, 0xd7a64ca4a999c581],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x0b6f6c2d4fc2c39c, 0xd7a64ca4a999c581],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0x044827ada7d3b4fe, 0x38c69ca416d9a554],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x092c53d755ba9558, 0x166a4288a10552a5],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0x990144c1a5adf85a, 0x3d3a8940ce3f334a],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x60b2fa19eb9961c8, 0x2ad3f4388a88db4c],
+    ),
+    (
+        "adversarial24 k=32",
+        [0x9fdb2f646b7a9250, 0x9b2bcc505106501d, 0x017e45e74e8c2399],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x2b982a788cb2ceb7, 0x6250b3f67443a6e4, 0xeb8db3632a27a7c3],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x6bd6628a4f492609, 0xca4e84d83bdeabb3, 0xe7a220d5d9c1291d],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x62515f53cc6c0e08, 0x174a82d086e449e5, 0x609b793f15fed2c3],
+    ),
+];
+const AIR: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x8b7fdb53392c8556, 0xfcfb7cf60cb8a0c6],
+    ),
+    (
+        "uniform k=32",
+        [0xecb4c479136e2eb3, 0xf56c3b82e2fb9a0b, 0xe813eaa10bb89ea6],
+    ),
+    (
+        "uniform k=100",
+        [0xd77bfb7007b1c9ec, 0xd3718d93fa6c0b23, 0xe813eaa10bb89ea6],
+    ),
+    (
+        "uniform k=256",
+        [0x96f02c54c81c6d42, 0xd6fb52a9e636c687, 0xe813eaa10bb89ea6],
+    ),
+    (
+        "uniform k=2048",
+        [0x888adcb2d05dcf84, 0x39aee7f30102a8c0, 0x6ce514fbf928b465],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0xe033fa120492f35f, 0xba580748fb0d2ac5],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x643f8d3c9f95c028, 0xba580748fb0d2ac5],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0x71b8a152cd57c179, 0xba580748fb0d2ac5],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0xb7a8f81ecdf1bfa3, 0xba580748fb0d2ac5],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0x39d17e8fe3544cd3, 0xba580748fb0d2ac5],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xc7e40df64a04de9b, 0xba580748fb0d2ac5],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0xce5432ef182cdf9a, 0xba580748fb0d2ac5],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xb97b9506a7ba12f8, 0xba580748fb0d2ac5],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x391071add017bf69, 0xba580748fb0d2ac5],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0xa5432f52ea479899, 0xba580748fb0d2ac5],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0xec64ba149f13ecd3, 0x8128db62855828e5],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x2590ba8477ec3b1e, 0x8128db62855828e5],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x9409bca149868464, 0x8128db62855828e5],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0x61a18ec70ff26b07, 0x8128db62855828e5],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x418dfb302f78ff42, 0xe7c457992ebe5593, 0x8128db62855828e5],
+    ),
+];
