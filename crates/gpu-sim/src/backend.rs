@@ -22,6 +22,14 @@
 //!   `dyn Backend`, so algorithm code takes `&mut dyn Backend` and
 //!   keeps the exact call surface it had against [`Gpu`](crate::Gpu).
 //!
+//! Transfers stage data in one pass: [`BackendExt::try_htod`] builds
+//! the buffer's cells straight from the host slice (no zeroed buffer
+//! filled element by element), and readbacks copy a bounds-checked
+//! range. The backend calls keep their order — grant, stage,
+//! [`Backend::note_buffer`], [`Backend::charge_htod`] — so allocator
+//! accounting and the fault injector's draws (`on_alloc`, then
+//! `on_transfer`) are the same as an allocation followed by a copy.
+//!
 //! [`Gpu`](crate::Gpu) is the **reference implementation**: fully metered, cost
 //! modeled, sanitizer- and fault-capable. A real-GPU backend (see the
 //! `topk-wgpu` crate, behind the workspace's `wgpu` feature) implements
@@ -285,15 +293,21 @@ pub trait BackendExt: Backend {
     }
 
     /// Fallible host→device upload into a fresh buffer.
+    ///
+    /// One pass: the buffer's cells are built straight from `data` and
+    /// its sanitizer shadow (if any) is marked valid once. The order is
+    /// grant → stage → [`Backend::note_buffer`] →
+    /// [`Backend::charge_htod`], the same as a [`BackendExt::try_alloc`]
+    /// followed by a copy, so allocator accounting and the fault
+    /// injector's draws (`on_alloc`, then `on_transfer`) are unchanged.
     fn try_htod<T: DeviceScalar>(
         &mut self,
         label: &str,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, SimError> {
-        let buf = self.try_alloc::<T>(label, data.len())?;
-        for (i, &v) in data.iter().enumerate() {
-            buf.set(i, v);
-        }
+        let grant = self.grant_alloc(label, data.len(), T::BYTES)?;
+        let buf = DeviceBuffer::staged(label, data, grant.shadow);
+        self.note_buffer(label, buf.size_bytes(), buf.sanitizer_token());
         match self.charge_htod(label, buf.size_bytes(), true) {
             Ok(()) => Ok(buf),
             Err(e) => {
@@ -309,13 +323,11 @@ pub trait BackendExt: Backend {
     }
 
     /// Copy a small host payload into an *existing* device buffer
-    /// (parameter updates in host-driven loops). Infallible: injected
-    /// corruption downgrades to a stall.
+    /// (parameter updates in host-driven loops). Only the written
+    /// prefix becomes initialised for the sanitizer. Infallible:
+    /// injected corruption downgrades to a stall.
     fn htod_into<T: DeviceScalar>(&mut self, buf: &DeviceBuffer<T>, data: &[T]) {
-        assert!(data.len() <= buf.len(), "htod_into overflows buffer");
-        for (i, &v) in data.iter().enumerate() {
-            buf.set(i, v);
-        }
+        buf.write_prefix(data);
         match self.charge_htod("htod_into", data.len() * T::BYTES, false) {
             Ok(()) => {}
             Err(_) => unreachable!("infallible htod downgrades corruption"),
@@ -328,7 +340,10 @@ pub trait BackendExt: Backend {
         self.dtoh_range(buf, 0, buf.len())
     }
 
-    /// Copy `len` elements starting at `offset` back to the host.
+    /// Copy `len` elements starting at `offset` back to the host: the
+    /// readback is charged first, then the range is bounds-checked once
+    /// and copied in one pass. An overrun panics with a labeled
+    /// [`SimError::OutOfBounds`] description.
     fn dtoh_range<T: DeviceScalar>(
         &mut self,
         buf: &DeviceBuffer<T>,
@@ -340,7 +355,7 @@ pub trait BackendExt: Backend {
             Ok(()) => {}
             Err(_) => unreachable!("infallible dtoh downgrades corruption"),
         }
-        (offset..offset + len).map(|i| buf.get(i)).collect()
+        buf.read_range(offset, len)
     }
 
     /// Fallible device→host readback.
@@ -364,7 +379,7 @@ pub trait BackendExt: Backend {
         }
         let token = buf.sanitizer_token();
         self.charge_dtoh(buf.label(), len * T::BYTES, true, token.as_ref())?;
-        Ok((offset..offset + len).map(|i| buf.get(i)).collect())
+        Ok(buf.read_range(offset, len))
     }
 
     /// Fallible kernel launch; see [`Backend::launch_dyn`].

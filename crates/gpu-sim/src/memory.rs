@@ -9,6 +9,13 @@
 //!
 //! Buffers are cheaply clonable handles (`Arc` internally), mirroring
 //! how device pointers are copied into kernel parameters.
+//!
+//! Host staging is one pass: a buffer built from a host slice
+//! ([`DeviceBuffer::from_slice`], the metered `BackendExt::htod`)
+//! constructs its cells straight from the slice and marks its
+//! sanitizer shadow valid once, and readbacks ([`DeviceBuffer::to_vec`],
+//! [`DeviceBuffer::copy_range`], `BackendExt::dtoh_range`) check their
+//! bounds once up front and then copy the cells in order.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,6 +33,8 @@ pub trait AtomicCell: Default + Send + Sync + 'static {
     /// The plain integer type held by the cell.
     type Raw: Copy + Eq + Send + Sync + std::fmt::Debug + 'static;
 
+    /// A cell holding `v`.
+    fn new(v: Self::Raw) -> Self;
     /// Relaxed load.
     fn load(&self) -> Self::Raw;
     /// Relaxed store.
@@ -47,6 +56,10 @@ macro_rules! impl_atomic_cell {
         impl AtomicCell for $atomic {
             type Raw = $raw;
 
+            #[inline(always)]
+            fn new(v: $raw) -> Self {
+                <$atomic>::new(v)
+            }
             #[inline(always)]
             fn load(&self) -> $raw {
                 self.load(Ordering::Relaxed)
@@ -206,25 +219,39 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
     /// Allocate a zero-initialised buffer. Prefer [`crate::Gpu::alloc`],
     /// which also charges the allocation against device memory.
     pub fn zeroed(label: &str, len: usize) -> Self {
-        let cells: Box<[T::Atom]> = (0..len).map(|_| T::Atom::default()).collect();
-        DeviceBuffer {
-            inner: Arc::new(BufferInner {
-                cells,
-                label: label.to_string(),
-                shadow: None,
-            }),
-        }
+        Self::from_cells(label, (0..len).map(|_| T::Atom::default()).collect(), None)
     }
 
     /// Allocate with sanitizer shadow state attached (the path
     /// [`crate::Gpu::alloc`] takes when a sanitizer is armed).
     pub(crate) fn zeroed_with_shadow(label: &str, len: usize, shadow: BufferShadow) -> Self {
-        let cells: Box<[T::Atom]> = (0..len).map(|_| T::Atom::default()).collect();
+        Self::from_cells(
+            label,
+            (0..len).map(|_| T::Atom::default()).collect(),
+            Some(shadow),
+        )
+    }
+
+    /// Build a buffer straight from a host slice in one pass, attaching
+    /// `shadow` (when a sanitizer is armed) with every word marked
+    /// initialised. The staging step of `BackendExt::try_htod`.
+    pub(crate) fn staged(label: &str, data: &[T], shadow: Option<BufferShadow>) -> Self {
+        if let Some(sh) = &shadow {
+            sh.mark_valid_all();
+        }
+        Self::from_cells(
+            label,
+            data.iter().map(|&v| T::Atom::new(v.to_raw())).collect(),
+            shadow,
+        )
+    }
+
+    fn from_cells(label: &str, cells: Box<[T::Atom]>, shadow: Option<BufferShadow>) -> Self {
         DeviceBuffer {
             inner: Arc::new(BufferInner {
                 cells,
                 label: label.to_string(),
-                shadow: Some(Arc::new(shadow)),
+                shadow: shadow.map(Arc::new),
             }),
         }
     }
@@ -249,11 +276,20 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
     /// Allocate and fill from a host slice (unmetered; see
     /// [`crate::Gpu::htod`] for the metered path).
     pub fn from_slice(label: &str, data: &[T]) -> Self {
-        let buf = Self::zeroed(label, data.len());
-        for (i, &v) in data.iter().enumerate() {
-            buf.set(i, v);
-        }
-        buf
+        Self::staged(label, data, None)
+    }
+
+    /// A fresh, unshadowed buffer holding a copy of `len` elements
+    /// starting at `offset`: the unmetered host-side equivalent of
+    /// taking a device-pointer offset view. Panics with a labeled
+    /// [`SimError::OutOfBounds`] description when the range overruns.
+    pub fn copy_range(&self, label: &str, offset: usize, len: usize) -> Self {
+        let cells = self
+            .range_cells(offset, len)
+            .iter()
+            .map(|c| T::Atom::new(c.load()))
+            .collect();
+        Self::from_cells(label, cells, None)
     }
 
     /// Number of elements.
@@ -333,6 +369,43 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         }
     }
 
+    /// The cells of a range, bounds-checked once. An overrun panics
+    /// with a labeled [`SimError::OutOfBounds`] description naming the
+    /// first out-of-range index, as an element-wise read would; an
+    /// empty range is always in bounds.
+    fn range_cells(&self, offset: usize, len: usize) -> &[T::Atom] {
+        if len == 0 {
+            return &[];
+        }
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len() => &self.inner.cells[offset..end],
+            _ => panic!("{}", self.oob(offset.max(self.len()))),
+        }
+    }
+
+    /// Unmetered copy of `len` elements starting at `offset` to a host
+    /// `Vec`. Panics with a labeled [`SimError::OutOfBounds`]
+    /// description when the range overruns the buffer.
+    pub(crate) fn read_range(&self, offset: usize, len: usize) -> Vec<T> {
+        self.range_cells(offset, len)
+            .iter()
+            .map(|c| T::from_raw(c.load()))
+            .collect()
+    }
+
+    /// Unmetered write of `data` into the buffer's first `data.len()`
+    /// elements, marking exactly that prefix initialised for the
+    /// sanitizer. Panics when `data` is longer than the buffer.
+    pub(crate) fn write_prefix(&self, data: &[T]) {
+        assert!(data.len() <= self.len(), "htod_into overflows buffer");
+        for (c, &v) in self.inner.cells.iter().zip(data) {
+            c.store(v.to_raw());
+        }
+        if let Some(sh) = self.shadow() {
+            sh.mark_valid_prefix(data.len());
+        }
+    }
+
     /// Direct access to the backing atomic cell (used by `BlockCtx`).
     #[inline(always)]
     pub(crate) fn cell(&self, idx: usize) -> &T::Atom {
@@ -341,7 +414,7 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
 
     /// Copy the whole buffer out to a host `Vec` (unmetered).
     pub fn to_vec(&self) -> Vec<T> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+        self.read_range(0, self.len())
     }
 
     /// Fill every element with `v` (unmetered host-side helper; the
@@ -414,6 +487,23 @@ mod tests {
         c.set(0, 99);
         assert_eq!(b.get(0), 99, "clone must alias the same device memory");
         assert_eq!(b.label(), "s");
+    }
+
+    #[test]
+    fn copy_range_is_an_independent_copy() {
+        let b = DeviceBuffer::from_slice("src", &[1u32, 2, 3, 4, 5]);
+        let c = b.copy_range("dst", 1, 3);
+        assert_eq!((c.label(), c.to_vec()), ("dst", vec![2, 3, 4]));
+        c.set(0, 99);
+        assert_eq!(b.get(1), 2, "a copy, not an alias");
+        assert!(b.copy_range("empty", 5, 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer \"src\": index 5 >= len 5")]
+    fn copy_range_past_the_end_is_a_labeled_panic() {
+        let b = DeviceBuffer::from_slice("src", &[1u32, 2, 3, 4, 5]);
+        let _ = b.copy_range("dst", 3, 3);
     }
 
     #[test]

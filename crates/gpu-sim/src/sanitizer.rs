@@ -777,6 +777,19 @@ impl BufferShadow {
         }
     }
 
+    /// Mark the first `len` words initialised (partial H2D copies).
+    pub(crate) fn mark_valid_prefix(&self, len: usize) {
+        let (full, rem) = (len / 64, len % 64);
+        for cell in self.valid.iter().take(full) {
+            cell.store(u64::MAX, Ordering::Relaxed);
+        }
+        if rem > 0 {
+            if let Some(cell) = self.valid.get(full) {
+                cell.fetch_or((1u64 << rem) - 1, Ordering::Relaxed);
+            }
+        }
+    }
+
     fn is_valid(&self, idx: usize) -> bool {
         match self.valid.get(idx / 64) {
             Some(cell) => cell.load(Ordering::Relaxed) & (1 << (idx % 64)) != 0,
@@ -1423,6 +1436,17 @@ mod tests {
         assert!(!sh.is_valid(128));
         sh.mark_valid_all();
         assert!(sh.is_valid(0) && sh.is_valid(128));
+    }
+
+    #[test]
+    fn valid_prefix_marks_exactly_the_prefix() {
+        for len in [0, 1, 63, 64, 65, 129, 130] {
+            let sh = BufferShadow::new(130, SanitizerMode::initcheck_only());
+            sh.mark_valid_prefix(len);
+            for idx in 0..130 {
+                assert_eq!(sh.is_valid(idx), idx < len, "len={len} idx={idx}");
+            }
+        }
     }
 
     #[test]

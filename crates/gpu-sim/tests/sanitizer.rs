@@ -266,6 +266,73 @@ fn initialised_reads_are_clean_via_htod_fill_and_stores() {
     assert!(report.is_clean(), "{:?}", report.findings);
 }
 
+// ---- bulk transfer paths: one-pass staging keeps the shadow exact ----
+
+#[test]
+fn htod_buffer_reads_clean_under_initcheck() {
+    let mut g = gpu_with(SanitizerMode::initcheck_only());
+    // 200 words: three full valid-bitmap words plus a partial one.
+    let data: Vec<u32> = (0..200).collect();
+    let up = g.htod("bulk_upload", &data);
+    let sum = g.alloc::<u32>("sum", 1);
+    g.launch("read_all", LaunchConfig::grid_1d(1, 32), |ctx| {
+        let mut acc = 0u32;
+        for i in 0..200 {
+            acc = acc.wrapping_add(ctx.ld(&up, i));
+        }
+        ctx.st(&sum, 0, acc);
+    });
+    assert_eq!(g.dtoh(&up), data);
+    assert_eq!(sum.get(0), (0..200).sum::<u32>());
+    let report = g.sanitizer_report().unwrap();
+    assert!(report.is_clean(), "{:?}", report.findings);
+}
+
+#[test]
+fn htod_into_prefix_leaves_the_tail_uninitialised() {
+    let mut g = gpu_with(SanitizerMode::initcheck_only());
+    let buf = g.alloc::<u32>("params", 130);
+    g.htod_into(&buf, &[7u32; 70]);
+    let sink = g.alloc::<u32>("sink", 1);
+    g.launch("read_past_prefix", LaunchConfig::grid_1d(1, 32), |ctx| {
+        let mut acc = 0u32;
+        for i in 0..=70 {
+            acc = acc.wrapping_add(ctx.ld(&buf, i));
+        }
+        ctx.st(&sink, 0, acc);
+    });
+    let report = g.sanitizer_report().unwrap();
+    assert_eq!(report.counts.initcheck, 1, "{:?}", report.findings);
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.analysis == Analysis::Initcheck)
+        .expect("initcheck finding");
+    assert_eq!((f.buffer.as_str(), f.index), ("params", 70));
+}
+
+#[test]
+fn dtoh_of_a_freed_upload_records_the_host_use_after_free() {
+    let mut g = gpu_with(SanitizerMode::full());
+    let buf = g.htod("freed_upload", &[1u32, 2, 3, 4]);
+    g.free(&buf);
+    assert_eq!(g.dtoh(&buf), vec![1, 2, 3, 4], "the readback still copies");
+    let report = g.sanitizer_report().unwrap();
+    assert_eq!(report.counts.memcheck, 1, "{:?}", report.findings);
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.analysis == Analysis::MemcheckUseAfterFree && f.buffer == "freed_upload"));
+}
+
+#[test]
+#[should_panic(expected = "out-of-bounds access to buffer \"short\": index 4 >= len 4")]
+fn dtoh_range_past_the_end_is_a_labeled_out_of_bounds_panic() {
+    let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+    let buf = g.htod("short", &[1u32, 2, 3, 4]);
+    let _ = g.dtoh_range(&buf, 2, 3);
+}
+
 #[test]
 fn disjoint_block_writes_are_not_a_race() {
     let mut g = gpu_with(SanitizerMode::full());

@@ -1,13 +1,16 @@
 //! Micro-benchmarks of the simulator substrate itself: metered loads,
-//! kernel launch machinery, warp primitives and bitonic networks.
+//! host↔device staging, kernel launch machinery (including the block
+//! pool's multi-block path), the tuner's distribution sketch, warp
+//! primitives and bitonic networks.
 //! These guard the host-side performance of the simulation (the
 //! functional work per element) against regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::warp::{ballot, exclusive_scan, Lanes};
-use gpu_sim::{DeviceSpec, Gpu, LaunchConfig};
+use gpu_sim::{BlockPool, DeviceSpec, Gpu, LaunchConfig};
 use std::hint::black_box;
 use topk_core::bitonic::{bitonic_sort, merge_into_topk};
+use topk_core::tuner::DistSketch;
 
 fn bench_metered_stream(c: &mut Criterion) {
     let n = 1 << 20;
@@ -40,6 +43,23 @@ fn bench_metered_stream(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_transfer(c: &mut Criterion) {
+    let n = 1 << 16;
+    let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let mut group = c.benchmark_group("sim_transfer");
+    group.throughput(Throughput::Elements(n as u64));
+    group.sample_size(50);
+    group.bench_function("htod_2^16", |b| {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        b.iter(|| {
+            let buf = gpu.htod("in", &data);
+            gpu.free(&buf);
+            black_box(buf.len())
+        });
+    });
+    group.finish();
+}
+
 fn bench_launch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_launch");
     group.sample_size(20);
@@ -51,6 +71,29 @@ fn bench_launch_overhead(c: &mut Criterion) {
             });
             black_box(gpu.elapsed_us())
         });
+    });
+    // A small multi-block launch on a two-worker pool: the cost is the
+    // pool's thread handoff, not the (empty) blocks.
+    group.bench_function("empty_kernel_8_blocks", |b| {
+        let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(2));
+        b.iter(|| {
+            gpu.launch("noop", LaunchConfig::grid_1d(8, 256), |ctx| {
+                black_box(ctx.block_idx);
+            });
+            black_box(gpu.elapsed_us())
+        });
+    });
+    group.finish();
+}
+
+fn bench_sketch(c: &mut Criterion) {
+    let n = 1 << 20;
+    let data: Vec<f32> = (0..n).map(|i| (i as f32 * 0.618).sin()).collect();
+    let mut group = c.benchmark_group("tuner");
+    group.throughput(Throughput::Elements(n as u64));
+    group.sample_size(20);
+    group.bench_function("sketch_2^20", |b| {
+        b.iter(|| black_box(DistSketch::from_sample(black_box(&data))))
     });
     group.finish();
 }
@@ -103,7 +146,9 @@ fn bench_bitonic(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_metered_stream,
+    bench_transfer,
     bench_launch_overhead,
+    bench_sketch,
     bench_warp_primitives,
     bench_bitonic
 );

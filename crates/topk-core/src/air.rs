@@ -232,8 +232,8 @@ impl AirTopK {
         Ok((0..batch)
             .map(|p| {
                 (
-                    slice_buffer(&out_val, p * width, width, "air_values"),
-                    slice_buffer(&out_idx, p * width, width, "air_indices"),
+                    out_val.copy_range("air_values", p * width, width),
+                    out_idx.copy_range("air_indices", p * width, width),
                 )
             })
             .collect())
@@ -1035,21 +1035,6 @@ impl AirTopK {
 
         Ok((out_val, out_idx))
     }
-}
-
-/// Copy `len` elements at `offset` of `src` into a fresh buffer — the
-/// host-side equivalent of taking a device-pointer offset view.
-pub(crate) fn slice_buffer<T: gpu_sim::DeviceScalar>(
-    src: &DeviceBuffer<T>,
-    offset: usize,
-    len: usize,
-    label: &str,
-) -> DeviceBuffer<T> {
-    let out = DeviceBuffer::<T>::zeroed(label, len);
-    for i in 0..len {
-        out.set(i, src.get(offset + i));
-    }
-    out
 }
 
 impl TopKAlgorithm for AirTopK {

@@ -256,8 +256,8 @@ impl TopKAlgorithm for BucketedTopK {
         Ok((0..batch)
             .map(|p| {
                 TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "bucketed_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "bucketed_indices"),
+                    out_val.copy_range("bucketed_values", p * k, k),
+                    out_idx.copy_range("bucketed_indices", p * k, k),
                 )
             })
             .collect())

@@ -97,12 +97,10 @@ impl RadixKey for f32 {
 
     #[inline(always)]
     fn to_ordered(self) -> u32 {
+        // Negative: flip every bit; otherwise set the sign bit. As a
+        // mask, so scans over keys stay branch-free.
         let b = self.to_bits();
-        if b & 0x8000_0000 != 0 {
-            !b
-        } else {
-            b | 0x8000_0000
-        }
+        b ^ (((b as i32 >> 31) as u32) | 0x8000_0000)
     }
 
     #[inline(always)]
@@ -150,11 +148,7 @@ impl RadixKey for f64 {
     #[inline(always)]
     fn to_ordered(self) -> u64 {
         let b = self.to_bits();
-        if b & 0x8000_0000_0000_0000 != 0 {
-            !b
-        } else {
-            b | 0x8000_0000_0000_0000
-        }
+        b ^ (((b as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
     }
 
     #[inline(always)]
@@ -311,6 +305,32 @@ mod tests {
             a.to_ordered().cmp(&b.to_ordered()),
             "ordering mismatch"
         );
+    }
+
+    #[test]
+    fn float_mask_mapping_equals_the_sign_branch() {
+        // The textbook form: flip a negative key, set a positive key's
+        // sign bit. Sweep bit patterns with a stride coprime to 2^32,
+        // plus both signs of NaN/inf/zero/subnormal.
+        let edges32 = [0, 1, 0x007f_ffff, 0x7f80_0000, 0x7f80_0001, 0x7fc0_1234];
+        let sweep32 = (0..1u64 << 32).step_by(0x9e37).map(|b| b as u32);
+        for b in sweep32
+            .chain(edges32)
+            .chain(edges32.map(|b| b | 0x8000_0000))
+        {
+            let want = if b & 0x8000_0000 != 0 {
+                !b
+            } else {
+                b | 0x8000_0000
+            };
+            assert_eq!(f32::from_bits(b).to_ordered(), want, "{b:#x}");
+        }
+        let edges64 = [0, 1, 0x7ff0_0000_0000_0000, 0x7ff8_0000_dead_beef];
+        let sweep64 = (0..1u64 << 20).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for b in sweep64.chain(edges64).chain(edges64.map(|b| b | 1 << 63)) {
+            let want = if b & 1 << 63 != 0 { !b } else { b | 1 << 63 };
+            assert_eq!(f64::from_bits(b).to_ordered(), want, "{b:#x}");
+        }
     }
 
     #[test]

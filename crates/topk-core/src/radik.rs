@@ -174,8 +174,8 @@ impl RadiK {
         Ok((0..batch)
             .map(|p| {
                 (
-                    crate::air::slice_buffer(&out_val, p * width, width, "radik_values"),
-                    crate::air::slice_buffer(&out_idx, p * width, width, "radik_indices"),
+                    out_val.copy_range("radik_values", p * width, width),
+                    out_idx.copy_range("radik_indices", p * width, width),
                 )
             })
             .collect())

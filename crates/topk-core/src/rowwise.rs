@@ -273,8 +273,8 @@ impl TopKAlgorithm for RowWiseTopK {
         Ok((0..batch)
             .map(|p| {
                 TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "rowwise_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "rowwise_indices"),
+                    out_val.copy_range("rowwise_values", p * k, k),
+                    out_idx.copy_range("rowwise_indices", p * k, k),
                 )
             })
             .collect())

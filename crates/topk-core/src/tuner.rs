@@ -60,6 +60,8 @@ use crate::rowwise::ROWWISE_MAX_K;
 const KEY_BITS: u32 = 32;
 /// Bytes per key in the modelled element type.
 const KEY_BYTES: u64 = 4;
+/// Independent min/max accumulators in [`DistSketch::from_sample`].
+const SKETCH_LANES: usize = 16;
 /// Bytes per (key, index) pair in candidate buffers and outputs.
 const PAIR_BYTES: u64 = 8;
 /// One scattered access is charged a whole transaction sector.
@@ -117,22 +119,32 @@ impl DistSketch {
     /// Compute the sketch of a host-side sample: the common ordered-bit
     /// prefix of the sample's min and max. `O(len)`, no allocation —
     /// cheap enough to run per query on a row sample.
+    ///
+    /// The scan is branch-free: a fixed set of independent running
+    /// min/max pairs over the ordered bits, folded at the end, so the
+    /// compiler can keep them in vector registers. Lanes start at the
+    /// identities (`MAX` for min, `ZERO` for max), so the result is the
+    /// exact min and max whatever the sample's length; an empty sample
+    /// keeps `(MAX, ZERO)`, which share no prefix: the uniform sketch.
     pub fn from_sample<T: RadixKey>(sample: &[T]) -> Self {
-        let mut iter = sample.iter();
-        let Some(first) = iter.next() else {
-            return Self::uniform();
-        };
-        let mut mn = first.to_ordered();
-        let mut mx = mn;
-        for v in iter {
-            let bits = v.to_ordered();
-            if bits < mn {
-                mn = bits;
-            }
-            if bits > mx {
-                mx = bits;
+        let mut mn = [T::Ordered::MAX; SKETCH_LANES];
+        let mut mx = [T::Ordered::ZERO; SKETCH_LANES];
+        let chunks = sample.chunks_exact(SKETCH_LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for l in 0..SKETCH_LANES {
+                let bits = chunk[l].to_ordered();
+                mn[l] = mn[l].min(bits);
+                mx[l] = mx[l].max(bits);
             }
         }
+        for (l, v) in tail.iter().enumerate() {
+            let bits = v.to_ordered();
+            mn[l] = mn[l].min(bits);
+            mx[l] = mx[l].max(bits);
+        }
+        let mn = mn.into_iter().fold(T::Ordered::MAX, Ord::min);
+        let mx = mx.into_iter().fold(T::Ordered::ZERO, Ord::max);
         let prefix = common_prefix_len_of::<T::Ordered>(mn, mx);
         // Normalise to the 32-bit key space the predictors model.
         let scaled = (prefix as u64 * KEY_BITS as u64 / T::Ordered::BITS as u64) as u32;
@@ -1435,6 +1447,133 @@ mod tests {
         );
         let delta = counters().snapshot().delta_since(&before);
         assert!(delta.tuner_refinements >= 1);
+    }
+
+    mod sketch_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// The scalar, branchy scan `DistSketch::from_sample` replaced,
+        /// kept as its oracle.
+        fn scalar_sketch<T: RadixKey>(sample: &[T]) -> DistSketch {
+            let mut iter = sample.iter();
+            let Some(first) = iter.next() else {
+                return DistSketch::uniform();
+            };
+            let mut mn = first.to_ordered();
+            let mut mx = mn;
+            for v in iter {
+                let bits = v.to_ordered();
+                if bits < mn {
+                    mn = bits;
+                }
+                if bits > mx {
+                    mx = bits;
+                }
+            }
+            let prefix = common_prefix_len_of::<T::Ordered>(mn, mx);
+            let scaled = (prefix as u64 * KEY_BITS as u64 / T::Ordered::BITS as u64) as u32;
+            DistSketch::from_bits(scaled)
+        }
+
+        /// Rows are this long; checking every prefix `0..=ROW` hits
+        /// every remainder lane several times over.
+        const ROW: usize = 67;
+
+        /// The lane-parallel sketch equals the oracle on every prefix.
+        fn agrees_on_every_prefix<T: RadixKey>(row: &[T]) -> Result<(), TestCaseError> {
+            for len in 0..=row.len() {
+                let got = DistSketch::from_sample(&row[..len]);
+                prop_assert_eq!(got, scalar_sketch(&row[..len]), "len={}", len);
+            }
+            Ok(())
+        }
+
+        /// One key: any bit pattern, or one of `edges`.
+        fn key<T: Arbitrary + Copy + 'static>(edges: &'static [T]) -> BoxedStrategy<T> {
+            prop_oneof![any::<T>(), (0..edges.len()).prop_map(move |i| edges[i])].boxed()
+        }
+
+        /// Rows of random keys, of edge keys, of a mix, or all equal.
+        fn rows<T: Arbitrary + Copy + 'static>(edges: &'static [T]) -> BoxedStrategy<Vec<T>> {
+            prop_oneof![
+                prop::collection::vec(any::<T>(), ROW),
+                prop::collection::vec((0..edges.len()).prop_map(move |i| edges[i]), ROW),
+                prop::collection::vec(key(edges), ROW),
+                key(edges).prop_map(|v| vec![v; ROW]),
+            ]
+            .boxed()
+        }
+
+        const F32_EDGES: &[f32] = &[
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234), // quiet NaN with payload
+            f32::from_bits(0xffc0_0001), // negative quiet NaN
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0xff80_0001),
+            f32::from_bits(0x0000_0001), // smallest subnormal
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            1.0,
+            -1.0,
+        ];
+        const F64_EDGES: &[f64] = &[
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff8_0000_0000_0001),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x0000_0000_0000_0001),
+            f64::from_bits(0x800f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        const U32_EDGES: &[u32] = &[0, 1, 0x7fff_ffff, 0x8000_0000, u32::MAX - 1, u32::MAX];
+        const I32_EDGES: &[i32] = &[i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+        const U64_EDGES: &[u64] = &[0, 1, u32::MAX as u64, 1 << 63, u64::MAX - 1, u64::MAX];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn sketch_matches_scalar_oracle_f32(row in rows(F32_EDGES)) {
+                agrees_on_every_prefix(&row)?;
+            }
+
+            #[test]
+            fn sketch_matches_scalar_oracle_u32(row in rows(U32_EDGES)) {
+                agrees_on_every_prefix(&row)?;
+            }
+
+            #[test]
+            fn sketch_matches_scalar_oracle_i32(row in rows(I32_EDGES)) {
+                agrees_on_every_prefix(&row)?;
+            }
+
+            #[test]
+            fn sketch_matches_scalar_oracle_f64(row in rows(F64_EDGES)) {
+                agrees_on_every_prefix(&row)?;
+            }
+
+            #[test]
+            fn sketch_matches_scalar_oracle_u64(row in rows(U64_EDGES)) {
+                agrees_on_every_prefix(&row)?;
+            }
+        }
     }
 
     mod properties {

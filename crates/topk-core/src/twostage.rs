@@ -348,8 +348,8 @@ impl TopKAlgorithm for TwoStageTopK {
         Ok((0..batch)
             .map(|p| {
                 TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "twostage_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "twostage_indices"),
+                    out_val.copy_range("twostage_values", p * k, k),
+                    out_idx.copy_range("twostage_indices", p * k, k),
                 )
             })
             .collect())
