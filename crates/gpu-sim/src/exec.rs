@@ -10,6 +10,18 @@
 //! Blocks of one launch may run concurrently on host threads, so
 //! anything a real GPU would race on (histograms, output cursors,
 //! "last block" flags) must use the atomic accessors — same as CUDA.
+//!
+//! A contiguous sweep reads its range as one coalesced [`Tile`]
+//! ([`BlockCtx::ld_tile`]) rather than element by element with
+//! [`BlockCtx::ld`]. The tile is metered (`len × T::BYTES` into
+//! `bytes_read`) and bounds-checked once, then lends the buffer's
+//! cells: each element is still a relaxed atomic load, taken when the
+//! tile is iterated, so a tile sees exactly what the element-wise loads
+//! would have seen and nothing is copied. With a sanitizer armed, the
+//! tile runs the same per-word check the element-wise loop would, in
+//! index order, so findings do not change; words it squashes (out of
+//! bounds under memcheck) read zero. `ld` remains the accessor for
+//! scalar and control-word loads.
 
 use crate::cost::KernelStats;
 use crate::device::{DeviceSpec, WARP_SIZE};
@@ -238,6 +250,66 @@ impl<'a> BlockCtx<'a> {
             return Self::squashed();
         }
         T::from_raw(buf.cell(idx).load())
+    }
+
+    /// Coalesced load of the contiguous range `start..end` of `buf`,
+    /// equivalent to an element-wise [`BlockCtx::ld`] loop over it but
+    /// metered and bounds-checked once per range; an armed sanitizer
+    /// still checks every word (see the module docs).
+    ///
+    /// An empty range (`end <= start`) is an empty tile, wherever it
+    /// starts. A range that overruns the buffer aborts the launch with
+    /// a labeled [`SimError::OutOfBounds`] naming the first
+    /// out-of-range index, as `ld` would.
+    #[inline]
+    pub fn ld_tile<'b, T: DeviceScalar>(
+        &mut self,
+        buf: &'b DeviceBuffer<T>,
+        start: usize,
+        end: usize,
+    ) -> Tile<'b, T> {
+        if end <= start {
+            return Tile {
+                cells: &[],
+                squashed: 0,
+            };
+        }
+        self.stats.bytes_read += ((end - start) * T::BYTES) as u64;
+        if self.san.is_some() {
+            return self.ld_tile_sanitized(buf, start, end);
+        }
+        let cells = buf.cells();
+        if end > cells.len() {
+            std::panic::panic_any(SimError::OutOfBounds {
+                buffer: buf.label().to_string(),
+                idx: start.max(cells.len()),
+                len: cells.len(),
+            });
+        }
+        Tile {
+            cells: &cells[start..end],
+            squashed: 0,
+        }
+    }
+
+    /// [`BlockCtx::ld_tile`] under an armed sanitizer: every word gets
+    /// the element-wise load's check, in index order. Only out-of-range
+    /// words are squashed, so they form the tile's tail.
+    #[inline(never)]
+    fn ld_tile_sanitized<'b, T: DeviceScalar>(
+        &mut self,
+        buf: &'b DeviceBuffer<T>,
+        start: usize,
+        end: usize,
+    ) -> Tile<'b, T> {
+        let squashed = (start..end)
+            .filter(|&idx| !self.guard(buf, idx, AccessKind::Read))
+            .count();
+        let cells = buf.cells();
+        let hi = end.min(cells.len());
+        let cells = &cells[start.min(hi)..hi];
+        debug_assert_eq!(cells.len() + squashed, end - start);
+        Tile { cells, squashed }
     }
 
     /// Fallible coalesced load: out-of-bounds returns a labeled
@@ -485,6 +557,86 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
+/// One coalesced read of a contiguous device range, from
+/// [`BlockCtx::ld_tile`]. It borrows the buffer's cells and loads each
+/// element (relaxed) as it is read, so it copies nothing.
+pub struct Tile<'a, T: DeviceScalar> {
+    /// The in-bounds words of the range.
+    cells: &'a [T::Atom],
+    /// Trailing words a memcheck sanitizer squashed; they read zero.
+    squashed: usize,
+}
+
+// Manual impls: a derive would demand `T::Atom: Copy`.
+impl<T: DeviceScalar> Clone for Tile<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: DeviceScalar> Copy for Tile<'_, T> {}
+
+impl<'a, T: DeviceScalar> Tile<'a, T> {
+    /// Number of elements in the range.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.cells.len() + self.squashed
+    }
+
+    /// True for an empty range.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The elements in index order.
+    #[inline]
+    pub fn iter(&self) -> TileIter<'a, T> {
+        TileIter {
+            cells: self.cells.iter(),
+            squashed: self.squashed,
+        }
+    }
+}
+
+impl<'a, T: DeviceScalar> IntoIterator for Tile<'a, T> {
+    type Item = T;
+    type IntoIter = TileIter<'a, T>;
+
+    #[inline]
+    fn into_iter(self) -> TileIter<'a, T> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Tile`]'s elements.
+pub struct TileIter<'a, T: DeviceScalar> {
+    cells: std::slice::Iter<'a, T::Atom>,
+    squashed: usize,
+}
+
+impl<T: DeviceScalar> Iterator for TileIter<'_, T> {
+    type Item = T;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<T> {
+        match self.cells.next() {
+            Some(c) => Some(T::from_raw(c.load())),
+            None if self.squashed > 0 => {
+                self.squashed -= 1;
+                Some(BlockCtx::squashed())
+            }
+            None => None,
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.cells.len() + self.squashed;
+        (n, Some(n))
+    }
+}
+
 /// Validate a launch configuration against device limits.
 pub fn validate_launch(spec: &DeviceSpec, cfg: &LaunchConfig) -> Result<(), crate::SimError> {
     if cfg.grid_dim == 0 || cfg.block_dim == 0 {
@@ -607,6 +759,76 @@ mod tests {
         assert_eq!(ctx.stats.bytes_written, 4);
         assert_eq!(ctx.stats.bytes_scattered, 64);
         assert_eq!(ctx.stats.compute_ops, 10);
+    }
+
+    #[test]
+    fn ld_tile_meters_and_reads_like_the_ld_loop() {
+        fn check<T: DeviceScalar + PartialEq>(data: &[T]) {
+            let spec = DeviceSpec::a100();
+            let done = AtomicUsize::new(0);
+            let buf = DeviceBuffer::from_slice("t", data);
+            let n = data.len();
+            for (start, end) in [(0, n), (1, n - 1), (3, 4), (n - 1, n), (2, 2)] {
+                let mut by_ld = BlockCtx::new(0, 1, 32, &done, &spec, None);
+                let want: Vec<T> = (start..end).map(|i| by_ld.ld(&buf, i)).collect();
+                let mut by_tile = BlockCtx::new(0, 1, 32, &done, &spec, None);
+                let tile = by_tile.ld_tile(&buf, start, end);
+                assert_eq!(tile.len(), end - start);
+                assert_eq!(tile.iter().size_hint(), (want.len(), Some(want.len())));
+                assert_eq!(tile.iter().collect::<Vec<T>>(), want);
+                assert_eq!(by_tile.stats, by_ld.stats, "range {start}..{end}");
+            }
+        }
+        check(&[1.5f32, -2.0, 3.25, 0.0, 7.0, -0.0]);
+        check(&[u64::MAX, 1, 2, 3, 4]);
+        check(&[-1i32, 5, -9, 12]);
+    }
+
+    #[test]
+    fn ld_tile_reads_the_cells_when_iterated() {
+        let spec = DeviceSpec::a100();
+        let done = AtomicUsize::new(0);
+        let mut ctx = BlockCtx::new(0, 1, 32, &done, &spec, None);
+        let buf = DeviceBuffer::from_slice("live", &[1u32, 2, 3]);
+        let tile = ctx.ld_tile(&buf, 0, 3);
+        buf.set(1, 20);
+        assert_eq!(tile.into_iter().collect::<Vec<_>>(), [1, 20, 3]);
+    }
+
+    #[test]
+    fn empty_tile_past_the_end_is_a_no_op() {
+        let spec = DeviceSpec::a100();
+        let done = AtomicUsize::new(0);
+        let mut ctx = BlockCtx::new(0, 1, 32, &done, &spec, None);
+        let buf = DeviceBuffer::<u32>::zeroed("short", 4);
+        for (start, end) in [(4, 4), (10, 10), (10, 4), (9, 0)] {
+            let tile = ctx.ld_tile(&buf, start, end);
+            assert!(tile.is_empty(), "{start}..{end}");
+            assert_eq!(tile.iter().next(), None);
+        }
+        assert_eq!(ctx.stats, KernelStats::default(), "nothing metered");
+    }
+
+    #[test]
+    fn ld_tile_overrun_is_a_labeled_launch_error() {
+        let mut gpu = crate::Gpu::with_pool(DeviceSpec::a100(), crate::BlockPool::new(1));
+        let buf = gpu.alloc::<u32>("short", 4);
+        for (start, first_bad) in [(2, 4), (6, 6)] {
+            let b = buf.clone();
+            let err = gpu
+                .try_launch("overrun", LaunchConfig::grid_1d(1, 32), move |ctx| {
+                    let _ = ctx.ld_tile(&b, start, 9);
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::OutOfBounds {
+                    buffer: "short".into(),
+                    idx: first_bad,
+                    len: 4,
+                }
+            );
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use contract::{BufferAccess, ContractIssue, Footprint, KernelContract};
 pub use cost::{sequence_cost, CostBreakdown, KernelStats, PlannedLaunch};
 pub use device::DeviceSpec;
 pub use error::SimError;
-pub use exec::{BlockCtx, LaunchConfig, SharedMem};
+pub use exec::{BlockCtx, LaunchConfig, SharedMem, Tile, TileIter};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, ScriptedFault};
 pub use gpu::{Gpu, KernelReport};
 pub use memory::{AtomicCell, DeviceBuffer, DeviceScalar};

@@ -412,6 +412,12 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         &self.inner.cells[idx]
     }
 
+    /// All backing cells (lent out by `BlockCtx::ld_tile`).
+    #[inline(always)]
+    pub(crate) fn cells(&self) -> &[T::Atom] {
+        &self.inner.cells
+    }
+
     /// Copy the whole buffer out to a host `Vec` (unmetered).
     pub fn to_vec(&self) -> Vec<T> {
         self.read_range(0, self.len())

@@ -5,7 +5,10 @@
 //! the sanitizer on or off).
 
 use gpu_sim::sanitizer::Analysis;
-use gpu_sim::{AccessKind, BlockPool, DeviceSpec, Gpu, LaunchConfig, SanitizerMode, SimError};
+use gpu_sim::{
+    AccessKind, BlockCtx, BlockPool, DeviceBuffer, DeviceSpec, Footprint, Gpu, KernelContract,
+    LaunchConfig, SanitizerMode, SanitizerReport, SimError,
+};
 
 fn gpu_with(mode: SanitizerMode) -> Gpu {
     let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
@@ -344,6 +347,133 @@ fn disjoint_block_writes_are_not_a_race() {
     });
     let report = g.sanitizer_report().unwrap();
     assert!(report.is_clean(), "{:?}", report.findings);
+}
+
+// ---- tile loads: the same findings as the element-wise loop -----------
+
+/// Reads `start..end` of a buffer inside a kernel.
+type Read = fn(&mut BlockCtx<'_>, &DeviceBuffer<u32>, usize, usize) -> Vec<u32>;
+
+fn by_tile(ctx: &mut BlockCtx<'_>, buf: &DeviceBuffer<u32>, start: usize, end: usize) -> Vec<u32> {
+    ctx.ld_tile(buf, start, end).iter().collect()
+}
+
+fn by_ld(ctx: &mut BlockCtx<'_>, buf: &DeviceBuffer<u32>, start: usize, end: usize) -> Vec<u32> {
+    (start..end).map(|i| ctx.ld(buf, i)).collect()
+}
+
+/// A scenario run with one way of reading: the sanitizer report, the
+/// values block 1 read, and the launch's read meter.
+type Outcome = (SanitizerReport, Vec<u32>, u64);
+
+/// Run `scenario` once reading through `ld_tile` and once through the
+/// equivalent `ld` loop, and require identical deduplicated findings,
+/// occurrence counts, values and metering. Returns the tile run's.
+fn tile_matches_ld_loop(scenario: fn(Read) -> Outcome) -> Outcome {
+    let tile = scenario(by_tile);
+    let ld = scenario(by_ld);
+    assert_eq!(tile.0.counts, ld.0.counts);
+    assert_eq!(
+        format!("{:?}", tile.0.findings),
+        format!("{:?}", ld.0.findings)
+    );
+    assert_eq!((&tile.1, tile.2), (&ld.1, ld.2));
+    assert!(!tile.0.findings.is_empty(), "each scenario must fire");
+    tile
+}
+
+/// Block 1 of a two-block launch reads `start..end` of `buf` with
+/// `read`; block 0 runs `block0` first (one-worker pool, so in order).
+fn two_block_read(
+    g: &mut Gpu,
+    contract: Option<&KernelContract>,
+    buf: &DeviceBuffer<u32>,
+    (start, end): (usize, usize),
+    read: Read,
+    block0: fn(&mut BlockCtx<'_>, &DeviceBuffer<u32>),
+) -> Outcome {
+    let got = std::sync::Mutex::new(Vec::new());
+    let kernel = |ctx: &mut BlockCtx<'_>| {
+        if ctx.block_idx == 0 {
+            block0(ctx, buf);
+        } else {
+            *got.lock().unwrap() = read(ctx, buf, start, end);
+        }
+    };
+    let cfg = LaunchConfig::grid_1d(2, 32);
+    let bytes_read = match contract {
+        Some(c) => g.launch_checked(c, cfg, kernel),
+        None => g.launch("tile_kernel", cfg, kernel),
+    }
+    .stats
+    .bytes_read;
+    (
+        g.sanitizer_report().unwrap(),
+        got.into_inner().unwrap(),
+        bytes_read,
+    )
+}
+
+#[test]
+fn tile_memcheck_squash_matches_the_ld_loop() {
+    let (report, values, _) = tile_matches_ld_loop(|read| {
+        let mut g = gpu_with(SanitizerMode::full());
+        let buf = g.htod("short", &[1u32, 2, 3, 4]);
+        two_block_read(&mut g, None, &buf, (2, 8), read, |_, _| {})
+    });
+    assert_eq!(values, [3, 4, 0, 0, 0, 0], "squashed words read zero");
+    let f = &report.findings[0];
+    assert_eq!(
+        (f.analysis, f.index, f.count),
+        (Analysis::MemcheckOob, 4, 4)
+    );
+}
+
+#[test]
+fn tile_initcheck_of_unwritten_words_matches_the_ld_loop() {
+    let (report, _, _) = tile_matches_ld_loop(|read| {
+        let mut g = gpu_with(SanitizerMode::initcheck_only());
+        let buf = g.alloc::<u32>("half_written", 16);
+        for i in 0..6 {
+            buf.set(i, 1);
+        }
+        two_block_read(&mut g, None, &buf, (0, 16), read, |_, _| {})
+    });
+    let f = &report.findings[0];
+    assert_eq!((f.analysis, f.index, f.count), (Analysis::Initcheck, 6, 10));
+}
+
+#[test]
+fn tile_cross_block_race_matches_the_ld_loop() {
+    let (report, _, _) = tile_matches_ld_loop(|read| {
+        let mut g = gpu_with(SanitizerMode::racecheck_only());
+        let buf = g.htod("shared_row", &[0u32; 16]);
+        two_block_read(&mut g, None, &buf, (0, 16), read, |ctx, buf| {
+            for i in 8..12 {
+                ctx.st(buf, i, 7);
+            }
+        })
+    });
+    let f = &report.findings[0];
+    assert_eq!(
+        (f.analysis, f.block, f.index, f.count),
+        (Analysis::Racecheck, 1, 8, 4)
+    );
+}
+
+#[test]
+fn tile_read_outside_the_contract_matches_the_ld_loop() {
+    let (report, _, _) = tile_matches_ld_loop(|read| {
+        let mut g = gpu_with(SanitizerMode::full().with_contracts());
+        let buf = g.htod("declared_head", &[5u32; 8]);
+        let c = KernelContract::new("tile_kernel").reads(&buf, Footprint::fixed(0, 4));
+        two_block_read(&mut g, Some(&c), &buf, (2, 8), read, |_, _| {})
+    });
+    let f = &report.findings[0];
+    assert_eq!(
+        (f.analysis, f.index, f.count),
+        (Analysis::ContractConformance, 4, 4)
+    );
 }
 
 // ---- zero-cost-when-off: identical cost digests -----------------------

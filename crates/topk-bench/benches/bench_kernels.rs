@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the simulator substrate itself: metered loads,
-//! host↔device staging, kernel launch machinery (including the block
-//! pool's multi-block path), the tuner's distribution sketch, warp
-//! primitives and bitonic networks.
+//! Micro-benchmarks of the simulator substrate itself: metered loads
+//! (element-wise and as coalesced tiles), host↔device staging, kernel
+//! launch machinery (including the block pool's multi-block path), the
+//! tuner's distribution sketch, warp primitives and bitonic networks.
 //! These guard the host-side performance of the simulation (the
 //! functional work per element) against regressions.
 
@@ -34,6 +34,27 @@ fn bench_metered_stream(c: &mut Criterion) {
                     for i in start..end {
                         acc = acc.wrapping_add(ctx.ld(&buf, i).to_bits());
                     }
+                    ctx.atomic_add(&out, 0, acc);
+                },
+            );
+            black_box(out.get(0))
+        });
+    });
+    // The same sum over one coalesced tile per block: metering and the
+    // bounds check are paid per block, not per element.
+    group.bench_function("ld_tile_sum_1M", |b| {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let buf = gpu.htod("in", &data);
+        let out = gpu.alloc::<u32>("out", 1);
+        b.iter(|| {
+            gpu.launch(
+                "sum",
+                LaunchConfig::for_elements(n, 256, 16, usize::MAX),
+                |ctx| {
+                    let chunk = 256 * 16;
+                    let start = ctx.block_idx * chunk;
+                    let tile = ctx.ld_tile(&buf, start, (start + chunk).min(n));
+                    let acc = tile.iter().fold(0u32, |a, v| a.wrapping_add(v.to_bits()));
                     ctx.atomic_add(&out, 0, acc);
                 },
             );

@@ -32,6 +32,7 @@
 
 use crate::error::TopKError;
 use crate::keys::{digit_of, digit_width_of, num_passes_of, prefix_of, RadixKey};
+use crate::matrix::{Candidates, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -95,51 +96,6 @@ const CTRL_FIXED: usize = 8;
 /// synchronise between passes internally, so the N-element input is
 /// read exactly once and only one launch is paid.
 pub const ONE_BLOCK_THRESHOLD: usize = 8192;
-
-/// How a batched kernel reads its per-problem inputs: either a slice
-/// of separate row buffers (the convenience API) or one contiguous
-/// row-major matrix (RAFT's `matrix::select_k` shape, zero copies).
-/// Shared with the other batched radix kernels in this crate
-/// ([`crate::radik`], [`crate::rowwise`]).
-#[derive(Clone, Copy)]
-pub(crate) enum Rows<'a, T: RadixKey> {
-    Slices(&'a [DeviceBuffer<T>]),
-    Matrix(&'a crate::matrix::DeviceMatrix<T>),
-}
-
-impl<'a, T: RadixKey> Rows<'a, T> {
-    #[inline(always)]
-    pub(crate) fn ld(&self, ctx: &mut gpu_sim::BlockCtx<'_>, prob: usize, i: usize) -> T {
-        match self {
-            Rows::Slices(v) => ctx.ld(&v[prob], i),
-            Rows::Matrix(m) => ctx.ld(m.buffer(), prob * m.cols() + i),
-        }
-    }
-
-    pub(crate) fn batch(&self) -> usize {
-        match self {
-            Rows::Slices(v) => v.len(),
-            Rows::Matrix(m) => m.rows(),
-        }
-    }
-
-    pub(crate) fn n(&self) -> usize {
-        match self {
-            Rows::Slices(v) => v.first().map_or(0, |b| b.len()),
-            Rows::Matrix(m) => m.cols(),
-        }
-    }
-
-    /// Declare every backing buffer of this row set as a read in `c`.
-    /// Which row a block loads is launch-geometry-dependent, so the
-    /// honest static footprint is `all`.
-    pub(crate) fn declare_reads(&self, c: KernelContract) -> KernelContract {
-        match self {
-            Rows::Slices(v) => v.iter().fold(c, |c, b| c.reads(b, Footprint::all())),
-            Rows::Matrix(m) => c.reads(m.buffer(), Footprint::all()),
-        }
-    }
-}
 
 /// AIR Top-K (Adaptive and Iteration-fused Radix top-K), §3.
 ///
@@ -312,16 +268,11 @@ impl AirTopK {
                 move |ctx| {
                     let chunk = 256 * 4;
                     let start = ctx.block_idx * chunk;
-                    let end = (start + chunk).min(width);
-                    if start >= end {
+                    let tile = ctx.ld_tile(&vals, start, (start + chunk).min(width));
+                    let Some(m) = tile.iter().map(|v| v.to_ordered()).max() else {
                         return;
-                    }
-                    let mut m = ctx.ld(&vals, start).to_ordered();
-                    for i in start + 1..end {
-                        let o = ctx.ld(&vals, i).to_ordered();
-                        m = m.max(o);
-                        ctx.ops(1);
-                    }
+                    };
+                    ctx.ops(tile.len() as u64 - 1);
                     // Unsigned raw max on ordered bits == value max.
                     ctx.atomic_max_raw(&acc, 0, m);
                 },
@@ -495,13 +446,13 @@ impl AirTopK {
                 // stay out of the per-element work.
                 let ops = if pass == 0 {
                     // Histogram of the first digit only.
-                    for i in start..end {
-                        let bits = inputs.ld(ctx, prob, i).to_ordered();
-                        local_hist[digit_of::<T::Ordered>(bits, 0, b) as usize] += 1;
+                    let row = inputs.tile(ctx, prob, start, end);
+                    for v in row {
+                        local_hist[digit_of::<T::Ordered>(v.to_ordered(), 0, b) as usize] += 1;
                     }
                     // load index math + ordered-bit transform, then
                     // digit extract + shared-memory histogram
-                    8 * end.saturating_sub(start) as u64
+                    8 * row.len() as u64
                 } else {
                     let filter = FusedFilter {
                         ctrl: &ctrl,
@@ -518,25 +469,17 @@ impl AirTopK {
                         pass: pass as u32,
                         bits_per_pass: b,
                         target_prev,
+                        // Input elements that diverged from the kth
+                        // prefix in an earlier pass were output or
+                        // discarded there already.
+                        settled: (!src_is_buf && pass >= 2).then_some((prefix_prev2, wid_prev2)),
                     };
-                    if src_is_buf {
-                        let (val, idx) = (&buf_val[read_sel], &buf_idx[read_sel]);
-                        filter.sweep(ctx, start..end, &mut local_hist, early, store, |ctx, i| {
-                            let v = ctx.ld(val, prob * cap + i);
-                            Some((v, ctx.ld(idx, prob * cap + i)))
-                        })
-                    } else {
-                        // Skip elements that diverged from the kth prefix
-                        // in an earlier pass (they were output or
-                        // discarded there already).
-                        let check_prefix = pass >= 2;
-                        filter.sweep(ctx, start..end, &mut local_hist, early, store, |ctx, i| {
-                            let v = inputs.ld(ctx, prob, i);
-                            let diverged = check_prefix
-                                && prefix_of::<T::Ordered>(v.to_ordered(), wid_prev2)
-                                    != prefix_prev2;
-                            (!diverged).then_some((v, i as u32))
-                        })
+                    let buffered =
+                        src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
+                    let hist = &mut local_hist;
+                    match inputs.source(ctx, prob, start, end, buffered) {
+                        Candidates::Buffered(items) => filter.sweep(ctx, items, hist, early, store),
+                        Candidates::Input(items) => filter.sweep(ctx, items, hist, early, store),
                     }
                 };
                 ctx.ops(ops);
@@ -706,15 +649,8 @@ impl AirTopK {
 
             let start = blk * chunk;
             let end = (start + chunk).min(n_src);
-            for i in start..end {
-                let (v, idx) = if src_is_buf {
-                    (
-                        ctx.ld(&buf_val[read_sel], prob * cap + i),
-                        ctx.ld(&buf_idx[read_sel], prob * cap + i),
-                    )
-                } else {
-                    (inputs.ld(ctx, prob, i), i as u32)
-                };
+            let buffered = src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
+            for (v, idx) in inputs.source(ctx, prob, start, end, buffered) {
                 let bits = v.to_ordered();
                 ctx.ops(3);
                 if !src_is_buf
@@ -769,51 +705,54 @@ struct FusedFilter<'a, T: RadixKey> {
     pass: u32,
     bits_per_pass: u32,
     target_prev: u32,
+    /// `(prefix, width)`: source elements whose leading `width` key
+    /// bits differ from `prefix` were settled in an earlier pass and
+    /// are skipped. `None` when every element of the source is live.
+    settled: Option<(u64, u32)>,
 }
 
 impl<T: RadixKey> FusedFilter<'_, T> {
-    /// Filter `range` of the pass's source. `load` returns `None` for
-    /// an element already settled in an earlier pass. Returns the
-    /// compute ops the sweep costs.
-    fn sweep<L>(
+    /// Filter one block's share of the pass's source, given as its
+    /// `(value, index)` items. Returns the compute ops the sweep costs.
+    fn sweep<I>(
         &self,
         ctx: &mut gpu_sim::BlockCtx<'_>,
-        range: std::ops::Range<usize>,
+        items: I,
         hist: &mut [u32],
         early: bool,
         store: bool,
-        load: L,
     ) -> u64
     where
-        L: FnMut(&mut gpu_sim::BlockCtx<'_>, usize) -> Option<(T, u32)>,
+        I: Iterator<Item = (T, u32)>,
     {
         match (early, store) {
-            (true, _) => self.sweep_as::<true, false, L>(ctx, range, hist, load),
-            (false, true) => self.sweep_as::<false, true, L>(ctx, range, hist, load),
-            (false, false) => self.sweep_as::<false, false, L>(ctx, range, hist, load),
+            (true, _) => self.sweep_as::<true, false, I>(ctx, items, hist),
+            (false, true) => self.sweep_as::<false, true, I>(ctx, items, hist),
+            (false, false) => self.sweep_as::<false, false, I>(ctx, items, hist),
         }
     }
 
     #[inline(always)]
-    fn sweep_as<const EARLY: bool, const STORE: bool, L>(
+    fn sweep_as<const EARLY: bool, const STORE: bool, I>(
         &self,
         ctx: &mut gpu_sim::BlockCtx<'_>,
-        range: std::ops::Range<usize>,
+        items: I,
         hist: &mut [u32],
-        mut load: L,
     ) -> u64
     where
-        L: FnMut(&mut gpu_sim::BlockCtx<'_>, usize) -> Option<(T, u32)>,
+        I: Iterator<Item = (T, u32)>,
     {
         let (b, pass, target) = (self.bits_per_pass, self.pass, self.target_prev);
-        let (mut skipped, mut candidates) = (0u64, 0u64);
-        let len = range.len() as u64;
-        for i in range {
-            let Some((v, idx)) = load(ctx, i) else {
-                skipped += 1;
-                continue;
-            };
+        let (mut len, mut skipped, mut candidates) = (0u64, 0u64, 0u64);
+        for (v, idx) in items {
+            len += 1;
             let bits = v.to_ordered();
+            if let Some((prefix, width)) = self.settled {
+                if prefix_of::<T::Ordered>(bits, width) != prefix {
+                    skipped += 1;
+                    continue;
+                }
+            }
             let d_prev = digit_of::<T::Ordered>(bits, pass - 1, b);
             if EARLY {
                 // Early-stop copy-out: committed results (d < target)
@@ -889,8 +828,7 @@ impl AirTopK {
                 let blk = ctx.block_idx % bpp;
                 let start = blk * chunk;
                 let end = (start + chunk).min(n);
-                for i in start..end {
-                    let v = inputs.ld(ctx, prob, i);
+                for (i, v) in (start..end).zip(inputs.tile(ctx, prob, start, end)) {
                     ctx.st(&ov, prob * n + i, v);
                     ctx.st(&oi, prob * n + i, i as u32);
                 }
@@ -952,8 +890,8 @@ impl AirTopK {
                 // histogram. The block reads the input exactly once.
                 let mut cand_bits = ctx.shared_alloc::<T::Ordered>(n);
                 let mut cand_idx = ctx.shared_alloc::<u32>(n);
-                for i in 0..n {
-                    cand_bits[i] = inputs.ld(ctx, prob, i).to_ordered();
+                for (i, v) in inputs.tile(ctx, prob, 0, n).into_iter().enumerate() {
+                    cand_bits[i] = v.to_ordered();
                     cand_idx[i] = i as u32;
                 }
                 ctx.ops(2 * n as u64);

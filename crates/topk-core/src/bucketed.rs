@@ -19,9 +19,9 @@
 //! when it fills. `c = K` (one bucket) degenerates to the exact
 //! row-wise path.
 
-use crate::air::Rows;
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::Rows;
 use crate::obs;
 use crate::recall::{expected_recall_parts, BucketedPlan};
 use crate::scratch::ScratchGuard;
@@ -188,8 +188,8 @@ impl BucketedTopK {
                     pairs[take - 1].0
                 };
 
-                for i in lo..hi {
-                    let bits = inputs.ld(ctx, row, i).to_ordered();
+                for (i, v) in (lo..hi).zip(inputs.tile(ctx, row, lo, hi)) {
+                    let bits = v.to_ordered();
                     ctx.ops(2); // ordered-bit transform + threshold compare
                     if !have_thr || bits < thr {
                         cand_bits[len] = bits;

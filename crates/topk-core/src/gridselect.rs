@@ -30,6 +30,7 @@
 use crate::bitonic::{merge_into_topk, sort_queue};
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::Rows;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -229,16 +230,7 @@ impl GridSelect {
                 ),
             });
         }
-        select_streaming_core_typed(
-            gpu,
-            "gridselect_kernel",
-            n,
-            inputs.len(),
-            k,
-            &self.cfg,
-            |ctx, prob, i| ctx.ld(&inputs[prob], i),
-            |c| inputs.iter().fold(c, |c, b| c.reads(b, Footprint::all())),
-        )
+        select_rows_core(gpu, "gridselect_kernel", Rows::Slices(inputs), k, &self.cfg)
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
@@ -253,17 +245,7 @@ impl GridSelect {
         T: RadixKey,
         T::Ordered: DeviceScalar,
     {
-        let cols = input.cols();
-        select_streaming_core_typed(
-            gpu,
-            "gridselect_kernel",
-            cols,
-            input.rows(),
-            k,
-            &self.cfg,
-            |ctx, prob, i| ctx.ld(input.buffer(), prob * cols + i),
-            |c| c.reads(input.buffer(), Footprint::all()),
-        )
+        select_rows_core(gpu, "gridselect_kernel", Rows::Matrix(input), k, &self.cfg)
     }
 }
 
@@ -441,15 +423,39 @@ pub fn select_partial_core(
             ),
         });
     }
-    select_streaming_core(
+    Ok(select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg)?
+        .into_iter()
+        .map(|(values, indices)| TopKOutput::new(values, indices))
+        .collect())
+}
+
+/// The core over buffer-backed rows: each warp loads its 32-lane
+/// groups as coalesced tiles.
+fn select_rows_core<T>(
+    gpu: &mut dyn Backend,
+    name: &str,
+    rows: Rows<'_, T>,
+    k: usize,
+    cfg: &GridSelectConfig,
+) -> Result<Vec<TypedOutput<T>>, TopKError>
+where
+    T: RadixKey,
+    T::Ordered: DeviceScalar,
+{
+    select_groups_core(
         gpu,
         name,
-        n,
-        inputs.len(),
+        rows.n(),
+        rows.batch(),
         k,
         cfg,
-        |ctx, prob, i| ctx.ld(&inputs[prob], i),
-        |c| inputs.iter().fold(c, |c, b| c.reads(b, Footprint::all())),
+        |ctx, prob, start, keys: &mut [T::Ordered]| {
+            let tile = rows.tile(ctx, prob, start, start + keys.len());
+            for (key, v) in keys.iter_mut().zip(tile) {
+                *key = v.to_ordered();
+            }
+        },
+        |c| rows.declare_reads(c),
     )
 }
 
@@ -504,6 +510,35 @@ where
     P: Fn(&mut BlockCtx<'_>, usize, usize) -> T + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {
+    let fill = |ctx: &mut BlockCtx<'_>, prob: usize, start: usize, keys: &mut [T::Ordered]| {
+        for (lane, key) in keys.iter_mut().enumerate() {
+            *key = producer(ctx, prob, start + lane).to_ordered();
+        }
+    };
+    select_groups_core(gpu, name, n, batch, k, cfg, fill, declare_reads)
+}
+
+/// The core behind every entry point. The lane-group producer
+/// `fill(ctx, prob, start, keys)` writes the ordered keys of problem
+/// `prob`'s elements `start..start + keys.len()`, one lockstep group
+/// of at most 32 lanes at a time.
+#[allow(clippy::too_many_arguments)]
+fn select_groups_core<T, G, D>(
+    gpu: &mut dyn Backend,
+    name: &str,
+    n: usize,
+    batch: usize,
+    k: usize,
+    cfg: &GridSelectConfig,
+    fill: G,
+    declare_reads: D,
+) -> Result<Vec<TypedOutput<T>>, TopKError>
+where
+    T: RadixKey,
+    T::Ordered: DeviceScalar,
+    G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [T::Ordered]) + Sync,
+    D: Fn(KernelContract) -> KernelContract,
+{
     if batch < 1 {
         return Err(TopKError::UnsupportedShape {
             algorithm: CORE_NAME,
@@ -524,7 +559,7 @@ where
         batch,
         k,
         cfg,
-        producer,
+        fill,
         declare_reads,
     );
     ws.release(gpu);
@@ -534,11 +569,11 @@ where
     r
 }
 
-/// Launch sequence behind [`select_streaming_core_typed`]; workspace
-/// goes through `ws`, result buffers through `outs`, so the caller can
+/// Launch sequence behind [`select_groups_core`]; workspace goes
+/// through `ws`, result buffers through `outs`, so the caller can
 /// release either group on any exit path.
 #[allow(clippy::too_many_arguments)]
-fn streaming_core_launches<T, P, D>(
+fn streaming_core_launches<T, G, D>(
     gpu: &mut dyn Backend,
     ws: &mut ScratchGuard,
     outs: &mut ScratchGuard,
@@ -547,13 +582,13 @@ fn streaming_core_launches<T, P, D>(
     batch: usize,
     k: usize,
     cfg: &GridSelectConfig,
-    producer: P,
+    fill: G,
     declare_reads: D,
 ) -> Result<Vec<TypedOutput<T>>, TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
-    P: Fn(&mut BlockCtx<'_>, usize, usize) -> T + Sync,
+    G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [T::Ordered]) + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {
     let klen = k.next_power_of_two();
@@ -625,7 +660,7 @@ where
                 let wend = (wstart + warp_elems).min(n);
                 let mut g = wstart;
                 while g < wend {
-                    process_group(ctx, &producer, prob, g, wend, st, queue);
+                    process_group(ctx, &fill, prob, g, wend, st, queue);
                     g += WARP_SIZE;
                 }
             }
@@ -698,16 +733,19 @@ where
                 let first = gidx * MERGE_FANIN;
                 let last = (first + MERGE_FANIN).min(cur);
                 let base0 = (prob * bpp + first * step) * klen;
-                let mut keys: Vec<T::Ordered> = (0..klen)
-                    .map(|i| ctx.ld(&scratch_keys, base0 + i))
+                let mut keys: Vec<T::Ordered> = ctx
+                    .ld_tile(&scratch_keys, base0, base0 + klen)
+                    .iter()
                     .collect();
-                let mut idx: Vec<u32> =
-                    (0..klen).map(|i| ctx.ld(&scratch_idx, base0 + i)).collect();
+                let mut idx: Vec<u32> = ctx
+                    .ld_tile(&scratch_idx, base0, base0 + klen)
+                    .iter()
+                    .collect();
                 for l in first + 1..last {
                     let b = (prob * bpp + l * step) * klen;
                     let qk: Vec<T::Ordered> =
-                        (0..klen).map(|i| ctx.ld(&scratch_keys, b + i)).collect();
-                    let qi: Vec<u32> = (0..klen).map(|i| ctx.ld(&scratch_idx, b + i)).collect();
+                        ctx.ld_tile(&scratch_keys, b, b + klen).iter().collect();
+                    let qi: Vec<u32> = ctx.ld_tile(&scratch_idx, b, b + klen).iter().collect();
                     let ops = merge_into_topk(&mut keys, &mut idx, &qk, &qi);
                     ctx.ops(ops);
                     obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
@@ -739,31 +777,28 @@ where
         .collect())
 }
 
-/// Process one 32-element lockstep group for a warp.
-fn process_group<T, P>(
+/// Process one 32-element lockstep group `start..end` (clamped to one
+/// warp) for a warp; lanes past `end` stay idle.
+fn process_group<O, G>(
     ctx: &mut BlockCtx<'_>,
-    producer: &P,
+    fill: &G,
     prob: usize,
     start: usize,
     end: usize,
-    st: &mut WarpState<T::Ordered>,
+    st: &mut WarpState<O>,
     queue: QueueKind,
 ) where
-    T: RadixKey,
-    P: Fn(&mut BlockCtx<'_>, usize, usize) -> T + Sync,
+    O: OrderedBits,
+    G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [O]),
 {
-    let mut keys: Lanes<T::Ordered> = [T::Ordered::MAX; WARP_SIZE];
+    let count = (end - start).min(WARP_SIZE);
+    let mut keys: Lanes<O> = [O::MAX; WARP_SIZE];
+    fill(ctx, prob, start, &mut keys[..count]);
     let mut idxs: Lanes<u32> = [0; WARP_SIZE];
     let mut preds: Lanes<bool> = [false; WARP_SIZE];
-    for lane in 0..WARP_SIZE {
-        let i = start + lane;
-        if i < end {
-            let v = producer(ctx, prob, i);
-            let bits = v.to_ordered();
-            keys[lane] = bits;
-            idxs[lane] = i as u32;
-            preds[lane] = bits < st.threshold;
-        }
+    for lane in 0..count {
+        idxs[lane] = (start + lane) as u32;
+        preds[lane] = keys[lane] < st.threshold;
     }
     ctx.ops(2 * WARP_SIZE as u64);
     st.insert_group(ctx, &keys, &idxs, &preds, queue);

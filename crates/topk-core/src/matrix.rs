@@ -7,8 +7,121 @@
 //! a batched selection reads rows with zero per-row allocations and
 //! writes its `rows × k` outputs packed — how the real library works,
 //! as opposed to the `&[DeviceBuffer]` convenience API.
+//!
+//! The batched kernels read either shape through `Rows`, which hands
+//! out each block's contiguous share of a row as one coalesced
+//! [`Tile`].
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, DeviceScalar};
+use gpu_sim::{
+    Backend, BackendExt, BlockCtx, DeviceBuffer, DeviceScalar, Footprint, KernelContract, Tile,
+    TileIter,
+};
+use std::iter::Zip;
+use std::ops::RangeFrom;
+
+/// How a batched kernel reads its per-problem inputs: either a slice
+/// of separate row buffers (the convenience API) or one contiguous
+/// row-major matrix (RAFT's `matrix::select_k` shape, zero copies).
+/// Shared by the batched kernels in this crate (AIR, RadiK, RowWise,
+/// TwoStage, Bucketed, GridSelect).
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a, T: DeviceScalar> {
+    Slices(&'a [DeviceBuffer<T>]),
+    Matrix(&'a DeviceMatrix<T>),
+}
+
+impl<'a, T: DeviceScalar> Rows<'a, T> {
+    /// Elements `start..end` of row `prob` as one coalesced tile (see
+    /// [`BlockCtx::ld_tile`]; an empty range is an empty tile).
+    #[inline]
+    pub(crate) fn tile(
+        self,
+        ctx: &mut BlockCtx<'_>,
+        prob: usize,
+        start: usize,
+        end: usize,
+    ) -> Tile<'a, T> {
+        match self {
+            Rows::Slices(v) => ctx.ld_tile(&v[prob], start, end),
+            Rows::Matrix(m) => {
+                let base = prob * m.cols();
+                ctx.ld_tile(m.buffer(), base + start, base + end)
+            }
+        }
+    }
+
+    /// One block's share `start..end` of a radix pass's source as
+    /// `(value, index)` pairs: the previous pass's candidate buffers
+    /// (values, indices, and the problem's base offset in them) when
+    /// `buffered` is given, otherwise row `prob` of the input, whose
+    /// indices are the element positions.
+    #[inline]
+    pub(crate) fn source<'b>(
+        self,
+        ctx: &mut BlockCtx<'_>,
+        prob: usize,
+        start: usize,
+        end: usize,
+        buffered: Option<(&'b DeviceBuffer<T>, &'b DeviceBuffer<u32>, usize)>,
+    ) -> Candidates<'b, T>
+    where
+        'a: 'b,
+    {
+        match buffered {
+            Some((val, idx, base)) => {
+                let vals = ctx.ld_tile(val, base + start, base + end);
+                let idxs = ctx.ld_tile(idx, base + start, base + end);
+                Candidates::Buffered(vals.iter().zip(idxs.iter()))
+            }
+            None => Candidates::Input(self.tile(ctx, prob, start, end).iter().zip(start as u32..)),
+        }
+    }
+
+    pub(crate) fn batch(&self) -> usize {
+        match self {
+            Rows::Slices(v) => v.len(),
+            Rows::Matrix(m) => m.rows(),
+        }
+    }
+
+    pub(crate) fn n(&self) -> usize {
+        match self {
+            Rows::Slices(v) => v.first().map_or(0, |b| b.len()),
+            Rows::Matrix(m) => m.cols(),
+        }
+    }
+
+    /// Declare every backing buffer of this row set as a read in `c`.
+    /// Which row a block loads is launch-geometry-dependent, so the
+    /// honest static footprint is `all`.
+    pub(crate) fn declare_reads(&self, c: KernelContract) -> KernelContract {
+        match self {
+            Rows::Slices(v) => v.iter().fold(c, |c, b| c.reads(b, Footprint::all())),
+            Rows::Matrix(m) => c.reads(m.buffer(), Footprint::all()),
+        }
+    }
+}
+
+/// `(value, index)` pairs of a pass source, from [`Rows::source`].
+/// Hot sweeps match on the variant once and run monomorphic.
+pub(crate) enum Candidates<'a, T: DeviceScalar> {
+    /// The candidate buffers written by the previous pass.
+    Buffered(Zip<TileIter<'a, T>, TileIter<'a, u32>>),
+    /// An input row with positional indices.
+    Input(Zip<TileIter<'a, T>, RangeFrom<u32>>),
+}
+
+impl<T: DeviceScalar> Iterator for Candidates<'_, T> {
+    type Item = (T, u32);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(T, u32)> {
+        match self {
+            Candidates::Buffered(it) => it.next(),
+            Candidates::Input(it) => it.next(),
+        }
+    }
+}
 
 /// A row-major `rows × cols` matrix in device memory.
 #[derive(Debug, Clone)]

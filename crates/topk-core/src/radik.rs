@@ -31,9 +31,10 @@
 //! Skip telemetry lands in [`obs::AlgoCounters::radik_rounds`] and
 //! [`obs::AlgoCounters::radik_skipped_bits`].
 
-use crate::air::{Rows, ONE_BLOCK_THRESHOLD};
+use crate::air::ONE_BLOCK_THRESHOLD;
 use crate::error::TopKError;
 use crate::keys::{common_prefix_len_of, digit_at, num_passes_of, OrderedBits, RadixKey};
+use crate::matrix::Rows;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -335,11 +336,13 @@ impl RadiK {
             let blk = ctx.block_idx % blocks_per_problem;
             let start = blk * chunk;
             let end = (start + chunk).min(n);
-            if start < end {
-                let mut mn = inputs.ld(ctx, prob, start).to_ordered();
-                let mut mx = mn;
-                for i in start + 1..end {
-                    let o = inputs.ld(ctx, prob, i).to_ordered();
+            let mut keys = inputs
+                .tile(ctx, prob, start, end)
+                .into_iter()
+                .map(|v| v.to_ordered());
+            if let Some(first) = keys.next() {
+                let (mut mn, mut mx) = (first, first);
+                for o in keys {
                     mn = mn.min(o);
                     mx = mx.max(o);
                     ctx.ops(3);
@@ -433,15 +436,9 @@ impl RadiK {
                 let mut local_max = <T::Ordered as OrderedBits>::ZERO;
                 let mut saw_candidate = false;
 
-                for i in start..end {
-                    let (v, idx) = if src_is_buf {
-                        (
-                            ctx.ld(&buf_val[read_sel], prob * cap + i),
-                            ctx.ld(&buf_idx[read_sel], prob * cap + i),
-                        )
-                    } else {
-                        (inputs.ld(ctx, prob, i), i as u32)
-                    };
+                let buffered =
+                    src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
+                for (v, idx) in inputs.source(ctx, prob, start, end, buffered) {
                     let key = v.to_ordered();
                     ctx.ops(4);
 
@@ -704,15 +701,8 @@ impl RadiK {
 
             let start = blk * chunk;
             let end = (start + chunk).min(n_src);
-            for i in start..end {
-                let (v, idx) = if src_is_buf {
-                    (
-                        ctx.ld(&buf_val[read_sel], prob * cap + i),
-                        ctx.ld(&buf_idx[read_sel], prob * cap + i),
-                    )
-                } else {
-                    (inputs.ld(ctx, prob, i), i as u32)
-                };
+            let buffered = src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
+            for (v, idx) in inputs.source(ctx, prob, start, end, buffered) {
                 let key = v.to_ordered();
                 ctx.ops(3);
                 if !src_is_buf

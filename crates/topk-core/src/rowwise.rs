@@ -24,10 +24,10 @@
 //! `O(K)` instead of `O(cols)`, and the compute cost is `~2` ops per
 //! element plus the rare compactions.
 
-use crate::air::Rows;
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
 use crate::matrix::DeviceMatrix;
+use crate::matrix::Rows;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
@@ -203,8 +203,8 @@ impl RowWiseTopK {
                     pairs[k - 1].0
                 };
 
-                for i in 0..n {
-                    let bits = inputs.ld(ctx, row, i).to_ordered();
+                for (i, v) in inputs.tile(ctx, row, 0, n).into_iter().enumerate() {
+                    let bits = v.to_ordered();
                     ctx.ops(2); // ordered-bit transform + threshold compare
                     if !have_thr || bits < thr {
                         cand_bits[len] = bits;

@@ -18,9 +18,9 @@
 //! shape; stage two carries the stage-one *global* indices as payload
 //! so the output indices point into the original input.
 
-use crate::air::Rows;
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::Rows;
 use crate::obs;
 use crate::recall::TwoStagePlan;
 use crate::scratch::ScratchGuard;
@@ -205,8 +205,8 @@ impl TwoStageTopK {
                     pairs[kp - 1].0
                 };
 
-                for i in lo..hi {
-                    let bits = inputs.ld(ctx, row, i).to_ordered();
+                for (i, v) in (lo..hi).zip(inputs.tile(ctx, row, lo, hi)) {
+                    let bits = v.to_ordered();
                     ctx.ops(2);
                     if !have_thr || bits < thr {
                         cand_bits[len] = bits;
@@ -276,9 +276,10 @@ impl TwoStageTopK {
                     pairs[k - 1].0
                 };
 
-                for i in 0..m {
-                    let bits = ctx.ld(&cv, row * m + i).to_ordered();
-                    let pos = ctx.ld(&ci, row * m + i);
+                let vals = ctx.ld_tile(&cv, row * m, (row + 1) * m);
+                let poss = ctx.ld_tile(&ci, row * m, (row + 1) * m);
+                for (v, pos) in vals.iter().zip(poss) {
+                    let bits = v.to_ordered();
                     ctx.ops(2);
                     if !have_thr || bits < thr {
                         cand_bits[len] = bits;

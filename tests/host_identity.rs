@@ -1,20 +1,27 @@
-//! Golden identity of the warp-select family and AIR Top-K.
+//! Golden identity of the warp-select family and the radix and
+//! row-streaming selectors.
 //!
 //! The host implementation of these selectors (queue flush, list
-//! merge, fused radix passes) may be rewritten for speed, but what they
-//! compute must not move: the values and indices in output order, the
-//! summed kernel meters and launch sequence that drive simulated time,
-//! and the algorithm-event counters. Every cell below is pinned to a
-//! constant recorded from the reference implementation.
+//! merge, fused radix passes, tile loads) may be rewritten for speed,
+//! but what they compute must not move: the values and indices in
+//! output order, the summed kernel meters and launch sequence that
+//! drive simulated time, and the algorithm-event counters. Every cell
+//! below is pinned to a constant recorded from the reference
+//! implementation.
+//!
+//! Single-input cells go through `select`; batched cells put one row
+//! of each input kind into one `try_select_batch` call (or one
+//! row-major `run_matrix_typed` call), so RadiK, RowWise, TwoStage,
+//! Bucketed and AIR's one-block and matrix paths are pinned too.
 //!
 //! All runs use a one-worker block pool. AIR places results through
 //! atomic output cursors, so its output *order* depends on the order
 //! blocks run in; with one worker that order is fixed.
 
-use gpu_topk::gpu_sim::BlockPool;
+use gpu_topk::gpu_sim::{BlockPool, DeviceBuffer};
 use gpu_topk::prelude::*;
 use gpu_topk::topk_core::obs;
-use gpu_topk::topk_core::{AlgoSnapshot, StreamingSelect};
+use gpu_topk::topk_core::{AlgoSnapshot, RadiK, RowWiseTopK, StreamingSelect};
 use std::sync::Mutex;
 
 /// Tests in this binary share the process-wide counters, so they run
@@ -26,19 +33,28 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// merge) and two StreamingSelect chunks.
 const N: usize = 140_001;
 const KS: [usize; 5] = [1, 32, 100, 256, 2048];
+/// Row length of the batched cells: ragged, and above AIR's one-block
+/// threshold so the multi-pass and multi-round paths run.
+const ROW: usize = 20_001;
+/// Row length of AIR's one-block batched cells (at most 8192).
+const SMALL_ROW: usize = 8_191;
 
 fn inputs() -> Vec<(&'static str, Vec<f32>)> {
-    let ties: Vec<f32> = (0..N)
+    inputs_of(N)
+}
+
+fn inputs_of(n: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let ties: Vec<f32> = (0..n)
         .map(|i| ((i as u64).wrapping_mul(2_654_435_761) >> 7) % 16)
         .map(|l| l as f32 - 8.0)
         .collect();
     vec![
-        ("uniform", datagen::generate(Distribution::Uniform, N, 11)),
+        ("uniform", datagen::generate(Distribution::Uniform, n, 11)),
         ("ties16", ties),
-        ("equal", vec![1.5; N]),
+        ("equal", vec![1.5; n]),
         (
             "adversarial24",
-            datagen::generate(Distribution::RadixAdversarial { m_bits: 24 }, N, 5),
+            datagen::generate(Distribution::RadixAdversarial { m_bits: 24 }, n, 5),
         ),
     ]
 }
@@ -103,6 +119,63 @@ fn cell(alg: &dyn TopKAlgorithm, data: &[f32], k: usize) -> [u64; 3] {
         outputs.u64(v.to_bits() as u64);
         outputs.u64(*i as u64);
     }
+    [outputs.0, meters_digest(&gpu), snapshot_digest(&delta)]
+}
+
+/// Per-row `(values, indices)` of a batched selection.
+type RowOutputs = Vec<(Vec<f32>, Vec<u32>)>;
+
+/// A batched selection under test: given the rows as separate buffers
+/// and as one row-major matrix, select K per row.
+type BatchRun<'a> = &'a dyn Fn(
+    &mut Gpu,
+    &[DeviceBuffer<f32>],
+    &DeviceMatrix<f32>,
+    usize,
+) -> Result<RowOutputs, TopKError>;
+
+fn row_outputs(outs: Vec<(DeviceBuffer<f32>, DeviceBuffer<u32>)>) -> RowOutputs {
+    outs.into_iter()
+        .map(|(v, i)| (v.to_vec(), i.to_vec()))
+        .collect()
+}
+
+/// Digests of one batched selection over `rows` on a fresh one-worker
+/// device. A rejected shape digests its error text; exact selectors
+/// are verified row by row.
+fn batch_cell(run: BatchRun<'_>, exact: bool, rows: &[Vec<f32>], k: usize) -> [u64; 3] {
+    let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+    let bufs: Vec<_> = rows.iter().map(|r| gpu.htod("in", r)).collect();
+    let matrix = DeviceMatrix::htod(&mut gpu, "m", &rows.concat(), rows.len(), rows[0].len());
+    gpu.reset_profile();
+    let before = obs::counters().snapshot();
+    let result = run(&mut gpu, &bufs, &matrix, k);
+    let delta = obs::counters().snapshot().delta_since(&before);
+
+    let mut outputs = Fnv::new();
+    match result {
+        Ok(outs) => {
+            assert_eq!(outs.len(), rows.len());
+            for (r, (values, indices)) in outs.iter().enumerate() {
+                assert_eq!((values.len(), indices.len()), (k, k), "row {r} k={k}");
+                if exact {
+                    verify_topk(&rows[r], k, values, indices)
+                        .unwrap_or_else(|e| panic!("row {r} k={k}: {e}"));
+                }
+                for (v, i) in values.iter().zip(indices) {
+                    outputs.u64(v.to_bits() as u64);
+                    outputs.u64(*i as u64);
+                }
+            }
+        }
+        Err(e) => outputs.str(&e.to_string()),
+    }
+    [outputs.0, meters_digest(&gpu), snapshot_digest(&delta)]
+}
+
+/// Launch sequence, summed meters, peak shared memory and simulated
+/// time of everything run on `gpu` since its last profile reset.
+fn meters_digest(gpu: &Gpu) -> u64 {
     let mut meters = Fnv::new();
     let mut max_shared = 0;
     for r in gpu.reports() {
@@ -123,37 +196,82 @@ fn cell(alg: &dyn TopKAlgorithm, data: &[f32], k: usize) -> [u64; 3] {
     }
     meters.u64(max_shared);
     meters.u64(gpu.elapsed_us().to_bits());
-    [outputs.0, meters.0, snapshot_digest(&delta)]
+    meters.0
 }
 
 /// Run every (input, K) cell for `alg` and compare against `golden`,
 /// reporting every mismatching or missing cell in one failure.
 fn check(alg: &dyn TopKAlgorithm, golden: &[(&str, [u64; 3])]) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut bad = Vec::new();
+    let mut cells = Vec::new();
     for (dist, data) in inputs() {
         for k in KS {
             if alg.max_k().is_some_and(|m| k > m) {
                 continue;
             }
-            let key = format!("{dist} k={k}");
-            let got = cell(alg, &data, k);
-            let want = golden.iter().find(|(c, _)| *c == key).map(|(_, d)| *d);
-            if want != Some(got) {
-                bad.push(format!(
-                    "(\"{key}\", [{:#018x}, {:#018x}, {:#018x}]), // want {want:x?}",
-                    got[0], got[1], got[2]
-                ));
-            }
+            cells.push((format!("{dist} k={k}"), cell(alg, &data, k)));
+        }
+    }
+    compare(alg.name(), &cells, golden);
+}
+
+/// Run `run` on one batch of `row`-long rows (one per input kind) for
+/// every K up to `max_k` and compare against `golden`.
+fn check_batch(
+    name: &str,
+    run: BatchRun<'_>,
+    exact: bool,
+    row: usize,
+    max_k: usize,
+    golden: &[(&str, [u64; 3])],
+) {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Vec<f32>> = inputs_of(row).into_iter().map(|(_, d)| d).collect();
+    let cells: Vec<_> = KS
+        .into_iter()
+        .filter(|&k| k <= max_k)
+        .map(|k| (format!("k={k}"), batch_cell(run, exact, &rows, k)))
+        .collect();
+    compare(name, &cells, golden);
+}
+
+/// Report every computed cell that is missing from `golden` or differs
+/// from it, in one failure.
+fn compare(name: &str, cells: &[(String, [u64; 3])], golden: &[(&str, [u64; 3])]) {
+    let mut bad = Vec::new();
+    for (key, got) in cells {
+        let want = golden.iter().find(|(c, _)| c == key).map(|(_, d)| *d);
+        if want != Some(*got) {
+            bad.push(format!(
+                "(\"{key}\", [{:#018x}, {:#018x}, {:#018x}]), // want {want:x?}",
+                got[0], got[1], got[2]
+            ));
         }
     }
     assert!(
         bad.is_empty(),
-        "{}: {} cells differ from the golden digests:\n{}",
-        alg.name(),
+        "{name}: {} cells differ from the golden digests:\n{}",
         bad.len(),
         bad.join("\n")
     );
+}
+
+/// `try_select_batch` of `alg` as a [`BatchRun`].
+fn via_batch(
+    alg: &dyn TopKAlgorithm,
+) -> impl Fn(
+    &mut Gpu,
+    &[DeviceBuffer<f32>],
+    &DeviceMatrix<f32>,
+    usize,
+) -> Result<RowOutputs, TopKError>
+       + '_ {
+    move |gpu, bufs, _, k| {
+        let outs = alg.try_select_batch(gpu, bufs, k)?;
+        Ok(row_outputs(
+            outs.into_iter().map(|o| (o.values, o.indices)).collect(),
+        ))
+    }
 }
 
 #[test]
@@ -184,6 +302,86 @@ fn streaming_select_is_bit_identical() {
 #[test]
 fn air_topk_is_bit_identical() {
     check(&AirTopK::default(), AIR);
+}
+
+#[test]
+fn radik_batch_is_bit_identical() {
+    let alg = RadiK::default();
+    check_batch(alg.name(), &via_batch(&alg), true, ROW, 2048, RADIK_BATCH);
+}
+
+#[test]
+fn rowwise_batch_is_bit_identical() {
+    let alg = RowWiseTopK::default();
+    check_batch(alg.name(), &via_batch(&alg), true, ROW, 2048, ROWWISE_BATCH);
+}
+
+#[test]
+fn twostage_batch_is_bit_identical() {
+    let alg = TwoStageTopK::default();
+    check_batch(
+        alg.name(),
+        &via_batch(&alg),
+        false,
+        ROW,
+        2048,
+        TWOSTAGE_BATCH,
+    );
+}
+
+#[test]
+fn bucketed_batch_is_bit_identical() {
+    let alg = BucketedTopK::default();
+    check_batch(
+        alg.name(),
+        &via_batch(&alg),
+        false,
+        ROW,
+        2048,
+        BUCKETED_BATCH,
+    );
+}
+
+#[test]
+fn air_one_block_batch_is_bit_identical() {
+    let alg = AirTopK::default();
+    let run = via_batch(&alg);
+    check_batch(
+        "AIR one-block",
+        &run,
+        true,
+        SMALL_ROW,
+        2048,
+        AIR_ONE_BLOCK_BATCH,
+    );
+}
+
+#[test]
+fn air_matrix_is_bit_identical() {
+    let run = |gpu: &mut Gpu, _: &[DeviceBuffer<f32>], m: &DeviceMatrix<f32>, k: usize| {
+        let (vals, idxs) = AirTopK::default().run_matrix_typed(gpu, m, k)?;
+        Ok((0..m.rows())
+            .map(|r| (vals.row_to_vec(r), idxs.row_to_vec(r)))
+            .collect())
+    };
+    check_batch("AIR matrix", &run, true, ROW, 2048, AIR_MATRIX);
+}
+
+#[test]
+fn gridselect_matrix_is_bit_identical() {
+    let run = |gpu: &mut Gpu, _: &[DeviceBuffer<f32>], m: &DeviceMatrix<f32>, k: usize| {
+        Ok(row_outputs(
+            GridSelect::default().run_matrix_typed(gpu, m, k)?,
+        ))
+    };
+    check_batch(
+        "GridSelect matrix",
+        &run,
+        true,
+        ROW,
+        2048,
+        GRIDSELECT_MATRIX,
+    );
 }
 
 const GRIDSELECT: &[(&str, [u64; 3])] = &[
@@ -660,5 +858,159 @@ const AIR: &[(&str, [u64; 3])] = &[
     (
         "adversarial24 k=2048",
         [0x418dfb302f78ff42, 0xe7c457992ebe5593, 0x8128db62855828e5],
+    ),
+];
+const RADIK_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0xb2fb9f56abb6d85c, 0x975b6cccf7ca1929],
+    ),
+    (
+        "k=32",
+        [0x048a71b2ce8c071c, 0x446a8d5669edf23e, 0x975b6cccf7ca1929],
+    ),
+    (
+        "k=100",
+        [0xd3c79a512baf48df, 0x5fe7f0bb6939201f, 0x49fbae8fb54835ea],
+    ),
+    (
+        "k=256",
+        [0x34ec9c193afdff2a, 0x4cd9a7a922b28391, 0x975b6cccf7ca1929],
+    ),
+    (
+        "k=2048",
+        [0x7e06728cd187f28c, 0x76fad48a52fccef1, 0x49fbae8fb54835ea],
+    ),
+];
+const ROWWISE_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0x1a8619c1ee415341, 0x71bf4bd1cafccec0],
+    ),
+    (
+        "k=32",
+        [0x5574cc7ee68f0c0c, 0x359720766b3d7603, 0x4cac4ba3c7733903],
+    ),
+    (
+        "k=100",
+        [0xf21ac02a7a9128bb, 0x6663fabc3937c234, 0xdd734b19bcd677cc],
+    ),
+    (
+        "k=256",
+        [0xc4c4d3d077d60cd6, 0x136419358fc1933e, 0x6f66a0506525694e],
+    ),
+    (
+        "k=2048",
+        [0xbeffc154606d1944, 0x1b26d0a65e58ca77, 0xb98ca0ac6c3894c8],
+    ),
+];
+const TWOSTAGE_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0xe68b45531de52194, 0xd946edf3cccbea04],
+    ),
+    (
+        "k=32",
+        [0x5b5bd2c56124e58c, 0x5f9c9b09857245d3, 0xd946edf3cccbea04],
+    ),
+    (
+        "k=100",
+        [0x4df9dfb983ad48f8, 0xb8c9bb81c48df5b9, 0xd946edf3cccbea04],
+    ),
+    (
+        "k=256",
+        [0xf90aea6f6964afa1, 0xa7d77c1ce7bb3233, 0xd946edf3cccbea04],
+    ),
+    (
+        "k=2048",
+        [0x737626ddb67bfd78, 0x88201fb960ff6465, 0xde9fa0da6fc22a85],
+    ),
+];
+const BUCKETED_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0x332c22b4533ae3e1, 0x4003980ffcef8fe4],
+    ),
+    (
+        "k=32",
+        [0xc9547d3c8e72bdb7, 0xaac2a8e402c4e766, 0x4003980ffcef8fe4],
+    ),
+    (
+        "k=100",
+        [0xcfabf6e9f1fdac28, 0x35a426f71b22ffc6, 0x4003980ffcef8fe4],
+    ),
+    (
+        "k=256",
+        [0x0747055fddcc2d56, 0x7709964f0885a2f0, 0x4003980ffcef8fe4],
+    ),
+    (
+        "k=2048",
+        [0x564d24424f1b5842, 0x3b7e9a902ceebc41, 0x4003980ffcef8fe4],
+    ),
+];
+const AIR_ONE_BLOCK_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0x73b88f8208482db4, 0xe746368c807c524a],
+    ),
+    (
+        "k=32",
+        [0x00effaefc2be7f38, 0x497ea69a88dd9281, 0x3305010eb3a6596b],
+    ),
+    (
+        "k=100",
+        [0x062eaf96dd1ff970, 0xe018bd81664d33b0, 0x3305010eb3a6596b],
+    ),
+    (
+        "k=256",
+        [0xc98935e30f902f86, 0x73f92c3bd48ab05f, 0x7d2b8feeb05bd4e8],
+    ),
+    (
+        "k=2048",
+        [0x2d33f4bc3c366341, 0x9da3788dd639bac0, 0xfffdbb81d4b8d0c9],
+    ),
+];
+const AIR_MATRIX: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0xdc6617ff7e5e34cf, 0xc5d71e156610a0a6],
+    ),
+    (
+        "k=32",
+        [0x048a71b2ce8c071c, 0xcb20a6104d6813f8, 0xc5d71e156610a0a6],
+    ),
+    (
+        "k=100",
+        [0x591592bed2974dcb, 0x22d9bb5598517ec4, 0xa5a6dd73d39caf02],
+    ),
+    (
+        "k=256",
+        [0x373e0f7f7be60e9e, 0xeefec194fa10638e, 0xa5a6dd73d39caf02],
+    ),
+    (
+        "k=2048",
+        [0x03d5e20c03fd3068, 0xe418393fd34db72c, 0x0300d6de0297bd60],
+    ),
+];
+const GRIDSELECT_MATRIX: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x910bec67397aedd0, 0xa6c023739a9e9326, 0x872b9e2ef1ef49b7],
+    ),
+    (
+        "k=32",
+        [0x21de9fee1b28fae0, 0x432c681cbf39bcce, 0xb27906c10ccadd69],
+    ),
+    (
+        "k=100",
+        [0xb215213a663ff1d7, 0xaa3a5e3498476167, 0x4306a66e34340853],
+    ),
+    (
+        "k=256",
+        [0x4b54d064f69c569c, 0x7b8cdc46f1dfe29a, 0x2ef01b1afd0b0508],
+    ),
+    (
+        "k=2048",
+        [0xd8283b1a77816b24, 0x65f91f8ea5958bb6, 0x9a26097ea5564113],
     ),
 ];
