@@ -3,16 +3,16 @@
 //! Everything an algorithm does to the simulated device flows through
 //! this type, which advances the simulated clock using the cost model
 //! and records a [`Timeline`] plus per-kernel [`KernelReport`]s for the
-//! profiling figures (Fig. 8, Table 3).
+//! profiling figures (Fig. 8, Table 3). It is the only device type:
+//! algorithms take `&mut Gpu`, and the cost model, fault injector and
+//! sanitizer plug in here.
 //!
-//! `Gpu` is the **reference implementation** of the
-//! [`Backend`] trait: the inherent methods
-//! below keep their historical signatures (so concrete-`Gpu` callers
-//! compile unchanged) but are thin wrappers over the trait surface, and
-//! the trait impl at the bottom of this file is where the cost model,
-//! fault injector and sanitizer actually plug in.
+//! Transfers stage data in one pass: [`Gpu::try_htod`] builds the
+//! buffer's cells straight from the host slice, and readbacks copy a
+//! bounds-checked range. An upload charges the allocator before the
+//! link, so the fault injector draws `on_alloc` before `on_transfer`,
+//! exactly as an allocation followed by a copy would.
 
-use crate::backend::{AllocGrant, Backend, BackendExt};
 use crate::contract::KernelContract;
 use crate::cost::{kernel_cost, memcpy_cost, CostBreakdown, KernelStats};
 use crate::device::DeviceSpec;
@@ -22,7 +22,7 @@ use crate::fault::{FaultEvent, FaultInjector, FaultKind};
 use crate::memory::{DeviceBuffer, DeviceScalar};
 use crate::pool::BlockPool;
 use crate::profile::{EventKind, Timeline};
-use crate::sanitizer::{LaunchScope, Sanitizer, SanitizerMode, SanitizerReport, ShadowToken};
+use crate::sanitizer::{BufferShadow, LaunchScope, Sanitizer, SanitizerMode, SanitizerReport};
 
 /// Everything recorded about one kernel launch.
 #[derive(Debug, Clone)]
@@ -228,7 +228,53 @@ impl Gpu {
         label: &str,
         len: usize,
     ) -> Result<DeviceBuffer<T>, SimError> {
-        BackendExt::try_alloc(self, label, len)
+        let buf = match self.grant_alloc(label, len, T::BYTES)? {
+            Some(shadow) => DeviceBuffer::zeroed_with_shadow(label, len, shadow),
+            None => DeviceBuffer::zeroed(label, len),
+        };
+        self.register(&buf);
+        Ok(buf)
+    }
+
+    /// Charge `len * elem_bytes` against device memory, or fail with an
+    /// out-of-memory / injected-fault error. Returns the sanitizer
+    /// shadow to attach to the new buffer when one is armed (shadows
+    /// are per element, hence the split arguments).
+    fn grant_alloc(
+        &mut self,
+        label: &str,
+        len: usize,
+        elem_bytes: usize,
+    ) -> Result<Option<BufferShadow>, SimError> {
+        let bytes = len * elem_bytes;
+        let available =
+            self.spec.device_mem_bytes - self.mem_allocated.min(self.spec.device_mem_bytes);
+        if bytes > available {
+            return Err(SimError::OutOfDeviceMemory {
+                requested: bytes,
+                available,
+            });
+        }
+        if let Some(inj) = self.injector.as_mut() {
+            if inj.on_alloc(label, self.clock_us) {
+                // Injected allocator failure: fragmentation / transient
+                // driver refusal despite apparent free memory.
+                return Err(SimError::OutOfDeviceMemory {
+                    requested: bytes,
+                    available,
+                });
+            }
+        }
+        self.mem_allocated += bytes;
+        self.mem_high_water = self.mem_high_water.max(self.mem_allocated);
+        Ok(self.sanitizer.as_ref().map(|san| san.shadow_for(len)))
+    }
+
+    /// Track a freshly granted buffer for the sanitizer's leakcheck.
+    fn register<T: DeviceScalar>(&self, buf: &DeviceBuffer<T>) {
+        if let (Some(san), Some(tok)) = (self.sanitizer.as_ref(), buf.sanitizer_token()) {
+            san.register_alloc(buf.label(), buf.size_bytes(), tok.shadow);
+        }
     }
 
     /// Release a buffer's bytes back to the device allocator. (The
@@ -237,7 +283,10 @@ impl Gpu {
     /// sanitizer's memcheck, later accesses through any surviving
     /// handle are use-after-free findings.
     pub fn free<T: DeviceScalar>(&mut self, buf: &DeviceBuffer<T>) {
-        BackendExt::free(self, buf);
+        if let Some(token) = buf.sanitizer_token() {
+            token.mark_freed();
+        }
+        self.free_bytes(buf.size_bytes());
     }
 
     /// Untyped counterpart of [`Gpu::free`]: release raw bytes back to
@@ -264,15 +313,34 @@ impl Gpu {
         label: &str,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, SimError> {
-        BackendExt::try_htod(self, label, data)
+        let shadow = self.grant_alloc(label, data.len(), T::BYTES)?;
+        let buf = DeviceBuffer::staged(label, data, shadow);
+        self.register(&buf);
+        match self.charge_transfer(label, buf.size_bytes(), true, EventKind::MemcpyHtoD) {
+            Ok(()) => Ok(buf),
+            Err(e) => {
+                self.free(&buf);
+                Err(e)
+            }
+        }
     }
 
     /// Copy a small host payload into an *existing* device buffer
     /// (parameter updates in host-driven loops), paying PCIe cost.
+    /// Only the written prefix becomes initialised for the sanitizer.
     /// Infallible, so an injected corruption is downgraded to a stall
     /// (modelled as the link retrying until the payload lands).
     pub fn htod_into<T: DeviceScalar>(&mut self, buf: &DeviceBuffer<T>, data: &[T]) {
-        BackendExt::htod_into(self, buf, data);
+        buf.write_prefix(data);
+        match self.charge_transfer(
+            "htod_into",
+            data.len() * T::BYTES,
+            false,
+            EventKind::MemcpyHtoD,
+        ) {
+            Ok(()) => {}
+            Err(_) => unreachable!("infallible htod downgrades corruption"),
+        }
     }
 
     /// Copy a device buffer back to the host. A blocking copy: pays a
@@ -284,14 +352,21 @@ impl Gpu {
         self.dtoh_range(buf, 0, buf.len())
     }
 
-    /// Copy `len` elements starting at `offset` back to the host.
+    /// Copy `len` elements starting at `offset` back to the host: the
+    /// readback is charged first, then the range is bounds-checked once
+    /// and copied in one pass. An overrun panics with a labeled
+    /// [`SimError::OutOfBounds`] description.
     pub fn dtoh_range<T: DeviceScalar>(
         &mut self,
         buf: &DeviceBuffer<T>,
         offset: usize,
         len: usize,
     ) -> Vec<T> {
-        BackendExt::dtoh_range(self, buf, offset, len)
+        match self.charge_dtoh(buf, len, false) {
+            Ok(()) => {}
+            Err(_) => unreachable!("infallible dtoh downgrades corruption"),
+        }
+        buf.read_range(offset, len)
     }
 
     /// Fallible device-to-host readback: an injected stall slows the
@@ -302,14 +377,73 @@ impl Gpu {
         self.try_dtoh_range(buf, 0, buf.len())
     }
 
-    /// Fallible counterpart of [`Gpu::dtoh_range`].
+    /// Fallible counterpart of [`Gpu::dtoh_range`]: an overrun is an
+    /// [`SimError::OutOfBounds`] error, checked before anything is
+    /// charged.
     pub fn try_dtoh_range<T: DeviceScalar>(
         &mut self,
         buf: &DeviceBuffer<T>,
         offset: usize,
         len: usize,
     ) -> Result<Vec<T>, SimError> {
-        BackendExt::try_dtoh_range(self, buf, offset, len)
+        if offset + len > buf.len() {
+            return Err(SimError::OutOfBounds {
+                buffer: buf.label().to_string(),
+                idx: offset + len - 1,
+                len: buf.len(),
+            });
+        }
+        self.charge_dtoh(buf, len, true)?;
+        Ok(buf.read_range(offset, len))
+    }
+
+    /// Pay a readback of `len` elements of `buf`: flag a read of a
+    /// freed buffer, sync the host, then charge the link.
+    fn charge_dtoh<T: DeviceScalar>(
+        &mut self,
+        buf: &DeviceBuffer<T>,
+        len: usize,
+        fallible: bool,
+    ) -> Result<(), SimError> {
+        if let (Some(san), Some(tok)) = (self.sanitizer.as_ref(), buf.sanitizer_token()) {
+            if tok.shadow.is_freed() {
+                san.record_host_uaf(buf.label(), "device-to-host readback");
+            }
+        }
+        self.host_sync();
+        self.charge_transfer(buf.label(), len * T::BYTES, fallible, EventKind::MemcpyDtoH)
+    }
+
+    /// Pay the link cost of one `bytes`-sized copy and record it on the
+    /// timeline as `kind`. The fault injector draws once per copy: a
+    /// stall multiplies the time; a corruption is an error when
+    /// `fallible`, and otherwise downgrades to a stall.
+    fn charge_transfer(
+        &mut self,
+        label: &str,
+        bytes: usize,
+        fallible: bool,
+        kind: EventKind,
+    ) -> Result<(), SimError> {
+        let mut t = memcpy_cost(&self.spec, bytes);
+        let fault = self
+            .injector
+            .as_mut()
+            .and_then(|inj| inj.on_transfer(label, self.clock_us));
+        let corrupted = fault == Some(FaultKind::TransferCorruption);
+        if fault == Some(FaultKind::TransferStall) || (corrupted && !fallible) {
+            t *= self
+                .injector
+                .as_ref()
+                .expect("fault implies injector")
+                .stall_multiplier();
+        }
+        self.timeline.push(kind, self.clock_us, t);
+        self.clock_us += t;
+        if corrupted && fallible {
+            return Err(SimError::TransferCorruption { bytes });
+        }
+        Ok(())
     }
 
     // ---- execution ----------------------------------------------------
@@ -552,209 +686,6 @@ impl Gpu {
     }
 }
 
-/// The reference [`Backend`]: fully metered against the cost model,
-/// with fault injection, sanitizer, tracing spans and a profiling
-/// timeline. Every capability hook is overridden.
-impl Backend for Gpu {
-    fn backend_name(&self) -> &'static str {
-        "gpu-sim"
-    }
-
-    fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    fn elapsed_us(&self) -> f64 {
-        self.clock_us
-    }
-
-    fn host_compute(&mut self, what: &str, us: f64) {
-        Gpu::host_compute(self, what, us);
-    }
-
-    fn host_sync(&mut self) {
-        Gpu::host_sync(self);
-    }
-
-    fn reset_profile(&mut self) {
-        Gpu::reset_profile(self);
-    }
-
-    fn grant_alloc(
-        &mut self,
-        label: &str,
-        len: usize,
-        elem_bytes: usize,
-    ) -> Result<AllocGrant, SimError> {
-        let bytes = len * elem_bytes;
-        let available =
-            self.spec.device_mem_bytes - self.mem_allocated.min(self.spec.device_mem_bytes);
-        if bytes > available {
-            return Err(SimError::OutOfDeviceMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        if let Some(inj) = self.injector.as_mut() {
-            if inj.on_alloc(label, self.clock_us) {
-                // Injected allocator failure: fragmentation / transient
-                // driver refusal despite apparent free memory.
-                return Err(SimError::OutOfDeviceMemory {
-                    requested: bytes,
-                    available,
-                });
-            }
-        }
-        self.mem_allocated += bytes;
-        self.mem_high_water = self.mem_high_water.max(self.mem_allocated);
-        Ok(AllocGrant {
-            shadow: self.sanitizer.as_ref().map(|san| san.shadow_for(len)),
-        })
-    }
-
-    fn note_buffer(&mut self, label: &str, bytes: usize, token: Option<ShadowToken>) {
-        if let (Some(san), Some(tok)) = (self.sanitizer.as_ref(), token) {
-            san.register_alloc(label, bytes, tok.shadow);
-        }
-    }
-
-    fn free_bytes(&mut self, bytes: usize) {
-        Gpu::free_bytes(self, bytes);
-    }
-
-    fn mem_allocated(&self) -> usize {
-        self.mem_allocated
-    }
-
-    fn mem_high_water(&self) -> usize {
-        self.mem_high_water
-    }
-
-    fn charge_htod(&mut self, label: &str, bytes: usize, fallible: bool) -> Result<(), SimError> {
-        let mut t = memcpy_cost(&self.spec, bytes);
-        let fault = self
-            .injector
-            .as_mut()
-            .and_then(|inj| inj.on_transfer(label, self.clock_us));
-        let corrupted = fault == Some(FaultKind::TransferCorruption);
-        if fault == Some(FaultKind::TransferStall) || (corrupted && !fallible) {
-            t *= self
-                .injector
-                .as_ref()
-                .expect("fault implies injector")
-                .stall_multiplier();
-        }
-        self.timeline.push(EventKind::MemcpyHtoD, self.clock_us, t);
-        self.clock_us += t;
-        if corrupted && fallible {
-            return Err(SimError::TransferCorruption { bytes });
-        }
-        Ok(())
-    }
-
-    fn charge_dtoh(
-        &mut self,
-        label: &str,
-        bytes: usize,
-        fallible: bool,
-        token: Option<&ShadowToken>,
-    ) -> Result<(), SimError> {
-        if let (Some(san), Some(tok)) = (self.sanitizer.as_ref(), token) {
-            if tok.shadow.is_freed() {
-                san.record_host_uaf(label, "device-to-host readback");
-            }
-        }
-        let sync = self.spec.host_sync_us;
-        self.timeline.push(EventKind::HostSync, self.clock_us, sync);
-        self.clock_us += sync;
-        let mut t = memcpy_cost(&self.spec, bytes);
-        let fault = self
-            .injector
-            .as_mut()
-            .and_then(|inj| inj.on_transfer(label, self.clock_us));
-        let corrupted = fault == Some(FaultKind::TransferCorruption);
-        if fault == Some(FaultKind::TransferStall) || (corrupted && !fallible) {
-            t *= self
-                .injector
-                .as_ref()
-                .expect("fault implies injector")
-                .stall_multiplier();
-        }
-        self.timeline.push(EventKind::MemcpyDtoH, self.clock_us, t);
-        self.clock_us += t;
-        if corrupted && fallible {
-            return Err(SimError::TransferCorruption { bytes });
-        }
-        Ok(())
-    }
-
-    fn launch_dyn(
-        &mut self,
-        name: &str,
-        cfg: LaunchConfig,
-        kernel: &(dyn Fn(&mut BlockCtx) + Sync),
-    ) -> Result<&KernelReport, SimError> {
-        self.launch_impl(name, cfg, kernel, None)
-    }
-
-    fn launch_contract_dyn(
-        &mut self,
-        contract: &KernelContract,
-        cfg: LaunchConfig,
-        kernel: &(dyn Fn(&mut BlockCtx) + Sync),
-    ) -> Result<&KernelReport, SimError> {
-        self.launch_impl(contract.name(), cfg, kernel, Some(contract))
-    }
-
-    fn verifies_contracts(&self) -> bool {
-        true
-    }
-
-    fn set_span(&mut self, span: u64) {
-        Gpu::set_span(self, span);
-    }
-
-    fn clear_span(&mut self) {
-        Gpu::clear_span(self);
-    }
-
-    fn current_span(&self) -> u64 {
-        self.current_span
-    }
-
-    fn reports(&self) -> &[KernelReport] {
-        &self.reports
-    }
-
-    fn timeline(&self) -> Option<&Timeline> {
-        Some(&self.timeline)
-    }
-
-    fn enable_sanitizer(&mut self, mode: SanitizerMode) {
-        Gpu::enable_sanitizer(self, mode);
-    }
-
-    fn sanitizer_mode(&self) -> SanitizerMode {
-        Gpu::sanitizer_mode(self)
-    }
-
-    fn sanitizer_report(&self) -> Option<SanitizerReport> {
-        Gpu::sanitizer_report(self)
-    }
-
-    fn run_leakcheck(&mut self) {
-        Gpu::run_leakcheck(self);
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        Gpu::set_fault_injector(self, injector);
-    }
-
-    fn fault_events(&self) -> &[FaultEvent] {
-        Gpu::fault_events(self)
-    }
-}
-
 impl Drop for Gpu {
     /// Final leakcheck sweep: buffers that went out of scope without a
     /// free are reported to stderr (the structured report can no
@@ -906,6 +837,17 @@ mod tests {
         assert_eq!(buf.get(0), 7);
         assert_eq!(buf.get(1), 8);
         assert_eq!(buf.get(2), 0);
+    }
+
+    #[test]
+    fn fallible_dtoh_range_checks_bounds() {
+        let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
+        let buf = g.htod("xs", &[1u32, 2, 3]);
+        assert_eq!(g.try_dtoh_range(&buf, 1, 2).unwrap(), vec![2, 3]);
+        assert!(matches!(
+            g.try_dtoh_range(&buf, 2, 2),
+            Err(SimError::OutOfBounds { .. })
+        ));
     }
 
     #[test]

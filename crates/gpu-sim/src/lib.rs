@@ -57,8 +57,6 @@
 //! assert!(gpu.elapsed_us() > 0.0);
 //! ```
 
-pub mod backend;
-pub mod conformance;
 pub mod contract;
 pub mod cost;
 pub mod device;
@@ -73,7 +71,6 @@ pub mod sanitizer;
 pub mod trace;
 pub mod warp;
 
-pub use backend::{AllocGrant, Backend, BackendExt};
 pub use contract::{BufferAccess, ContractIssue, Footprint, KernelContract};
 pub use cost::{sequence_cost, CostBreakdown, KernelStats, PlannedLaunch};
 pub use device::DeviceSpec;

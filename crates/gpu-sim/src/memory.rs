@@ -11,10 +11,10 @@
 //! how device pointers are copied into kernel parameters.
 //!
 //! Host staging is one pass: a buffer built from a host slice
-//! ([`DeviceBuffer::from_slice`], the metered `BackendExt::htod`)
+//! ([`DeviceBuffer::from_slice`], the metered [`Gpu::htod`](crate::Gpu::htod))
 //! constructs its cells straight from the slice and marks its
 //! sanitizer shadow valid once, and readbacks ([`DeviceBuffer::to_vec`],
-//! [`DeviceBuffer::copy_range`], `BackendExt::dtoh_range`) check their
+//! [`DeviceBuffer::copy_range`], [`Gpu::dtoh_range`](crate::Gpu::dtoh_range)) check their
 //! bounds once up front and then copy the cells in order.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -234,7 +234,7 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
 
     /// Build a buffer straight from a host slice in one pass, attaching
     /// `shadow` (when a sanitizer is armed) with every word marked
-    /// initialised. The staging step of `BackendExt::try_htod`.
+    /// initialised. The staging step of [`Gpu::try_htod`](crate::Gpu::try_htod).
     pub(crate) fn staged(label: &str, data: &[T], shadow: Option<BufferShadow>) -> Self {
         if let Some(sh) = &shadow {
             sh.mark_valid_all();

@@ -9,8 +9,8 @@
 
 use gpu_sim::sanitizer::Analysis;
 use gpu_sim::{
-    AccessKind, Backend, BlockPool, DeviceSpec, Footprint, Gpu, KernelContract, LaunchConfig,
-    SanitizerMode, SimError,
+    AccessKind, BlockPool, DeviceSpec, Footprint, Gpu, KernelContract, LaunchConfig, SanitizerMode,
+    SimError,
 };
 
 fn gpu_with(mode: SanitizerMode) -> Gpu {
@@ -243,7 +243,6 @@ fn valid_contract_passes_and_conformance_stays_silent() {
     assert_eq!(out.get(0), (0..32).sum::<u32>());
     let report = g.sanitizer_report().unwrap();
     assert!(report.is_clean(), "{:?}", report.findings);
-    assert!(g.verifies_contracts(), "capability probe");
 }
 
 /// Run an annotated pipeline and digest every cost-model quantity.

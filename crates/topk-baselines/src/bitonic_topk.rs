@@ -10,7 +10,7 @@
 //! it slows with K (Fig. 6's rising partial-sort curves) — and the
 //! heavy shared-memory use limits K to 256 (§2.2).
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::bitonic::{bitonic_sort, merge_into_topk};
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
@@ -42,7 +42,7 @@ impl TopKAlgorithm for BitonicTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -60,7 +60,7 @@ impl TopKAlgorithm for BitonicTopK {
 
 /// The full halving pipeline; workspace in `ws`, outputs in `outs`.
 fn run_rounds(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     ws: &mut ScratchGuard,
     outs: &mut ScratchGuard,
     input: &DeviceBuffer<f32>,

@@ -8,7 +8,7 @@
 //! block occupies one of the A100's 108 SMs, hence the up-to-882×
 //! headroom GridSelect recovers).
 
-use gpu_sim::{Backend, DeviceBuffer};
+use gpu_sim::{DeviceBuffer, Gpu};
 use topk_core::error::TopKError;
 use topk_core::gridselect::{select_partial_core, GridSelectConfig, QueueKind, MAX_K};
 use topk_core::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
@@ -49,7 +49,7 @@ impl TopKAlgorithm for BlockSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -70,7 +70,7 @@ impl TopKAlgorithm for BlockSelect {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -17,7 +17,7 @@ use crate::common::{
     emit_all_candidates, final_small_select, load_candidate, stream_launch, SelectionState,
     STREAM_CHUNK,
 };
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract};
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
 use topk_core::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
@@ -49,7 +49,7 @@ impl TopKAlgorithm for BucketSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -89,7 +89,7 @@ impl TopKAlgorithm for BucketSelect {
 /// The host-driven iteration loop; cleanup happens in `try_select` so
 /// an error cannot strand workspace bytes.
 fn run_loop(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     input: &DeviceBuffer<f32>,
     st: &mut SelectionState,
     minmax: &DeviceBuffer<u32>,

@@ -7,7 +7,7 @@
 //! tiny. This module holds the shared pieces: the ping-pong candidate
 //! buffers, the output cursor, and the final small-select kernel.
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::bitonic::bitonic_sort;
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
@@ -40,7 +40,7 @@ impl SelectionState {
     /// Allocate working state for one problem. If any allocation
     /// fails, everything allocated so far is released before the error
     /// is returned.
-    pub fn new(gpu: &mut dyn Backend, n: usize, k: usize) -> Result<Self, TopKError> {
+    pub fn new(gpu: &mut Gpu, n: usize, k: usize) -> Result<Self, TopKError> {
         let mut guard = ScratchGuard::new();
         let r = (|| {
             Ok(SelectionState {
@@ -76,7 +76,7 @@ impl SelectionState {
     }
 
     /// Release the candidate workspace (outputs survive).
-    pub fn free_workspace(&self, gpu: &mut dyn Backend) {
+    pub fn free_workspace(&self, gpu: &mut Gpu) {
         for b in &self.cand_keys {
             gpu.free(b);
         }
@@ -89,7 +89,7 @@ impl SelectionState {
     /// Release *everything*, outputs included — the error-path
     /// companion of [`SelectionState::free_workspace`], so a failed
     /// query leaves `mem_allocated` exactly where it started.
-    pub fn free_all(self, gpu: &mut dyn Backend) {
+    pub fn free_all(self, gpu: &mut Gpu) {
         self.free_workspace(gpu);
         gpu.free(&self.out_val);
         gpu.free(&self.out_idx);
@@ -134,7 +134,7 @@ pub fn load_candidate(
 /// Also correct (just slow) for degenerate inputs where every
 /// candidate is equal and pivot-based progress stalls.
 pub fn final_small_select(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     input: &DeviceBuffer<f32>,
     st: &SelectionState,
 ) -> Result<(), TopKError> {
@@ -183,7 +183,7 @@ pub fn final_small_select(
 /// Copy every remaining candidate straight to the output — used when
 /// the loop discovers `k_rem == n_cur`.
 pub fn emit_all_candidates(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     input: &DeviceBuffer<f32>,
     st: &SelectionState,
 ) -> Result<(), TopKError> {

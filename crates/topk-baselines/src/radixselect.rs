@@ -14,7 +14,7 @@
 //! and what this baseline exists to measure.
 
 use crate::common::{load_candidate, stream_launch, SelectionState, STREAM_CHUNK};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract};
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
 use topk_core::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
@@ -38,7 +38,7 @@ impl TopKAlgorithm for RadixSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -70,7 +70,7 @@ impl TopKAlgorithm for RadixSelect {
 /// The host-in-the-loop pass sequence; cleanup happens in `try_select`
 /// so an error cannot strand workspace bytes.
 fn run_passes(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     input: &DeviceBuffer<f32>,
     st: &mut SelectionState,
     hist: &DeviceBuffer<u32>,

@@ -14,7 +14,7 @@ use crate::common::{
     emit_all_candidates, final_small_select, load_candidate, stream_launch, SelectionState,
     STREAM_CHUNK,
 };
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::bitonic::bitonic_sort;
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
@@ -41,7 +41,7 @@ impl TopKAlgorithm for SampleSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -81,7 +81,7 @@ impl TopKAlgorithm for SampleSelect {
 /// The host-driven iteration loop; cleanup happens in `try_select` so
 /// an error cannot strand workspace bytes.
 fn run_loop(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     input: &DeviceBuffer<f32>,
     st: &mut SelectionState,
     splitters: &DeviceBuffer<u32>,

@@ -19,7 +19,7 @@
 //! would unfairly slow this baseline by ~4× relative to its measured
 //! behaviour.
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
 use topk_core::scratch::ScratchGuard;
@@ -42,7 +42,7 @@ pub struct SortTopK;
 /// buffers of `batch × n` sorted per segment — the simulator's
 /// `DeviceSegmentedRadixSort::SortPairs`.
 fn segmented_sort(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     inputs: &[DeviceBuffer<f32>],
 ) -> Result<(DeviceBuffer<u32>, DeviceBuffer<u32>), TopKError> {
     let mut ws = ScratchGuard::new();
@@ -60,7 +60,7 @@ fn segmented_sort(
 /// success the non-surviving pair is freed directly and the sorted
 /// pair is handed to the caller).
 fn segmented_sort_passes(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     ws: &mut ScratchGuard,
     pp: &mut ScratchGuard,
     inputs: &[DeviceBuffer<f32>],
@@ -214,7 +214,7 @@ fn segmented_sort_passes(
 
 /// Extract the first K of each sorted segment into per-problem outputs.
 fn extract(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     sorted_keys: &DeviceBuffer<u32>,
     sorted_idx: &DeviceBuffer<u32>,
     n: usize,
@@ -275,7 +275,7 @@ impl TopKAlgorithm for SortTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -289,7 +289,7 @@ impl TopKAlgorithm for SortTopK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -12,7 +12,7 @@
 //! two orders of magnitude (still only 100 warps on a device that
 //! wants ~1700 to saturate).
 
-use gpu_sim::{Backend, DeviceBuffer};
+use gpu_sim::{DeviceBuffer, Gpu};
 use topk_core::error::TopKError;
 use topk_core::gridselect::{select_partial_core, GridSelectConfig, QueueKind, MAX_K};
 use topk_core::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
@@ -58,7 +58,7 @@ impl TopKAlgorithm for WarpSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -79,7 +79,7 @@ impl TopKAlgorithm for WarpSelect {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -12,12 +12,12 @@
 //! Every cell records the simulated latency of both paths, the tuner's
 //! winning configuration, and the calibrated cost-model estimate for
 //! every viable candidate (the *cost digest*). Simulated time is
-//! deterministic, so the emitted `BENCH_7.json` is byte-stable and can
+//! deterministic, so the emitted `BENCH_10.json` is byte-stable and can
 //! be diffed in CI: the `bench-regression` job fails when any cell's
 //! tuned digest regresses more than 5% against the committed baseline.
 //!
 //! Intentional tradeoffs are recorded by regenerating the baseline
-//! (`topk-bench baseline --out BENCH_7.json`) and committing the new
+//! (`topk-bench baseline --out BENCH_10.json`) and committing the new
 //! file; one-off CI overrides set `BENCH_REGRESSION_OK=1` (the check
 //! then reports but does not fail).
 
@@ -193,7 +193,7 @@ pub fn run() -> BaselineReport {
     }
 }
 
-/// Render the report as the `BENCH_7.json` format: deterministic key
+/// Render the report as the `BENCH_10.json` format: deterministic key
 /// order, `{:.3}` µs values, one cell per line.
 pub fn to_json(report: &BaselineReport) -> String {
     let mut s = String::new();
@@ -274,7 +274,7 @@ pub fn check(report: &BaselineReport, baseline_text: &str) -> Vec<String> {
     for r in &report.cells {
         match committed.iter().find(|(n, _)| n == r.cell.name) {
             None => failures.push(format!(
-                "cell {} missing from committed baseline (regenerate BENCH_7.json)",
+                "cell {} missing from committed baseline (regenerate BENCH_10.json)",
                 r.cell.name
             )),
             Some((_, committed_us)) => {
@@ -293,7 +293,7 @@ pub fn check(report: &BaselineReport, baseline_text: &str) -> Vec<String> {
     for (name, _) in &committed {
         if !report.cells.iter().any(|r| r.cell.name == name.as_str()) {
             failures.push(format!(
-                "committed cell {name} no longer in the canonical matrix (regenerate BENCH_7.json)"
+                "committed cell {name} no longer in the canonical matrix (regenerate BENCH_10.json)"
             ));
         }
     }

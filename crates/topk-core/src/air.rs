@@ -36,7 +36,7 @@ use crate::matrix::{Candidates, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Tuning knobs for [`AirTopK`]. Defaults follow the paper: 11-bit
@@ -143,7 +143,7 @@ impl AirTopK {
     /// launches. All problems share N and K.
     pub fn run_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -160,7 +160,7 @@ impl AirTopK {
     /// Returns `(values, indices)` buffers per problem.
     pub fn run_batch_typed<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<T>],
         k: usize,
     ) -> Result<Vec<TypedOutput<T>>, TopKError> {
@@ -201,7 +201,7 @@ impl AirTopK {
     /// reshaping.
     pub fn run_matrix_typed<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &crate::matrix::DeviceMatrix<T>,
         k: usize,
     ) -> Result<
@@ -235,7 +235,7 @@ impl AirTopK {
     /// ordered-bit domain) and a single-word copy back.
     pub fn kth_value_typed<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<T>,
         k: usize,
     ) -> Result<T, TopKError>
@@ -290,7 +290,7 @@ impl AirTopK {
     /// [`AirTopK::kth_value_typed`] for `f32`.
     pub fn kth_value(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<f32, TopKError> {
@@ -301,7 +301,7 @@ impl AirTopK {
     /// `batch × k` buffers.
     fn run_rows<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
@@ -337,7 +337,7 @@ impl AirTopK {
     /// stays leak-free.
     fn run_rows_multi_pass<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         ws: &mut ScratchGuard,
         outs: &mut ScratchGuard,
         inputs: Rows<'_, T>,
@@ -797,7 +797,7 @@ impl AirTopK {
     /// K = N: copy everything out with identity indices, one coalesced
     /// kernel for the whole batch.
     fn run_batch_copy_all<T: RadixKey>(
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
         let n = inputs.n();
@@ -848,7 +848,7 @@ impl AirTopK {
     /// batch, input read once, no candidate buffers in device memory.
     fn run_batch_one_block<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
@@ -986,7 +986,7 @@ impl TopKAlgorithm for AirTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -999,7 +999,7 @@ impl TopKAlgorithm for AirTopK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -26,7 +26,7 @@ use crate::obs;
 use crate::recall::{expected_recall_parts, BucketedPlan};
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// The bucketed approximate selector (see module docs).
@@ -103,7 +103,7 @@ impl BucketedTopK {
     /// candidate filter, packed `batch × k` outputs.
     pub(crate) fn run_rows<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
@@ -235,7 +235,7 @@ impl TopKAlgorithm for BucketedTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -245,7 +245,7 @@ impl TopKAlgorithm for BucketedTopK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn faster_than_exact_rowwise_at_loose_recall() {
         let (n, k) = (1 << 16, 1024);
-        let time = |run: &dyn Fn(&mut dyn Backend, &DeviceBuffer<f32>)| {
+        let time = |run: &dyn Fn(&mut Gpu, &DeviceBuffer<f32>)| {
             let mut gpu = Gpu::new(DeviceSpec::a100());
             let data = datagen::generate(Distribution::Uniform, n, 1);
             let input = gpu.htod("in", &data);

@@ -37,7 +37,7 @@ use crate::rowwise::RowWiseTopK;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
 use crate::tuner::{DistSketch, Plan, ProblemShape, TunedAlgo, Tuner};
 use crate::twostage::TwoStageTopK;
-use gpu_sim::{Backend, DeviceBuffer, DeviceSpec};
+use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu};
 
 /// Which algorithm the static prior picked (returned by
 /// [`SelectK::choice`] so callers can log / assert the routing).
@@ -176,7 +176,7 @@ impl SelectK {
     fn run_single(
         &self,
         algo: TunedAlgo,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -218,7 +218,7 @@ impl SelectK {
     fn run_batch(
         &self,
         algo: TunedAlgo,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -262,7 +262,7 @@ impl SelectK {
     /// sketch (see [`DistSketch::from_sample`]).
     pub fn try_select_with_sketch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
         sketch: DistSketch,
@@ -288,7 +288,7 @@ impl SelectK {
     /// Batched selection with a caller-provided distribution sketch.
     pub fn try_select_batch_with_sketch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
         sketch: DistSketch,
@@ -323,7 +323,7 @@ impl TopKAlgorithm for SelectK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -332,7 +332,7 @@ impl TopKAlgorithm for SelectK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

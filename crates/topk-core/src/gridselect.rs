@@ -36,10 +36,7 @@ use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::warp::{ballot, Lanes};
-use gpu_sim::{
-    Backend, BackendExt, BlockCtx, DeviceBuffer, DeviceScalar, Footprint, KernelContract,
-    LaunchConfig,
-};
+use gpu_sim::{BlockCtx, DeviceBuffer, DeviceScalar, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Largest K the WarpSelect family supports (§2.2: limited by
@@ -162,7 +159,7 @@ impl GridSelect {
     /// contract — only the caller knows what backs the computation.
     pub fn select_on_the_fly<P, D>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         n: usize,
         k: usize,
         producer: P,
@@ -191,7 +188,7 @@ impl GridSelect {
     /// Solve a batch with a single launch set.
     pub fn run_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -206,7 +203,7 @@ impl GridSelect {
     /// costs occupancy.
     pub fn run_batch_typed<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<T>],
         k: usize,
     ) -> Result<Vec<TypedOutput<T>>, TopKError>
@@ -237,7 +234,7 @@ impl GridSelect {
     /// parity): one contiguous `rows × cols` input, per-row top-K.
     pub fn run_matrix_typed<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &crate::matrix::DeviceMatrix<T>,
         k: usize,
     ) -> Result<Vec<TypedOutput<T>>, TopKError>
@@ -264,7 +261,7 @@ impl TopKAlgorithm for GridSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -277,7 +274,7 @@ impl TopKAlgorithm for GridSelect {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -401,7 +398,7 @@ impl<O: OrderedBits> WarpState<O> {
 /// `batch × blocks_per_problem` blocks and, if more than one block per
 /// problem was used, a tree of `gridselect_merge_kernel` launches.
 pub fn select_partial_core(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     name: &str,
     inputs: &[DeviceBuffer<f32>],
     k: usize,
@@ -432,7 +429,7 @@ pub fn select_partial_core(
 /// The core over buffer-backed rows: each warp loads its 32-lane
 /// groups as coalesced tiles.
 fn select_rows_core<T>(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     name: &str,
     rows: Rows<'_, T>,
     k: usize,
@@ -467,7 +464,7 @@ where
 /// never needs to exist in device memory.
 #[allow(clippy::too_many_arguments)]
 pub fn select_streaming_core<P, D>(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     name: &str,
     n: usize,
     batch: usize,
@@ -495,7 +492,7 @@ where
 /// implementation makes.
 #[allow(clippy::too_many_arguments)]
 pub fn select_streaming_core_typed<T, P, D>(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     name: &str,
     n: usize,
     batch: usize,
@@ -524,7 +521,7 @@ where
 /// of at most 32 lanes at a time.
 #[allow(clippy::too_many_arguments)]
 fn select_groups_core<T, G, D>(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     name: &str,
     n: usize,
     batch: usize,
@@ -574,7 +571,7 @@ where
 /// release either group on any exit path.
 #[allow(clippy::too_many_arguments)]
 fn streaming_core_launches<T, G, D>(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     ws: &mut ScratchGuard,
     outs: &mut ScratchGuard,
     name: &str,

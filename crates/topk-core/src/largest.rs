@@ -19,7 +19,7 @@
 use crate::error::TopKError;
 use crate::keys::RadixKey;
 use crate::traits::{Category, TopKAlgorithm, TopKOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 
 /// Total-order negation on f32: maps x so that the smallest-K of the
 /// mapped values are the largest-K of the originals, bijectively.
@@ -58,7 +58,7 @@ impl<A: TopKAlgorithm> SelectLargest<A> {
     }
 
     fn negate_buffer(
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
     ) -> Result<DeviceBuffer<f32>, TopKError> {
         let n = input.len();
@@ -89,7 +89,7 @@ impl<A: TopKAlgorithm> SelectLargest<A> {
         Ok(out)
     }
 
-    fn restore_output(gpu: &mut dyn Backend, out: &TopKOutput) -> Result<TopKOutput, TopKError> {
+    fn restore_output(gpu: &mut Gpu, out: &TopKOutput) -> Result<TopKOutput, TopKError> {
         let k = out.values.len();
         let fixed = gpu.try_alloc::<f32>("restored_values", k)?;
         let src = out.values.clone();
@@ -135,7 +135,7 @@ impl<A: TopKAlgorithm> TopKAlgorithm for SelectLargest<A> {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -155,7 +155,7 @@ impl<A: TopKAlgorithm> TopKAlgorithm for SelectLargest<A> {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -13,8 +13,7 @@
 //! [`Tile`].
 
 use gpu_sim::{
-    Backend, BackendExt, BlockCtx, DeviceBuffer, DeviceScalar, Footprint, KernelContract, Tile,
-    TileIter,
+    BlockCtx, DeviceBuffer, DeviceScalar, Footprint, Gpu, KernelContract, Tile, TileIter,
 };
 use std::iter::Zip;
 use std::ops::RangeFrom;
@@ -146,7 +145,7 @@ impl<T: DeviceScalar> DeviceMatrix<T> {
     }
 
     /// Allocate a zeroed matrix on the device.
-    pub fn zeroed(gpu: &mut dyn Backend, label: &str, rows: usize, cols: usize) -> Self {
+    pub fn zeroed(gpu: &mut Gpu, label: &str, rows: usize, cols: usize) -> Self {
         DeviceMatrix {
             buf: gpu.alloc::<T>(label, rows * cols),
             rows,
@@ -155,7 +154,7 @@ impl<T: DeviceScalar> DeviceMatrix<T> {
     }
 
     /// Upload host data (`rows × cols`, row-major) to a new matrix.
-    pub fn htod(gpu: &mut dyn Backend, label: &str, data: &[T], rows: usize, cols: usize) -> Self {
+    pub fn htod(gpu: &mut Gpu, label: &str, data: &[T], rows: usize, cols: usize) -> Self {
         assert_eq!(data.len(), rows * cols);
         DeviceMatrix {
             buf: gpu.htod(label, data),

@@ -38,7 +38,7 @@ use crate::matrix::Rows;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Tuning knobs for [`RadiK`]. Defaults match [`crate::air::AirConfig`]
@@ -145,7 +145,7 @@ impl RadiK {
     /// Generic-key batched selection, packed per-problem outputs.
     pub fn run_batch_typed<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<T>],
         k: usize,
     ) -> Result<Vec<TypedOutput<T>>, TopKError>
@@ -185,7 +185,7 @@ impl RadiK {
     /// Matrix-shaped batched selection (packed `rows × k` outputs).
     pub fn run_matrix_typed<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &crate::matrix::DeviceMatrix<T>,
         k: usize,
     ) -> Result<
@@ -216,7 +216,7 @@ impl RadiK {
 
     fn run_rows<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError>
@@ -254,7 +254,7 @@ impl RadiK {
     #[allow(clippy::too_many_lines)]
     fn run_rows_multi_round<T>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         ws: &mut ScratchGuard,
         outs: &mut ScratchGuard,
         inputs: Rows<'_, T>,
@@ -771,7 +771,7 @@ impl TopKAlgorithm for RadiK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -784,7 +784,7 @@ impl TopKAlgorithm for RadiK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -904,7 +904,7 @@ mod tests {
                 )
             })
             .collect();
-        type BatchRun<'a> = dyn Fn(&mut dyn Backend, &[DeviceBuffer<f32>]) + 'a;
+        type BatchRun<'a> = dyn Fn(&mut Gpu, &[DeviceBuffer<f32>]) + 'a;
         let time = |run: &BatchRun<'_>| {
             let mut gpu = Gpu::new(DeviceSpec::a100());
             let bufs: Vec<_> = datas

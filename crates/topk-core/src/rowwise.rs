@@ -31,7 +31,7 @@ use crate::matrix::Rows;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Largest K the fused row-wise path supports: the candidate buffer
@@ -109,7 +109,7 @@ impl RowWiseTopK {
     /// `rows × cols` device matrix, outputs packed `rows × k`.
     pub fn run_matrix_typed<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceMatrix<T>,
         k: usize,
     ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError> {
@@ -131,7 +131,7 @@ impl RowWiseTopK {
     /// row, packed `batch × k` outputs.
     pub(crate) fn run_rows<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
@@ -252,7 +252,7 @@ impl TopKAlgorithm for RowWiseTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -262,7 +262,7 @@ impl TopKAlgorithm for RowWiseTopK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -353,7 +353,7 @@ mod tests {
             .flat_map(|r| datagen::generate(Distribution::Uniform, cols, r as u64))
             .collect();
 
-        let time = |run: &dyn Fn(&mut dyn Backend, &DeviceMatrix<f32>)| {
+        let time = |run: &dyn Fn(&mut Gpu, &DeviceMatrix<f32>)| {
             let mut gpu = Gpu::new(DeviceSpec::a100());
             let m = DeviceMatrix::htod(&mut gpu, "m", &flat, rows, cols);
             gpu.reset_profile();

@@ -10,7 +10,7 @@
 //! into kernel closures.
 
 use crate::error::TopKError;
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, DeviceScalar, ShadowToken};
+use gpu_sim::{DeviceBuffer, DeviceScalar, Gpu, ShadowToken};
 
 /// Accumulates the byte total of a group of device allocations so they
 /// can be released together on success *or* error.
@@ -45,7 +45,7 @@ impl ScratchGuard {
     /// when [`ScratchGuard::release`] runs.
     pub fn alloc<T: DeviceScalar>(
         &mut self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         label: &str,
         len: usize,
     ) -> Result<DeviceBuffer<T>, TopKError> {
@@ -69,7 +69,7 @@ impl ScratchGuard {
     /// Release every tracked byte back to the device allocator. Under
     /// the sanitizer's memcheck, any later access to a released buffer
     /// is reported as a use-after-free.
-    pub fn release(self, gpu: &mut dyn Backend) {
+    pub fn release(self, gpu: &mut Gpu) {
         for token in &self.tokens {
             token.mark_freed();
         }

@@ -26,9 +26,7 @@ use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::warp::Lanes;
-use gpu_sim::{
-    Backend, BackendExt, BlockCtx, DeviceBuffer, Footprint, KernelContract, LaunchConfig,
-};
+use gpu_sim::{BlockCtx, DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 
 /// Maximum supported K, same as the rest of the WarpSelect family.
 pub use crate::gridselect::MAX_K;
@@ -165,7 +163,7 @@ impl StreamingSelect {
     #[allow(clippy::too_many_arguments)]
     fn launch_stream(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         label: &str,
         blocks: usize,
         chunk: usize,
@@ -219,7 +217,7 @@ impl StreamingSelect {
 
     fn run(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         ws: &mut ScratchGuard,
         outs: &mut ScratchGuard,
         input: &DeviceBuffer<f32>,
@@ -328,7 +326,7 @@ impl TopKAlgorithm for StreamingSelect {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {

@@ -1,7 +1,7 @@
 //! The common interface every top-K algorithm implements.
 
 use crate::error::TopKError;
-use gpu_sim::{Backend, DeviceBuffer};
+use gpu_sim::{DeviceBuffer, Gpu};
 
 /// The paper's taxonomy of parallel top-K algorithms (§1, Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,7 @@ pub trait TopKAlgorithm: Send + Sync {
     #[must_use = "selection results report errors through the Result"]
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError>;
@@ -101,7 +101,7 @@ pub trait TopKAlgorithm: Send + Sync {
     #[must_use = "selection results report errors through the Result"]
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
@@ -116,7 +116,7 @@ pub trait TopKAlgorithm: Send + Sync {
     ///
     /// # Panics
     /// On any [`TopKError`], with the error's message.
-    fn select(&self, gpu: &mut dyn Backend, input: &DeviceBuffer<f32>, k: usize) -> TopKOutput {
+    fn select(&self, gpu: &mut Gpu, input: &DeviceBuffer<f32>, k: usize) -> TopKOutput {
         self.try_select(gpu, input, k)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -127,7 +127,7 @@ pub trait TopKAlgorithm: Send + Sync {
     /// On any [`TopKError`], with the error's message.
     fn select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Vec<TopKOutput> {
@@ -174,7 +174,7 @@ pub fn check_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{BackendExt, Gpu};
+    use gpu_sim::Gpu;
 
     struct Dummy;
     impl TopKAlgorithm for Dummy {
@@ -189,7 +189,7 @@ mod tests {
         }
         fn try_select(
             &self,
-            gpu: &mut dyn Backend,
+            gpu: &mut Gpu,
             input: &DeviceBuffer<f32>,
             k: usize,
         ) -> Result<TopKOutput, TopKError> {

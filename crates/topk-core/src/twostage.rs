@@ -25,7 +25,7 @@ use crate::obs;
 use crate::recall::TwoStagePlan;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// The two-stage approximate selector (see module docs).
@@ -102,7 +102,7 @@ impl TwoStageTopK {
     /// the candidates; packed `batch × k` outputs.
     pub(crate) fn run_rows<T: RadixKey>(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError> {
@@ -144,7 +144,7 @@ impl TwoStageTopK {
         );
         let mut tmps = ScratchGuard::new();
         let mut outs = ScratchGuard::new();
-        let alloc_all = |gpu: &mut dyn Backend,
+        let alloc_all = |gpu: &mut Gpu,
                          tmps: &mut ScratchGuard,
                          outs: &mut ScratchGuard|
          -> Result<Buffers<T>, TopKError> {
@@ -328,7 +328,7 @@ impl TopKAlgorithm for TwoStageTopK {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -338,7 +338,7 @@ impl TopKAlgorithm for TwoStageTopK {
 
     fn try_select_batch(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {

@@ -29,7 +29,7 @@ use crate::error::TopKError;
 use crate::keys::{digit_of, digit_width_of, num_passes_of, RadixKey};
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 
 // Device control-block slots.
 const K_REM: usize = 0;
@@ -67,7 +67,7 @@ impl TopKAlgorithm for UnfusedRadix {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
@@ -86,7 +86,7 @@ impl TopKAlgorithm for UnfusedRadix {
 impl UnfusedRadix {
     fn run_passes(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         ws: &mut ScratchGuard,
         outs: &mut ScratchGuard,
         input: &DeviceBuffer<f32>,

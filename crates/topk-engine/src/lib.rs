@@ -8,7 +8,8 @@
 //! * [`TopKEngine`] owns a **bounded submission queue**
 //!   ([`TopKEngine::submit`] refuses work beyond
 //!   [`EngineConfig::queue_capacity`]) and a **pool of simulated
-//!   devices**, one worker thread per device.
+//!   devices** that one simulated-time scheduler shares out (see
+//!   *Scheduling* below; the engine spawns no threads of its own).
 //! * [`TopKEngine::drain`] **coalesces** queued queries with the same
 //!   `(N, K)` shape into fused [`try_select_batch`] launches of up to
 //!   [`EngineConfig::coalescing_window`] queries — the paper's §5.1
@@ -121,10 +122,9 @@ pub use gpu_sim::{
 };
 
 use crate::flight::PmDevice;
-use gpu_sim::{Backend, BackendExt, DeviceSpec, EventKind, Gpu, KernelReport, SimError};
+use gpu_sim::{DeviceSpec, EventKind, Gpu, KernelReport, SimError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use topk_core::tuner::{DistSketch, PlanKey, ProblemShape, TunedAlgo, Tuner};
 use topk_core::{
     AlgoSnapshot, BucketedTopK, ScratchGuard, SelectK, TopKAlgorithm, TopKError, TwoStageTopK,
@@ -185,34 +185,6 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Closure signature a [`BackendFactory`] wraps: device spec in,
-/// boxed backend out.
-pub type BackendCtor = dyn Fn(&DeviceSpec) -> Box<dyn Backend> + Send + Sync;
-
-/// Constructor for the pool's device backends, letting an engine run
-/// on any [`Backend`] implementation (the simulator by default; a
-/// `wgpu` device, a mock, …). Cheap to clone — the closure is shared.
-#[derive(Clone)]
-pub struct BackendFactory(Arc<BackendCtor>);
-
-impl BackendFactory {
-    /// Wrap a constructor closure.
-    pub fn new(f: impl Fn(&DeviceSpec) -> Box<dyn Backend> + Send + Sync + 'static) -> Self {
-        BackendFactory(Arc::new(f))
-    }
-
-    /// Build one backend for `spec`.
-    pub fn build(&self, spec: &DeviceSpec) -> Box<dyn Backend> {
-        (self.0)(spec)
-    }
-}
-
-impl std::fmt::Debug for BackendFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("BackendFactory(..)")
-    }
-}
-
 /// Engine shape: which devices to pool, how to queue/coalesce, and how
 /// to behave when devices fault.
 #[derive(Debug, Clone)]
@@ -246,9 +218,6 @@ pub struct EngineConfig {
     /// findings surface in [`DeviceReport::sanitizer`] and
     /// [`DrainReport::sanitizer`].
     pub sanitizer: SanitizerMode,
-    /// How pool devices are constructed; `None` (the default) builds a
-    /// [`gpu_sim::Gpu`] simulator per [`DeviceSpec`] entry.
-    pub backend_factory: Option<BackendFactory>,
     /// Events the always-on [`FlightRecorder`] ring buffer retains
     /// (default 256, min 16). Recording is host-side bookkeeping only
     /// and never perturbs simulated time.
@@ -279,7 +248,6 @@ impl EngineConfig {
             deadline_us: None,
             cpu_fallback: true,
             sanitizer: SanitizerMode::off(),
-            backend_factory: None,
             flight_capacity: 256,
             default_recall_target: 1.0,
         }
@@ -361,17 +329,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_recall_target(mut self, target: f64) -> Self {
         self.default_recall_target = target.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Construct pool devices through `factory` instead of the default
-    /// [`gpu_sim::Gpu`] simulator — one call per [`DeviceSpec`] entry.
-    #[must_use]
-    pub fn with_backend_factory(
-        mut self,
-        factory: impl Fn(&DeviceSpec) -> Box<dyn Backend> + Send + Sync + 'static,
-    ) -> Self {
-        self.backend_factory = Some(BackendFactory::new(factory));
         self
     }
 }
@@ -534,10 +491,9 @@ pub struct QueryResult {
 }
 
 /// Stage-level latency attribution: where a batch's (or a whole
-/// drain's) simulated time went. Filled from the device [`Timeline`]
-/// when the backend keeps one, otherwise reconstructed from the
-/// batch's [`KernelReport`]s; either way the attribution is pure
-/// post-hoc bookkeeping and never perturbs the schedule it measures.
+/// drain's) simulated time went. Filled from the device [`Timeline`];
+/// the attribution is pure post-hoc bookkeeping and never perturbs the
+/// schedule it measures.
 ///
 /// [`Timeline`]: gpu_sim::Timeline
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -1068,7 +1024,7 @@ pub struct TopKEngine {
     config: EngineConfig,
     pending: Vec<Pending>,
     next_id: usize,
-    gpus: Vec<Box<dyn Backend>>,
+    gpus: Vec<Gpu>,
     health: Vec<HealthState>,
     /// The adaptive dispatcher. Persists across drains so its plan
     /// table warms up and its calibration keeps learning from observed
@@ -1113,13 +1069,10 @@ impl TopKEngine {
     /// If the pool is empty.
     pub fn new(config: EngineConfig) -> Self {
         assert!(!config.devices.is_empty(), "engine needs >= 1 device");
-        let mut gpus: Vec<Box<dyn Backend>> = config
+        let mut gpus: Vec<Gpu> = config
             .devices
             .iter()
-            .map(|spec| match &config.backend_factory {
-                Some(factory) => factory.build(spec),
-                None => Box::new(Gpu::new(spec.clone())) as Box<dyn Backend>,
-            })
+            .map(|spec| Gpu::new(spec.clone()))
             .collect();
         if let Some(plan) = &config.fault_plan {
             for (dev, gpu) in gpus.iter_mut().enumerate() {
@@ -1567,10 +1520,10 @@ impl TopKEngine {
             }
             let start_us = self.gpus[dev].elapsed_us() - drain_t0[dev];
             let batch_report_lo = self.gpus[dev].reports().len() - report_lo[dev];
-            let timeline_lo = self.gpus[dev].timeline().map(|t| t.events().len());
+            let timeline_lo = self.gpus[dev].timeline().events().len();
             self.gpus[dev].set_span(job.batch.span);
             let outcome = {
-                let gpu = self.gpus[dev].as_mut();
+                let gpu = &mut self.gpus[dev];
                 let batch = &job.batch;
                 let approx = rung.as_ref().map(|c| c.algo);
                 catch_unwind(AssertUnwindSafe(|| {
@@ -1579,15 +1532,7 @@ impl TopKEngine {
             };
             self.gpus[dev].clear_span();
             let end_us = self.gpus[dev].elapsed_us() - drain_t0[dev];
-            let stages = batch_stages(
-                self.gpus[dev].as_ref(),
-                timeline_lo,
-                (
-                    report_lo[dev] + batch_report_lo,
-                    self.gpus[dev].reports().len(),
-                ),
-                start_us,
-            );
+            let stages = batch_stages(&self.gpus[dev], timeline_lo, start_us);
             records[dev].push(BatchRecord {
                 device: dev,
                 size: job.batch.queries.len(),
@@ -2350,48 +2295,20 @@ fn degrade_job(
     }
 }
 
-/// Attribute one batch's device time to stages. The primary source is
-/// the device [`Timeline`](gpu_sim::Timeline) slice the batch appended
-/// (`timeline_lo..`); backends that keep no timeline fall back to the
-/// batch's kernel reports (`abs_report_range` indexes the device's
-/// lifetime report list), which still split kernel vs. merge exec time
-/// and launch overhead but cannot see transfers.
-fn batch_stages(
-    gpu: &dyn Backend,
-    timeline_lo: Option<usize>,
-    abs_report_range: (usize, usize),
-    queue_wait_us: f64,
-) -> StageBreakdown {
+/// Attribute one batch's device time to stages from the device
+/// [`Timeline`](gpu_sim::Timeline) slice the batch appended
+/// (`timeline_lo..`).
+fn batch_stages(gpu: &Gpu, timeline_lo: usize, queue_wait_us: f64) -> StageBreakdown {
     let mut s = StageBreakdown {
         queue_wait_us,
         ..StageBreakdown::default()
     };
-    let is_merge = |name: &str| name.contains("merge");
-    match (timeline_lo, gpu.timeline()) {
-        (Some(lo), Some(tl)) => {
-            for e in &tl.events()[lo..] {
-                match &e.kind {
-                    EventKind::Kernel(name) => {
-                        if is_merge(name) {
-                            s.merge_us += e.dur_us;
-                        } else {
-                            s.kernel_us += e.dur_us;
-                        }
-                    }
-                    EventKind::MemcpyHtoD | EventKind::MemcpyDtoH => s.transfer_us += e.dur_us,
-                    _ => s.other_us += e.dur_us,
-                }
-            }
-        }
-        _ => {
-            for r in &gpu.reports()[abs_report_range.0..abs_report_range.1] {
-                if is_merge(&r.name) {
-                    s.merge_us += r.cost.exec_us;
-                } else {
-                    s.kernel_us += r.cost.exec_us;
-                }
-                s.other_us += r.cost.launch_us;
-            }
+    for e in &gpu.timeline().events()[timeline_lo..] {
+        match &e.kind {
+            EventKind::Kernel(name) if name.contains("merge") => s.merge_us += e.dur_us,
+            EventKind::Kernel(_) => s.kernel_us += e.dur_us,
+            EventKind::MemcpyHtoD | EventKind::MemcpyDtoH => s.transfer_us += e.dur_us,
+            _ => s.other_us += e.dur_us,
         }
     }
     s
@@ -2445,7 +2362,7 @@ fn coalesce(pending: Vec<Pending>, window: usize) -> Vec<Batch> {
 /// [`TunedAlgo::TwoStage`] or [`TunedAlgo::Bucketed`] executes that
 /// approximate configuration directly.
 fn run_batch(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     selector: &SelectK,
     batch: &Batch,
     approx: Option<TunedAlgo>,
@@ -2457,7 +2374,7 @@ fn run_batch(
 }
 
 fn batch_passes(
-    gpu: &mut dyn Backend,
+    gpu: &mut Gpu,
     ws: &mut ScratchGuard,
     selector: &SelectK,
     batch: &Batch,

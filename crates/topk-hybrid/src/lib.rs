@@ -35,7 +35,7 @@
 //! selection cannot lose a needed duplicate: each selected subrange
 //! supplies one element `≤ t` of its own.)
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, Footprint, KernelContract, LaunchConfig};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
 use topk_core::{ScratchGuard, TopKError};
 
@@ -98,7 +98,7 @@ impl<A: TopKAlgorithm> DrTopK<A> {
     #[allow(clippy::too_many_arguments)]
     fn hybrid_passes(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         ws: &mut ScratchGuard,
         outs: &mut ScratchGuard,
         input: &DeviceBuffer<f32>,
@@ -235,7 +235,7 @@ impl<A: TopKAlgorithm> TopKAlgorithm for DrTopK<A> {
 
     fn try_select(
         &self,
-        gpu: &mut dyn Backend,
+        gpu: &mut Gpu,
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {

@@ -45,8 +45,6 @@ pub use ::topk_cpu;
 pub use ::topk_engine;
 pub use ::topk_hybrid;
 pub use ::topk_obs;
-#[cfg(feature = "wgpu")]
-pub use ::topk_wgpu;
 
 /// Everything needed to run a selection, in one import.
 pub mod prelude {
