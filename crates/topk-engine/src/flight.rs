@@ -1,35 +1,175 @@
-//! The anomaly flight recorder: an always-on, bounded ring buffer of
-//! engine events plus the structured JSON post-mortem it dumps when
-//! something goes wrong.
+//! The engine's event log: every scheduling fact as one typed
+//! [`EngineEvent`] in an always-on, bounded ring buffer, plus the JSON
+//! post-mortem dumped when something goes wrong.
 //!
-//! Airliners carry a flight recorder because the interesting failures
-//! are the ones nobody was watching for; a serving engine is no
-//! different. Every [`TopKEngine`](crate::TopKEngine) keeps the last
-//! [`FlightRecorder::capacity`] scheduler events (submit, coalesce,
-//! launch, fault, retry, failover, fallback, deadline, breaker state
-//! changes) in memory at a fixed cost, and whenever a query terminally
-//! fails, misses its deadline, or a circuit breaker trips, the engine
-//! snapshots the buffer — together with per-device state, the injected
-//! fault log, and the cost-model drift table — into a self-contained
-//! JSON document ([`TopKEngine::post_mortems`](crate::TopKEngine::post_mortems)).
-//!
-//! Recording is pure host-side bookkeeping: it never touches a device
-//! clock, so chaos digests are bit-identical with the recorder's
-//! output consumed or ignored.
+//! Every [`TopKEngine`](crate::TopKEngine) keeps its last
+//! [`FlightRecorder::capacity`] events at a fixed cost. When a query
+//! terminally fails or misses its deadline, a breaker trips or a device
+//! is retired, the engine snapshots the buffer — with per-device state,
+//! the injected-fault log and the cost-model drift table — into a
+//! self-contained document
+//! ([`TopKEngine::post_mortems`](crate::TopKEngine::post_mortems)).
+//! An event's `kind` label and `detail` text are rendered from it on
+//! demand. Recording is host-side bookkeeping that never touches a
+//! device clock, so chaos digests are identical whether or not the
+//! recorder is read.
 
+use crate::ApproxRung;
 use std::collections::VecDeque;
 
-/// Event kinds that trigger a post-mortem dump: a terminal query
-/// failure, a missed deadline, a breaker trip, or a device retired
-/// from the pool.
-pub const TRIGGER_KINDS: [&str; 4] = [
-    "query_failed",
-    "deadline_miss",
-    "breaker_open",
-    "device_failed",
-];
+/// One engine fact, as the scheduler observed it. Ids are submission
+/// ids, `n`/`k` a row length and K, `attempt` a 1-based attempt number,
+/// and error kinds [`TopKError::kind`](topk_core::TopKError::kind)
+/// labels.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EngineEvent {
+    /// A query entered the submission queue.
+    Submit { id: usize, n: usize, k: usize },
+    /// A submission was refused: the queue holds `capacity` queries.
+    QueueReject { capacity: usize },
+    /// A batch of `size` same-shape queries was formed at drain start.
+    Coalesce { size: usize, n: usize, k: usize },
+    /// A batch attempt was placed on a device.
+    Launch {
+        attempt: u32,
+        size: usize,
+        n: usize,
+        k: usize,
+    },
+    /// An accuracy-ladder transition: the attempt runs on `rung`
+    /// because of `cause` (`deadline_risk` or `capacity_loss`), for a
+    /// batch whose strictest recall target is `recall_target`, at
+    /// analytic expected recall `est_recall`. Deliberately *not* a
+    /// trigger: degrading is the plan working, not an anomaly.
+    DegradeRung {
+        rung: ApproxRung,
+        cause: &'static str,
+        recall_target: f64,
+        est_recall: f64,
+    },
+    /// A batch attempt of `size` queries completed on its device.
+    BatchOk { size: usize, attempt: u32 },
+    /// A batch completed on another device than `first_device`, where
+    /// its first attempt ran.
+    Failover { first_device: usize },
+    /// A batch attempt returned a device fault; `severe` (a hang)
+    /// retires the device.
+    DeviceFault { kind: &'static str, severe: bool },
+    /// A device was retired for good by a fault of `kind`, or by a
+    /// worker panic when `kind` is `None`.
+    DeviceFailed { kind: Option<&'static str> },
+    /// A device's breaker tripped after `consecutive` faults and
+    /// quarantines it for `cooldown_us`.
+    BreakerOpen { consecutive: u32, cooldown_us: f64 },
+    /// A faulted batch was requeued after `attempt` attempts, behind a
+    /// simulated `backoff_us`.
+    Retry { attempt: u32, backoff_us: f64 },
+    /// A query terminally missed `deadline_us` (µs after drain start);
+    /// `in_backoff` when it expired during a retry backoff.
+    DeadlineMiss {
+        id: usize,
+        deadline_us: u64,
+        in_backoff: bool,
+    },
+    /// A query failed terminally with an error of `kind`.
+    QueryFailed { id: usize, kind: &'static str },
+    /// A query was answered by the CPU reference path after
+    /// `attempts` GPU attempts.
+    Fallback { id: usize, attempts: u32 },
+    /// A batch attempt panicked on its device worker.
+    WorkerPanic,
+}
 
-/// One recorded engine event.
+impl EngineEvent {
+    /// Stable snake_case kind label.
+    pub fn kind(&self) -> &'static str {
+        use EngineEvent::*;
+        match self {
+            Submit { .. } => "submit",
+            QueueReject { .. } => "queue_reject",
+            Coalesce { .. } => "coalesce",
+            Launch { .. } => "launch",
+            DegradeRung { .. } => "degrade_rung",
+            BatchOk { .. } => "batch_ok",
+            Failover { .. } => "failover",
+            DeviceFault { .. } => "device_fault",
+            DeviceFailed { .. } => "device_failed",
+            BreakerOpen { .. } => "breaker_open",
+            Retry { .. } => "retry",
+            DeadlineMiss { .. } => "deadline_miss",
+            QueryFailed { .. } => "query_failed",
+            Fallback { .. } => "fallback",
+            WorkerPanic => "worker_panic",
+        }
+    }
+
+    /// Human-readable context (shape, error kind, attempt number, …):
+    /// the one place any event's detail text is rendered.
+    pub fn detail(&self) -> String {
+        use EngineEvent::*;
+        match *self {
+            Submit { id, n, k } => format!("id={id} n={n} k={k}"),
+            QueueReject { capacity } => format!("capacity={capacity}"),
+            Coalesce { size, n, k } => format!("size={size} n={n} k={k}"),
+            Launch {
+                attempt,
+                size,
+                n,
+                k,
+            } => format!("attempt={attempt} size={size} n={n} k={k}"),
+            DegradeRung {
+                rung,
+                cause,
+                recall_target,
+                est_recall,
+            } => format!(
+                "rung={} cause={cause} recall_target={recall_target:.4} est_recall={est_recall:.4}",
+                rung.label()
+            ),
+            BatchOk { size, attempt } => format!("size={size} attempt={attempt}"),
+            Failover { first_device } => format!("first_device={first_device}"),
+            DeviceFault { kind, severe } => format!("kind={kind} severe={severe}"),
+            DeviceFailed { kind: Some(kind) } => format!("kind={kind}"),
+            DeviceFailed { kind: None } => "worker panic".to_string(),
+            BreakerOpen {
+                consecutive,
+                cooldown_us,
+            } => format!("consecutive={consecutive} cooldown_us={cooldown_us:.0}"),
+            Retry {
+                attempt,
+                backoff_us,
+            } => format!("attempt={attempt} backoff_us={backoff_us:.1}"),
+            DeadlineMiss {
+                id,
+                deadline_us,
+                in_backoff,
+            } => {
+                let when = if in_backoff {
+                    " expired during backoff"
+                } else {
+                    ""
+                };
+                format!("id={id} deadline_us={deadline_us}{when}")
+            }
+            QueryFailed { id, kind } => format!("id={id} kind={kind}"),
+            Fallback { id, attempts } => format!("id={id} cpu attempts={attempts}"),
+            WorkerPanic => String::new(),
+        }
+    }
+
+    /// Whether this event triggers a post-mortem dump: a terminal
+    /// query failure, a missed deadline, a breaker trip, or a device
+    /// retired from the pool.
+    pub fn is_trigger(&self) -> bool {
+        use EngineEvent::*;
+        matches!(
+            self,
+            QueryFailed { .. } | DeadlineMiss { .. } | BreakerOpen { .. } | DeviceFailed { .. }
+        )
+    }
+}
+
+/// One recorded engine event with its place in time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightEvent {
     /// Monotonic sequence number over the engine's lifetime (keeps
@@ -38,29 +178,23 @@ pub struct FlightEvent {
     /// Drain-relative simulated time the event was observed at, µs
     /// (0.0 for submissions, which precede the drain clock).
     pub t_us: f64,
-    /// Stable snake_case event kind (`submit`, `coalesce`, `launch`,
-    /// `degrade_rung`, `batch_ok`, `device_fault`, `retry`,
-    /// `deadline_miss`, `query_failed`, `fallback`, `breaker_open`,
-    /// `device_failed`, `worker_panic`, `queue_reject`).
-    /// `degrade_rung` records an accuracy-ladder transition — its
-    /// detail carries the chosen rung, the triggering cause
-    /// (`deadline_risk` or `capacity_loss`), the batch's recall target
-    /// and the configuration's expected recall. It is deliberately
-    /// *not* a trigger kind: degrading is the plan working, not an
-    /// anomaly.
-    pub kind: &'static str,
     /// Pool device involved, if any.
     pub device: Option<usize>,
     /// Tracing span of the query or batch involved, if any.
     pub span: Option<u64>,
-    /// Free-form context (shape, error kind, attempt number, …).
-    pub detail: String,
+    /// What happened.
+    pub event: EngineEvent,
 }
 
 impl FlightEvent {
-    /// Whether this event kind triggers a post-mortem dump.
-    pub fn is_trigger(&self) -> bool {
-        TRIGGER_KINDS.contains(&self.kind)
+    /// The event's kind label ([`EngineEvent::kind`]).
+    pub fn kind(&self) -> &'static str {
+        self.event.kind()
+    }
+
+    /// The event's detail text ([`EngineEvent::detail`]).
+    pub fn detail(&self) -> String {
+        self.event.detail()
     }
 }
 
@@ -113,11 +247,10 @@ impl FlightRecorder {
     /// event's sequence number.
     pub fn record(
         &mut self,
-        kind: &'static str,
         device: Option<usize>,
         span: Option<u64>,
         t_us: f64,
-        detail: String,
+        event: EngineEvent,
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -127,21 +260,11 @@ impl FlightRecorder {
         self.events.push_back(FlightEvent {
             seq,
             t_us,
-            kind,
             device,
             span,
-            detail,
+            event,
         });
         seq
-    }
-
-    /// The first trigger-kind event with `seq >= since_seq`, if any —
-    /// how the drain loop decides whether a scheduling step warrants a
-    /// post-mortem dump.
-    pub fn trigger_since(&self, since_seq: u64) -> Option<&FlightEvent> {
-        self.events
-            .iter()
-            .find(|e| e.seq >= since_seq && e.is_trigger())
     }
 }
 
@@ -236,10 +359,10 @@ pub fn render_post_mortem(
             "    {{\"seq\": {}, \"t_us\": {}, \"kind\": {}, \"device\": {}, \"span\": {}, \"detail\": {}}}{}\n",
             e.seq,
             json_f64(e.t_us),
-            json_str(e.kind),
+            json_str(e.kind()),
             e.device.map_or("null".to_string(), |d| d.to_string()),
             e.span.map_or("null".to_string(), |s| s.to_string()),
-            json_str(&e.detail),
+            json_str(&e.detail()),
             if i + 1 < n { "," } else { "" }
         ));
     }
@@ -296,7 +419,7 @@ mod tests {
     fn ring_buffer_evicts_oldest_but_keeps_sequence() {
         let mut r = FlightRecorder::new(16);
         for i in 0..40 {
-            r.record("launch", Some(0), None, i as f64, format!("op {i}"));
+            r.record(Some(0), None, i as f64, EngineEvent::WorkerPanic);
         }
         assert_eq!(r.len(), 16);
         assert_eq!(r.recorded(), 40);
@@ -307,35 +430,115 @@ mod tests {
     }
 
     #[test]
-    fn trigger_detection_respects_since() {
-        let mut r = FlightRecorder::new(16);
-        r.record("launch", Some(0), None, 0.0, String::new());
-        let fail_seq = r.record("query_failed", Some(0), Some(7), 1.0, "bad".into());
-        r.record("launch", Some(1), None, 2.0, String::new());
-        assert_eq!(r.trigger_since(0).map(|e| e.seq), Some(fail_seq));
-        assert!(r.trigger_since(fail_seq + 1).is_none());
-        assert!(FlightEvent {
-            seq: 0,
-            t_us: 0.0,
-            kind: "breaker_open",
-            device: None,
-            span: None,
-            detail: String::new(),
+    fn kind_and_detail_render_from_the_event() {
+        let cases = [
+            (
+                EngineEvent::Submit {
+                    id: 3,
+                    n: 4096,
+                    k: 8,
+                },
+                "submit",
+                "id=3 n=4096 k=8",
+            ),
+            (
+                EngineEvent::DegradeRung {
+                    rung: ApproxRung::Bucketed,
+                    cause: "capacity_loss",
+                    recall_target: 0.9,
+                    est_recall: 0.93456,
+                },
+                "degrade_rung",
+                "rung=approx_bucketed cause=capacity_loss recall_target=0.9000 est_recall=0.9346",
+            ),
+            (
+                EngineEvent::DeviceFailed { kind: None },
+                "device_failed",
+                "worker panic",
+            ),
+            (
+                EngineEvent::BreakerOpen {
+                    consecutive: 3,
+                    cooldown_us: 5000.0,
+                },
+                "breaker_open",
+                "consecutive=3 cooldown_us=5000",
+            ),
+            (
+                EngineEvent::Retry {
+                    attempt: 2,
+                    backoff_us: 200.0,
+                },
+                "retry",
+                "attempt=2 backoff_us=200.0",
+            ),
+            (
+                EngineEvent::DeadlineMiss {
+                    id: 4,
+                    deadline_us: 90,
+                    in_backoff: true,
+                },
+                "deadline_miss",
+                "id=4 deadline_us=90 expired during backoff",
+            ),
+            (EngineEvent::WorkerPanic, "worker_panic", ""),
+        ];
+        for (event, kind, detail) in cases {
+            assert_eq!(event.kind(), kind);
+            assert_eq!(event.detail(), detail);
+        }
+    }
+
+    #[test]
+    fn triggers_are_the_four_anomaly_kinds() {
+        let triggers = [
+            EngineEvent::QueryFailed {
+                id: 0,
+                kind: "invalid_k",
+            },
+            EngineEvent::DeadlineMiss {
+                id: 0,
+                deadline_us: 1,
+                in_backoff: false,
+            },
+            EngineEvent::BreakerOpen {
+                consecutive: 3,
+                cooldown_us: 1.0,
+            },
+            EngineEvent::DeviceFailed { kind: None },
+        ];
+        assert!(triggers.iter().all(EngineEvent::is_trigger));
+        assert!(!EngineEvent::WorkerPanic.is_trigger());
+        assert!(!EngineEvent::DeviceFault {
+            kind: "device_hang",
+            severe: true,
         }
         .is_trigger());
+        assert!(!EngineEvent::Failover { first_device: 0 }.is_trigger());
     }
 
     #[test]
     fn post_mortem_is_valid_shaped_json() {
         let mut r = FlightRecorder::new(16);
         r.record(
-            "submit",
             None,
             Some(1),
             0.0,
-            "id=0 n=4096 k=\"quoted\"".into(),
+            EngineEvent::QueryFailed {
+                id: 0,
+                kind: "say \"quoted\"",
+            },
         );
-        r.record("deadline_miss", Some(0), Some(1), 9.5, "dl=5".into());
+        r.record(
+            Some(0),
+            Some(1),
+            9.5,
+            EngineEvent::DeadlineMiss {
+                id: 0,
+                deadline_us: 5,
+                in_backoff: false,
+            },
+        );
         let devices = vec![PmDevice {
             device: 0,
             health: "ok",

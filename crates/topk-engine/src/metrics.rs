@@ -53,6 +53,88 @@ use std::sync::Arc;
 use topk_core::{AlgoSnapshot, TopKError};
 use topk_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
+/// The [`topk_core::obs`] counters exported per drain: series name,
+/// help text and the [`AlgoSnapshot`] delta that feeds the series.
+type AlgoSeries = (&'static str, &'static str, fn(&AlgoSnapshot) -> u64);
+
+const ALGO_SERIES: [AlgoSeries; 15] = [
+    (
+        "topk_air_passes_total",
+        "AIR radix digit passes completed (per problem, per pass)",
+        |d| d.air_passes,
+    ),
+    (
+        "topk_air_buffer_writes_total",
+        "AIR passes that wrote the candidate buffer for the next pass",
+        |d| d.air_buffer_writes,
+    ),
+    (
+        "topk_air_adaptive_skips_total",
+        "AIR passes where the adaptive strategy skipped buffering",
+        |d| d.air_adaptive_skips,
+    ),
+    (
+        "topk_air_early_stops_total",
+        "AIR early-stop triggers (remaining candidates == remaining K)",
+        |d| d.air_early_stops,
+    ),
+    (
+        "topk_air_one_block_selections_total",
+        "Problems solved by AIR's one-block shared-memory fast path",
+        |d| d.air_one_block_selections,
+    ),
+    (
+        "topk_gridselect_queue_merges_total",
+        "GridSelect shared-queue flushes (bitonic sort + merge)",
+        |d| d.gridselect_queue_merges,
+    ),
+    (
+        "topk_gridselect_list_merges_total",
+        "GridSelect list-vs-list merges (cross-warp and tree-merge)",
+        |d| d.gridselect_list_merges,
+    ),
+    (
+        "topk_radik_rounds_total",
+        "RadiK radix rounds completed after the sketch pass",
+        |d| d.radik_rounds,
+    ),
+    (
+        "topk_radik_skipped_bits_total",
+        "Key bits RadiK's sketch and adaptive ordering skipped outright",
+        |d| d.radik_skipped_bits,
+    ),
+    (
+        "topk_rowwise_compactions_total",
+        "Row-wise shared-buffer compactions (threshold tightenings)",
+        |d| d.rowwise_compactions,
+    ),
+    (
+        "topk_bucketed_selections_total",
+        "Bucketed approximate top-K fused launches completed",
+        |d| d.bucketed_selections,
+    ),
+    (
+        "topk_twostage_reduces_total",
+        "Two-stage approximate top-K exact-reduce launches completed",
+        |d| d.twostage_reduces,
+    ),
+    (
+        "topk_tuner_plan_hits_total",
+        "Dispatch decisions served from the tuner's plan table",
+        |d| d.tuner_plan_hits,
+    ),
+    (
+        "topk_tuner_plan_misses_total",
+        "Dispatch decisions that required a fresh cost-model planning pass",
+        |d| d.tuner_plan_misses,
+    ),
+    (
+        "topk_tuner_refinements_total",
+        "Plans replaced after observed latencies recalibrated the cost model",
+        |d| d.tuner_refinements,
+    ),
+];
+
 /// Pre-registered handles over the engine's [`MetricsRegistry`].
 ///
 /// Every series exists from construction (error counters are
@@ -84,21 +166,8 @@ pub struct EngineMetrics {
     pub(crate) faults_injected: Vec<Arc<Counter>>,
     pub(crate) quarantined_devices: Arc<Gauge>,
     pub(crate) failed_devices: Arc<Gauge>,
-    air_passes: Arc<Counter>,
-    air_buffer_writes: Arc<Counter>,
-    air_adaptive_skips: Arc<Counter>,
-    air_early_stops: Arc<Counter>,
-    air_one_block_selections: Arc<Counter>,
-    gridselect_queue_merges: Arc<Counter>,
-    gridselect_list_merges: Arc<Counter>,
-    radik_rounds: Arc<Counter>,
-    radik_skipped_bits: Arc<Counter>,
-    rowwise_compactions: Arc<Counter>,
-    bucketed_selections: Arc<Counter>,
-    twostage_reduces: Arc<Counter>,
-    tuner_plan_hits: Arc<Counter>,
-    tuner_plan_misses: Arc<Counter>,
-    tuner_refinements: Arc<Counter>,
+    /// One counter per [`ALGO_SERIES`] entry, in table order.
+    algo: Vec<Arc<Counter>>,
 }
 
 impl EngineMetrics {
@@ -214,66 +283,10 @@ impl EngineMetrics {
                 "topk_engine_failed_devices",
                 "Pool devices permanently failed (panic or hang)",
             ),
-            air_passes: registry.counter(
-                "topk_air_passes_total",
-                "AIR radix digit passes completed (per problem, per pass)",
-            ),
-            air_buffer_writes: registry.counter(
-                "topk_air_buffer_writes_total",
-                "AIR passes that wrote the candidate buffer for the next pass",
-            ),
-            air_adaptive_skips: registry.counter(
-                "topk_air_adaptive_skips_total",
-                "AIR passes where the adaptive strategy skipped buffering",
-            ),
-            air_early_stops: registry.counter(
-                "topk_air_early_stops_total",
-                "AIR early-stop triggers (remaining candidates == remaining K)",
-            ),
-            air_one_block_selections: registry.counter(
-                "topk_air_one_block_selections_total",
-                "Problems solved by AIR's one-block shared-memory fast path",
-            ),
-            gridselect_queue_merges: registry.counter(
-                "topk_gridselect_queue_merges_total",
-                "GridSelect shared-queue flushes (bitonic sort + merge)",
-            ),
-            gridselect_list_merges: registry.counter(
-                "topk_gridselect_list_merges_total",
-                "GridSelect list-vs-list merges (cross-warp and tree-merge)",
-            ),
-            radik_rounds: registry.counter(
-                "topk_radik_rounds_total",
-                "RadiK radix rounds completed after the sketch pass",
-            ),
-            radik_skipped_bits: registry.counter(
-                "topk_radik_skipped_bits_total",
-                "Key bits RadiK's sketch and adaptive ordering skipped outright",
-            ),
-            rowwise_compactions: registry.counter(
-                "topk_rowwise_compactions_total",
-                "Row-wise shared-buffer compactions (threshold tightenings)",
-            ),
-            bucketed_selections: registry.counter(
-                "topk_bucketed_selections_total",
-                "Bucketed approximate top-K fused launches completed",
-            ),
-            twostage_reduces: registry.counter(
-                "topk_twostage_reduces_total",
-                "Two-stage approximate top-K exact-reduce launches completed",
-            ),
-            tuner_plan_hits: registry.counter(
-                "topk_tuner_plan_hits_total",
-                "Dispatch decisions served from the tuner's plan table",
-            ),
-            tuner_plan_misses: registry.counter(
-                "topk_tuner_plan_misses_total",
-                "Dispatch decisions that required a fresh cost-model planning pass",
-            ),
-            tuner_refinements: registry.counter(
-                "topk_tuner_refinements_total",
-                "Plans replaced after observed latencies recalibrated the cost model",
-            ),
+            algo: ALGO_SERIES
+                .iter()
+                .map(|&(name, help, _)| registry.counter(name, help))
+                .collect(),
             registry,
         }
     }
@@ -294,9 +307,6 @@ impl EngineMetrics {
         self.queries.inc();
         self.query_latency_us.observe(r.latency_us);
         self.queue_wait_us.observe(r.queue_wait_us);
-        if r.outcome.is_ok() {
-            self.est_recall.observe(r.est_recall);
-        }
         if let Err(e) = &r.outcome {
             let kind = e.kind();
             let slot = TopKError::KINDS
@@ -304,6 +314,8 @@ impl EngineMetrics {
                 .position(|&k| k == kind)
                 .expect("kind() values come from KINDS");
             self.query_errors[slot].inc();
+        } else {
+            self.est_recall.observe(r.est_recall);
         }
     }
 
@@ -318,22 +330,15 @@ impl EngineMetrics {
 
     /// Fold one drain's algorithm-event delta into the counters.
     pub(crate) fn record_algo(&self, d: &AlgoSnapshot) {
-        self.air_passes.add(d.air_passes);
-        self.air_buffer_writes.add(d.air_buffer_writes);
-        self.air_adaptive_skips.add(d.air_adaptive_skips);
-        self.air_early_stops.add(d.air_early_stops);
-        self.air_one_block_selections
-            .add(d.air_one_block_selections);
-        self.gridselect_queue_merges.add(d.gridselect_queue_merges);
-        self.gridselect_list_merges.add(d.gridselect_list_merges);
-        self.radik_rounds.add(d.radik_rounds);
-        self.radik_skipped_bits.add(d.radik_skipped_bits);
-        self.rowwise_compactions.add(d.rowwise_compactions);
-        self.bucketed_selections.add(d.bucketed_selections);
-        self.twostage_reduces.add(d.twostage_reduces);
-        self.tuner_plan_hits.add(d.tuner_plan_hits);
-        self.tuner_plan_misses.add(d.tuner_plan_misses);
-        self.tuner_refinements.add(d.tuner_refinements);
+        for (counter, (_, _, delta)) in self.algo.iter().zip(ALGO_SERIES) {
+            counter.add(delta(d));
+        }
+    }
+
+    /// Lifetime total of the [`ALGO_SERIES`] counter `name`.
+    pub(crate) fn algo_total(&self, name: &str) -> u64 {
+        let i = ALGO_SERIES.iter().position(|s| s.0 == name);
+        self.algo[i.expect("an ALGO_SERIES name")].get()
     }
 
     /// Fold one drain's resilience tallies into the counters.

@@ -801,18 +801,69 @@ fn capacity_loss_triggers_approx_rungs_with_recall_accounting() {
     let degrade = engine
         .flight_recorder()
         .events()
-        .find(|e| e.kind == "degrade_rung")
+        .find(|e| e.kind() == "degrade_rung")
         .expect("rung transition must be flight-recorded");
-    assert!(
-        degrade.detail.contains("cause=capacity_loss"),
-        "detail: {}",
-        degrade.detail
-    );
-    assert!(degrade.detail.contains("recall_target=0.9000"));
+    let detail = degrade.detail();
+    assert!(detail.contains("cause=capacity_loss"), "detail: {detail}");
+    assert!(detail.contains("recall_target=0.9000"));
     // Metrics exported the rung counters and the recall histogram.
     let text = engine.render_prometheus();
     assert!(text.contains("topk_engine_approx_served_total"), "{text}");
     assert!(text.contains("topk_engine_est_recall_count"), "{text}");
+}
+
+#[test]
+fn a_trigger_evicted_within_its_step_still_dumps_a_post_mortem() {
+    // One device, one 20-query batch, a worker panic on its first
+    // launch: the panic step retires the device, and the next step
+    // degrades all 20 queries to the CPU. Query 0's deadline falls 5 µs
+    // before its CPU answer, so that step emits a deadline miss and
+    // then 19 fallback events — enough to evict the miss from a
+    // 16-event ring before the step ends.
+    let run = |capacity: usize, deadline: Option<u64>| {
+        let plan = FaultPlan::seeded(3).with_scripted(ScriptedFault {
+            device: 0,
+            kind: FaultKind::WorkerPanic,
+            nth: 0,
+        });
+        let mut engine = TopKEngine::new(
+            EngineConfig::a100_pool(1)
+                .with_window(32)
+                .with_flight_capacity(capacity)
+                .with_faults(plan),
+        );
+        for q in 0..20 {
+            let data = generate(Distribution::Uniform, 4096, q);
+            match deadline.filter(|_| q == 0) {
+                Some(dl) => engine.submit_with_deadline(data, 8, dl),
+                None => engine.submit(data, 8),
+            }
+            .unwrap();
+        }
+        let report = engine.drain();
+        (report, engine.take_post_mortems())
+    };
+    let (pilot, _) = run(256, None);
+    assert!(matches!(
+        pilot.results[0].served,
+        Served::CpuFallback { .. }
+    ));
+    let deadline = (pilot.results[0].latency_us - 5.0) as u64;
+
+    for capacity in [16, 256] {
+        let (report, post_mortems) = run(capacity, Some(deadline));
+        assert!(matches!(
+            report.results[0].outcome,
+            Err(TopKError::DeadlineExceeded { .. })
+        ));
+        assert_eq!(
+            post_mortems.len(),
+            2,
+            "capacity {capacity}: the panic step and the deadline step each dump one"
+        );
+        assert!(post_mortems[0].contains("\"trigger\": \"device_failed\""));
+        assert!(post_mortems[1].contains("\"trigger\": \"deadline_miss\""));
+    }
 }
 
 /// The chaos acceptance scenario: 4 devices, scripted worker panics
