@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gpu_sim::warp::{ballot, exclusive_scan, Lanes};
 use gpu_sim::{BlockPool, DeviceSpec, Gpu, LaunchConfig};
 use std::hint::black_box;
-use topk_core::bitonic::{bitonic_sort, merge_into_topk};
+use topk_core::bitonic::{bitonic_sort, merge_into_topk, sort_queue};
 use topk_core::tuner::DistSketch;
 
 fn bench_metered_stream(c: &mut Criterion) {
@@ -160,6 +160,29 @@ fn bench_bitonic(c: &mut Criterion) {
                 });
             },
         );
+    }
+    // GridSelect's warp-queue sort: distinct keys go straight to their
+    // ranks, tied keys (8 levels, or all equal) run the network. One
+    // sort is well under a microsecond, so take more samples.
+    group.sample_size(2000);
+    let cases: [(&str, [u32; 32]); 3] = [
+        (
+            "32_distinct",
+            std::array::from_fn(|i| (i as u32 * 7 + 3) % 32),
+        ),
+        (
+            "32_ties",
+            std::array::from_fn(|i| (i as u32).wrapping_mul(2_654_435_761) >> 29),
+        ),
+        ("32_equal", [5; 32]),
+    ];
+    for (case, keys) in cases {
+        group.bench_with_input(BenchmarkId::new("sort_queue", case), &keys, |b, keys| {
+            b.iter(|| {
+                let (mut k, mut p) = (*keys, std::array::from_fn::<u32, 32, _>(|i| i as u32));
+                black_box(sort_queue(black_box(&mut k), &mut p))
+            });
+        });
     }
     group.finish();
 }

@@ -101,6 +101,10 @@ pub fn bitonic_merge<K: Ord + Copy, P: Copy>(
     ops
 }
 
+/// Warp width: the queue size [`sort_queue`] sorts without the generic
+/// network.
+const W: usize = 32;
+
 /// Sort one warp's staged queue ascending, with the result
 /// [`bitonic_sort`] would give and its compare-exchange count.
 ///
@@ -108,9 +112,10 @@ pub fn bitonic_merge<K: Ord + Copy, P: Copy>(
 /// distinct, the ascending order is unique, so each entry goes straight
 /// to its rank (the count of smaller keys) instead of through the
 /// network. When any two keys tie, the network decides which payload
-/// comes first, so the queue runs the network itself.
+/// comes first, so the queue runs the network on the ranks, which
+/// compare exactly as the keys do. Other sizes run the network on the
+/// keys.
 pub fn sort_queue<K: Ord + Copy, P: Copy>(keys: &mut [K], payloads: &mut [P]) -> u64 {
-    const W: usize = 32;
     if let (Ok(src_k), Ok(src_p)) = (<[K; W]>::try_from(&*keys), <[P; W]>::try_from(&*payloads)) {
         let mut rank = [0u8; W];
         let mut seen = 0u32;
@@ -125,10 +130,69 @@ pub fn sort_queue<K: Ord + Copy, P: Copy>(keys: &mut [K], payloads: &mut [P]) ->
                 keys[rank[a] as usize] = src_k[a];
                 payloads[rank[a] as usize] = src_p[a];
             }
-            return network_ops(W);
+        } else {
+            sort_tied_queue(keys, payloads, &src_k, &src_p, &rank);
         }
+        return network_ops(W);
     }
     bitonic_sort(keys, payloads, true)
+}
+
+/// The ascending network over a tied warp queue, run on ranks.
+///
+/// A comparator's swap depends only on how its two keys compare, and
+/// the rank (count of smaller keys) compares exactly as the key does,
+/// equal keys included. So the network over the ranks makes the same
+/// swaps as the network over the keys. Each word packs `rank << 8 |
+/// slot`; the comparators look at the rank byte only, and the slot
+/// byte then says where each sorted entry came from.
+#[inline(never)]
+fn sort_tied_queue<K: Copy, P: Copy>(
+    keys: &mut [K],
+    payloads: &mut [P],
+    src_k: &[K; W],
+    src_p: &[P; W],
+    rank: &[u8; W],
+) {
+    let mut w: [u16; W] = std::array::from_fn(|a| (rank[a] as u16) << 8 | a as u16);
+    rank_stage::<2, 1>(&mut w);
+    rank_stage::<4, 2>(&mut w);
+    rank_stage::<4, 1>(&mut w);
+    rank_stage::<8, 4>(&mut w);
+    rank_stage::<8, 2>(&mut w);
+    rank_stage::<8, 1>(&mut w);
+    rank_stage::<16, 8>(&mut w);
+    rank_stage::<16, 4>(&mut w);
+    rank_stage::<16, 2>(&mut w);
+    rank_stage::<16, 1>(&mut w);
+    rank_stage::<32, 16>(&mut w);
+    rank_stage::<32, 8>(&mut w);
+    rank_stage::<32, 4>(&mut w);
+    rank_stage::<32, 2>(&mut w);
+    rank_stage::<32, 1>(&mut w);
+    for (dst, &word) in w.iter().enumerate() {
+        let slot = (word & 0xff) as usize;
+        keys[dst] = src_k[slot];
+        payloads[dst] = src_p[slot];
+    }
+}
+
+/// One stage of [`bitonic_sort`]'s ascending network over packed rank
+/// words: sequences of length `K`, comparator stride `J`.
+#[inline(always)]
+fn rank_stage<const K: usize, const J: usize>(w: &mut [u16; W]) {
+    for (c, window) in w.chunks_exact_mut(2 * J).enumerate() {
+        // Direction alternates per K-sized region; a 2J-window never
+        // straddles two.
+        let up = (c * 2 * J) & K == 0;
+        let (lo, hi) = window.split_at_mut(J);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (a, b) = (*x, *y);
+            let swap = if up { a >> 8 > b >> 8 } else { a >> 8 < b >> 8 };
+            *x = if swap { b } else { a };
+            *y = if swap { a } else { b };
+        }
+    }
 }
 
 /// Merge a sorted-ascending top-K list with a sorted-ascending buffer
@@ -201,7 +265,7 @@ mod tests {
 
     /// The original network, one data-dependent branch per comparator:
     /// the oracle for the branch-free [`bitonic_sort`] and for
-    /// [`sort_queue`]'s tie fall-back.
+    /// [`sort_queue`]'s rank network on ties.
     fn bitonic_sort_branchy<K: Ord + Copy, P: Copy>(
         keys: &mut [K],
         payloads: &mut [P],
@@ -498,7 +562,7 @@ mod tests {
                 keys in prop::collection::vec(any::<u32>(), 32),
                 levels in prop_oneof![Just(2u32), Just(16u32), Just(31u32), Just(32u32), Just(u32::MAX)],
             ) {
-                // Few levels force ties (the network fall-back); many
+                // Few levels force ties (the rank network); many
                 // levels mostly give distinct keys (the rank path).
                 let mut keys: Vec<u32> = keys.into_iter().map(|x| x % levels).collect();
                 let mut payload: Vec<u32> = (0..32).collect();
@@ -508,6 +572,49 @@ mod tests {
                 prop_assert_eq!(keys, want_k);
                 prop_assert_eq!(payload, want_p);
                 prop_assert_eq!(ops, want_ops);
+                prop_assert_eq!(ops, 240);
+            }
+
+            #[test]
+            fn queue_sort_of_u64_keys_matches_network(
+                keys in prop::collection::vec(any::<u64>(), 32),
+                levels in prop_oneof![Just(2u64), Just(16u64), Just(32u64), Just(u64::MAX)],
+                low in any::<u32>(),
+            ) {
+                // GridSelect's 64-bit ordered keys (f64, i64 and u64
+                // inputs): the levels sit above bit 32 and every key
+                // shares the low word, so ties are decided up high.
+                let mut keys: Vec<u64> =
+                    keys.into_iter().map(|x| (x % levels) << 32 | low as u64).collect();
+                let mut payload: Vec<u32> = (0..32).collect();
+                let (mut want_k, mut want_p) = (keys.clone(), payload.clone());
+                let ops = sort_queue(&mut keys, &mut payload);
+                bitonic_sort_branchy(&mut want_k, &mut want_p, true);
+                prop_assert_eq!(keys, want_k);
+                prop_assert_eq!(payload, want_p);
+                prop_assert_eq!(ops, 240);
+            }
+
+            #[test]
+            fn queue_sort_of_a_partly_filled_queue_matches_network(
+                keys in prop::collection::vec(any::<u32>(), 32),
+                stale in prop::collection::vec(any::<u32>(), 32),
+                fill in 0usize..=32,
+                levels in prop_oneof![Just(4u32), Just(u32::MAX)],
+            ) {
+                // A queue drained below 32 entries: the slots from
+                // `fill` on are padded with MAX over the payloads an
+                // earlier flush left there.
+                let mut keys: Vec<u32> = (0..32)
+                    .map(|s| if s < fill { keys[s] % levels } else { u32::MAX })
+                    .collect();
+                let mut payload: Vec<u32> =
+                    (0..32).map(|s| if s < fill { s as u32 } else { stale[s] }).collect();
+                let (mut want_k, mut want_p) = (keys.clone(), payload.clone());
+                let ops = sort_queue(&mut keys, &mut payload);
+                bitonic_sort_branchy(&mut want_k, &mut want_p, true);
+                prop_assert_eq!(keys, want_k);
+                prop_assert_eq!(payload, want_p);
                 prop_assert_eq!(ops, 240);
             }
 
@@ -538,7 +645,7 @@ mod tests {
     fn queue_sort_with_one_tie_keeps_the_network_payload_order() {
         // Two equal keys at slots a < b: a stable order puts payload a
         // first, but the network is not stable. The queue sort must give
-        // the network's order, so it cannot take the rank path here.
+        // the network's order, so it cannot scatter by rank here.
         let base: Vec<u32> = (0..32).rev().collect();
         let mut found = false;
         for a in 0..32 {

@@ -34,7 +34,7 @@
 use crate::air::ONE_BLOCK_THRESHOLD;
 use crate::error::TopKError;
 use crate::keys::{common_prefix_len_of, digit_at, num_passes_of, OrderedBits, RadixKey};
-use crate::matrix::Rows;
+use crate::matrix::{Candidates, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -336,17 +336,12 @@ impl RadiK {
             let blk = ctx.block_idx % blocks_per_problem;
             let start = blk * chunk;
             let end = (start + chunk).min(n);
-            let mut keys = inputs
-                .tile(ctx, prob, start, end)
-                .into_iter()
-                .map(|v| v.to_ordered());
+            let tile = inputs.tile(ctx, prob, start, end);
+            let mut keys = tile.iter().map(|v| v.to_ordered());
             if let Some(first) = keys.next() {
-                let (mut mn, mut mx) = (first, first);
-                for o in keys {
-                    mn = mn.min(o);
-                    mx = mx.max(o);
-                    ctx.ops(3);
-                }
+                let (mn, mx) = keys.fold((first, first), |(mn, mx), o| (mn.min(o), mx.max(o)));
+                // Three ops per element after the first, charged once.
+                ctx.ops(3 * (tile.len() as u64 - 1));
                 // Raw unsigned min/max on ordered bits == value order.
                 ctx.atomic_min_raw(&gmin, prob, mn);
                 ctx.atomic_max_raw(&gmax, prob, mx);
@@ -405,19 +400,6 @@ impl RadiK {
                 // last block / the sketch).
                 let offset = ctx.ld(&ctrl, cb + offset_off + round);
                 let width = b.min(bits - offset.min(bits - 1));
-                // Previous round's window, target digit, and the
-                // candidate prefix for re-filtering from the input.
-                let (offset_prev, width_prev, target_prev, pval_prev) = if round > 0 {
-                    let op = ctx.ld(&ctrl, cb + offset_off + round - 1);
-                    (
-                        op,
-                        b.min(bits - op),
-                        ctx.ld(&ctrl, cb + target_off + round - 1),
-                        ctx.ld(&pvals, prob * (rounds + 1) + round - 1),
-                    )
-                } else {
-                    (0, 0, 0, 0)
-                };
                 let k_rem = if round == 0 {
                     k as u32
                 } else {
@@ -432,79 +414,67 @@ impl RadiK {
                 } else {
                     Vec::new()
                 };
-                let mut local_min = <T::Ordered as OrderedBits>::MAX;
-                let mut local_max = <T::Ordered as OrderedBits>::ZERO;
-                let mut saw_candidate = false;
 
-                let buffered =
-                    src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
-                for (v, idx) in inputs.source(ctx, prob, start, end, buffered) {
-                    let key = v.to_ordered();
-                    ctx.ops(4);
-
-                    if round == 0 {
-                        local_hist[digit_at::<T::Ordered>(key, offset, width) as usize] += 1;
-                        ctx.ops(4);
-                        continue;
+                // One loop per round kind, so the round-invariant flags
+                // stay out of the per-element work.
+                let swept = if round == 0 {
+                    // Histogram of the first window only.
+                    let row = inputs.tile(ctx, prob, start, end);
+                    for v in row {
+                        local_hist
+                            [digit_at::<T::Ordered>(v.to_ordered(), offset, width) as usize] += 1;
                     }
-
-                    // Skip elements outside the current candidate
-                    // prefix (emitted or discarded in earlier rounds).
-                    if !src_is_buf
-                        && offset_prev > 0
-                        && key.shr(bits - offset_prev).to_u64() != pval_prev
-                    {
-                        ctx.ops(1);
-                        continue;
-                    }
-
-                    let d_prev = digit_at::<T::Ordered>(key, offset_prev, width_prev);
-                    ctx.ops(8);
-                    if ties {
-                        // Survivors are duplicates on the full key:
-                        // admit the first k_rem by rank.
-                        if d_prev < target_prev {
-                            let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                            debug_assert!(pos < k);
-                            ctx.st_scatter(&out_val, prob * k + pos, v);
-                            ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                        } else if d_prev == target_prev {
-                            let rank = ctx.atomic_add(&ctrl, cb + TIE_CURSOR, 1);
-                            if rank < k_rem {
-                                let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                                debug_assert!(pos < k);
-                                ctx.st_scatter(&out_val, prob * k + pos, v);
-                                ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                            }
-                        }
+                    // load index math + ordered-bit transform, then
+                    // digit extract + shared-memory histogram
+                    ctx.ops(8 * row.len() as u64);
+                    None
+                } else {
+                    let kind = if ties {
+                        Sweep::Ties
                     } else if early {
-                        if d_prev <= target_prev {
-                            let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                            debug_assert!(pos < k);
-                            ctx.st_scatter(&out_val, prob * k + pos, v);
-                            ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                        }
-                    } else if d_prev < target_prev {
-                        let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                        debug_assert!(pos < k);
-                        ctx.st_scatter(&out_val, prob * k + pos, v);
-                        ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                    } else if d_prev == target_prev {
-                        if store {
-                            let pos = ctx.atomic_add(&ctrl, cb + bufcur_off + round, 1) as usize;
-                            debug_assert!(pos < cap);
-                            ctx.st_scatter(&buf_val[write_sel], prob * cap + pos, v);
-                            ctx.st_scatter(&buf_idx[write_sel], prob * cap + pos, idx);
-                        }
-                        local_hist[digit_at::<T::Ordered>(key, offset, width) as usize] += 1;
-                        // Track the scanned-candidate value range — the
-                        // raw material for adaptive digit ordering.
-                        local_min = local_min.min(key);
-                        local_max = local_max.max(key);
-                        saw_candidate = true;
-                        ctx.ops(4);
-                    }
-                }
+                        Sweep::Early
+                    } else if store {
+                        Sweep::FilterStore
+                    } else {
+                        Sweep::Filter
+                    };
+                    // Previous round's window, target digit, and the
+                    // candidate prefix for re-filtering from the input.
+                    let offset_prev = ctx.ld(&ctrl, cb + offset_off + round - 1);
+                    let round_sweep = RoundSweep {
+                        ctrl: &ctrl,
+                        out_val: &out_val,
+                        out_idx: &out_idx,
+                        buf_val: &buf_val[write_sel],
+                        buf_idx: &buf_idx[write_sel],
+                        cb,
+                        buf_cursor: cb + bufcur_off + round,
+                        out_base: prob * k,
+                        buf_base: prob * cap,
+                        k,
+                        cap,
+                        k_rem,
+                        offset_prev,
+                        width_prev: b.min(bits - offset_prev),
+                        target_prev: ctx.ld(&ctrl, cb + target_off + round - 1),
+                        pval_prev: ctx.ld(&pvals, prob * (rounds + 1) + round - 1),
+                        offset,
+                        width,
+                    };
+                    let buffered =
+                        src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
+                    let src = inputs.source(ctx, prob, start, end, buffered);
+                    let sw = round_sweep.sweep(ctx, src, &mut local_hist, kind);
+                    // Per element: load index math + ordered-bit
+                    // transform (4); then either the prefix check that
+                    // settles it (1) or digit extract + filter branch
+                    // logic (8); candidates add the histogram update
+                    // and range tracking (4).
+                    ctx.ops(
+                        4 * sw.len + sw.skipped + 8 * (sw.len - sw.skipped) + 4 * sw.candidates,
+                    );
+                    Some(sw)
+                };
 
                 if !local_hist.is_empty() {
                     let hbase = (prob * rounds + round) * radix;
@@ -515,9 +485,9 @@ impl RadiK {
                     }
                     ctx.ops(radix as u64);
                 }
-                if saw_candidate {
-                    ctx.atomic_min_raw(&minb, prob * rounds + round, local_min);
-                    ctx.atomic_max_raw(&maxb, prob * rounds + round, local_max);
+                if let Some(sw) = swept.filter(|sw| sw.candidates > 0) {
+                    ctx.atomic_min_raw(&minb, prob * rounds + round, sw.min);
+                    ctx.atomic_max_raw(&maxb, prob * rounds + round, sw.max);
                 }
 
                 let prev = ctx.atomic_add_sync(&done, prob * rounds + round, 1);
@@ -702,43 +672,195 @@ impl RadiK {
             let start = blk * chunk;
             let end = (start + chunk).min(n_src);
             let buffered = src_is_buf.then(|| (&buf_val[read_sel], &buf_idx[read_sel], prob * cap));
-            for (v, idx) in inputs.source(ctx, prob, start, end, buffered) {
-                let key = v.to_ordered();
-                ctx.ops(3);
-                if !src_is_buf
-                    && offset_prev > 0
-                    && key.shr(bits - offset_prev).to_u64() != pval_prev
-                {
-                    ctx.ops(1);
-                    continue;
-                }
-                let d_prev = digit_at::<T::Ordered>(key, offset_prev, width_prev);
-                ctx.ops(2);
-                if early {
-                    if d_prev <= target_prev {
-                        let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                        debug_assert!(pos < k);
-                        ctx.st_scatter(&out_val, prob * k + pos, v);
-                        ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                    }
-                } else if d_prev < target_prev {
-                    let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                    debug_assert!(pos < k);
-                    ctx.st_scatter(&out_val, prob * k + pos, v);
-                    ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                } else if d_prev == target_prev {
-                    let rank = ctx.atomic_add(&ctrl, cb + TIE_CURSOR, 1);
-                    if rank < k_rem {
-                        let pos = ctx.atomic_add(&ctrl, cb + OUT_CURSOR, 1) as usize;
-                        debug_assert!(pos < k);
-                        ctx.st_scatter(&out_val, prob * k + pos, v);
-                        ctx.st_scatter(&out_idx, prob * k + pos, idx);
-                    }
-                }
-            }
+            let src = inputs.source(ctx, prob, start, end, buffered);
+            // The terminal kinds neither store nor histogram, so the
+            // candidate store and the window go unused.
+            let round_sweep = RoundSweep {
+                ctrl: &ctrl,
+                out_val: &out_val,
+                out_idx: &out_idx,
+                buf_val: &buf_val[read_sel],
+                buf_idx: &buf_idx[read_sel],
+                cb,
+                buf_cursor: 0,
+                out_base: prob * k,
+                buf_base: 0,
+                k,
+                cap,
+                k_rem,
+                offset_prev,
+                width_prev,
+                target_prev,
+                pval_prev,
+                offset: 0,
+                width: 0,
+            };
+            let kind = if early { Sweep::Early } else { Sweep::Ties };
+            let sw = round_sweep.sweep(ctx, src, &mut [], kind);
+            // Per element: load + ordered-bit transform (3); then the
+            // prefix check that settles it (1) or digit extract +
+            // admission (2).
+            ctx.ops(3 * sw.len + sw.skipped + 2 * (sw.len - sw.skipped));
         })?;
 
         Ok((out_val, out_idx))
+    }
+}
+
+/// What a round does with the source elements in its candidate prefix.
+/// Every kind emits those below the previous round's target digit.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// The survivors tie on the full key: admit the first `k_rem` at
+    /// the target digit by rank.
+    Ties,
+    /// Early stop: every element at the target digit is a result.
+    Early,
+    /// Histogram this round's window of the candidates at the target
+    /// digit and track their range.
+    Filter,
+    /// [`Sweep::Filter`], also buffering the candidates for the next
+    /// round.
+    FilterStore,
+}
+
+/// What one sweep saw: the elements read, those skipped as settled,
+/// and the histogrammed candidates with their ordered-key range.
+struct Swept<O> {
+    len: u64,
+    skipped: u64,
+    candidates: u64,
+    min: O,
+    max: O,
+}
+
+/// Per-block constants of one sweep over a round's source (`round >=
+/// 1`, or the last filter): the previous round's bit window, target
+/// digit and candidate prefix, and where results and buffered
+/// candidates go.
+struct RoundSweep<'a, T: RadixKey> {
+    ctrl: &'a DeviceBuffer<u32>,
+    out_val: &'a DeviceBuffer<T>,
+    out_idx: &'a DeviceBuffer<u32>,
+    buf_val: &'a DeviceBuffer<T>,
+    buf_idx: &'a DeviceBuffer<u32>,
+    /// The problem's control block.
+    cb: usize,
+    buf_cursor: usize,
+    out_base: usize,
+    buf_base: usize,
+    k: usize,
+    cap: usize,
+    k_rem: u32,
+    offset_prev: u32,
+    width_prev: u32,
+    target_prev: u32,
+    /// The candidate prefix: the leading `offset_prev` key bits every
+    /// live input element still has.
+    pval_prev: u64,
+    /// This round's histogram window.
+    offset: u32,
+    width: u32,
+}
+
+impl<T: RadixKey> RoundSweep<'_, T> {
+    /// Sweep one block's share of the round's source as `kind`.
+    fn sweep(
+        &self,
+        ctx: &mut gpu_sim::BlockCtx<'_>,
+        src: Candidates<'_, T>,
+        hist: &mut [u32],
+        kind: Sweep,
+    ) -> Swept<T::Ordered> {
+        match kind {
+            Sweep::Ties => self.sweep_src::<{ Sweep::Ties as u8 }>(ctx, src, hist),
+            Sweep::Early => self.sweep_src::<{ Sweep::Early as u8 }>(ctx, src, hist),
+            Sweep::Filter => self.sweep_src::<{ Sweep::Filter as u8 }>(ctx, src, hist),
+            Sweep::FilterStore => self.sweep_src::<{ Sweep::FilterStore as u8 }>(ctx, src, hist),
+        }
+    }
+
+    /// Pick the loop for the source: the candidate buffers hold only
+    /// live elements, while input elements outside the candidate
+    /// prefix (emitted or discarded in earlier rounds) are skipped.
+    #[inline(always)]
+    fn sweep_src<const KIND: u8>(
+        &self,
+        ctx: &mut gpu_sim::BlockCtx<'_>,
+        src: Candidates<'_, T>,
+        hist: &mut [u32],
+    ) -> Swept<T::Ordered> {
+        match src {
+            Candidates::Buffered(items) => self.sweep_as::<KIND, false, _>(ctx, items, hist),
+            Candidates::Input(items) if self.offset_prev > 0 => {
+                self.sweep_as::<KIND, true, _>(ctx, items, hist)
+            }
+            Candidates::Input(items) => self.sweep_as::<KIND, false, _>(ctx, items, hist),
+        }
+    }
+
+    #[inline(always)]
+    fn sweep_as<const KIND: u8, const SETTLED: bool, I>(
+        &self,
+        ctx: &mut gpu_sim::BlockCtx<'_>,
+        items: I,
+        hist: &mut [u32],
+    ) -> Swept<T::Ordered>
+    where
+        I: Iterator<Item = (T, u32)>,
+    {
+        let bits = <T::Ordered as OrderedBits>::BITS;
+        let (offset_prev, target) = (self.offset_prev, self.target_prev);
+        let mut sw = Swept {
+            len: 0,
+            skipped: 0,
+            candidates: 0,
+            min: <T::Ordered as OrderedBits>::MAX,
+            max: <T::Ordered as OrderedBits>::ZERO,
+        };
+        for (v, idx) in items {
+            sw.len += 1;
+            let key = v.to_ordered();
+            if SETTLED && key.shr(bits - offset_prev).to_u64() != self.pval_prev {
+                sw.skipped += 1;
+                continue;
+            }
+            let d_prev = digit_at::<T::Ordered>(key, offset_prev, self.width_prev);
+            if d_prev < target {
+                self.emit(ctx, v, idx);
+            } else if d_prev == target {
+                if KIND == Sweep::Early as u8 {
+                    self.emit(ctx, v, idx);
+                } else if KIND == Sweep::Ties as u8 {
+                    let rank = ctx.atomic_add(self.ctrl, self.cb + TIE_CURSOR, 1);
+                    if rank < self.k_rem {
+                        self.emit(ctx, v, idx);
+                    }
+                } else {
+                    if KIND == Sweep::FilterStore as u8 {
+                        let pos = ctx.atomic_add(self.ctrl, self.buf_cursor, 1) as usize;
+                        debug_assert!(pos < self.cap);
+                        ctx.st_scatter(self.buf_val, self.buf_base + pos, v);
+                        ctx.st_scatter(self.buf_idx, self.buf_base + pos, idx);
+                    }
+                    hist[digit_at::<T::Ordered>(key, self.offset, self.width) as usize] += 1;
+                    // Track the scanned-candidate value range — the raw
+                    // material for adaptive digit ordering.
+                    sw.min = sw.min.min(key);
+                    sw.max = sw.max.max(key);
+                    sw.candidates += 1;
+                }
+            }
+        }
+        sw
+    }
+
+    #[inline(always)]
+    fn emit(&self, ctx: &mut gpu_sim::BlockCtx<'_>, v: T, idx: u32) {
+        let pos = ctx.atomic_add(self.ctrl, self.cb + OUT_CURSOR, 1) as usize;
+        debug_assert!(pos < self.k);
+        ctx.st_scatter(self.out_val, self.out_base + pos, v);
+        ctx.st_scatter(self.out_idx, self.out_base + pos, idx);
     }
 }
 

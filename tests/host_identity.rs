@@ -21,7 +21,7 @@
 use gpu_topk::gpu_sim::{BlockPool, DeviceBuffer};
 use gpu_topk::prelude::*;
 use gpu_topk::topk_core::obs;
-use gpu_topk::topk_core::{AlgoSnapshot, RadiK, RowWiseTopK, StreamingSelect};
+use gpu_topk::topk_core::{AlgoSnapshot, RadiK, RowWiseTopK, StreamingSelect, TypedOutput};
 use std::sync::Mutex;
 
 /// Tests in this binary share the process-wide counters, so they run
@@ -382,6 +382,66 @@ fn gridselect_matrix_is_bit_identical() {
         2048,
         GRIDSELECT_MATRIX,
     );
+}
+
+/// A typed f64 batched selection under test.
+type F64Run<'a> =
+    &'a dyn Fn(&mut Gpu, &[DeviceBuffer<f64>], usize) -> Result<Vec<TypedOutput<f64>>, TopKError>;
+
+/// Run `run` on one batch of two tie-heavy f64 rows for every K and
+/// compare against `golden`: the ties16 row widened to f64, and values
+/// `1 + m·1e-12` (m < 8191) that share their leading bits and repeat.
+/// These take GridSelect's and RadiK's 64-bit ordered-key paths.
+fn check_f64_batch(name: &str, run: F64Run<'_>, golden: &[(&str, [u64; 3])]) {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ties16 = inputs_of(ROW).swap_remove(1);
+    assert_eq!(ties16.0, "ties16");
+    let rows: Vec<Vec<f64>> = vec![
+        ties16.1.iter().map(|&v| v as f64).collect(),
+        (0..ROW as u64)
+            .map(|i| 1.0 + (i.wrapping_mul(2_654_435_761) % 8191) as f64 * 1e-12)
+            .collect(),
+    ];
+    let mut cells = Vec::new();
+    for k in KS {
+        let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+        let bufs: Vec<_> = rows.iter().map(|r| gpu.htod("in", r)).collect();
+        gpu.reset_profile();
+        let before = obs::counters().snapshot();
+        let outs = run(&mut gpu, &bufs, k).unwrap_or_else(|e| panic!("{name} k={k}: {e}"));
+        let delta = obs::counters().snapshot().delta_since(&before);
+        let mut outputs = Fnv::new();
+        for (r, (values, indices)) in outs.iter().enumerate() {
+            let (values, indices) = (values.to_vec(), indices.to_vec());
+            verify_topk_typed(&rows[r], k, &values, &indices)
+                .unwrap_or_else(|e| panic!("{name} row {r} k={k}: {e}"));
+            for (v, i) in values.iter().zip(&indices) {
+                outputs.u64(v.to_bits());
+                outputs.u64(*i as u64);
+            }
+        }
+        cells.push((
+            format!("k={k}"),
+            [outputs.0, meters_digest(&gpu), snapshot_digest(&delta)],
+        ));
+    }
+    compare(name, &cells, golden);
+}
+
+#[test]
+fn gridselect_f64_batch_is_bit_identical() {
+    let run = |gpu: &mut Gpu, bufs: &[DeviceBuffer<f64>], k: usize| {
+        GridSelect::default().run_batch_typed(gpu, bufs, k)
+    };
+    check_f64_batch("GridSelect f64", &run, GRIDSELECT_F64_BATCH);
+}
+
+#[test]
+fn radik_f64_batch_is_bit_identical() {
+    let run = |gpu: &mut Gpu, bufs: &[DeviceBuffer<f64>], k: usize| {
+        RadiK::default().run_batch_typed(gpu, bufs, k)
+    };
+    check_f64_batch("RadiK f64", &run, RADIK_F64_BATCH);
 }
 
 const GRIDSELECT: &[(&str, [u64; 3])] = &[
@@ -1012,5 +1072,49 @@ const GRIDSELECT_MATRIX: &[(&str, [u64; 3])] = &[
     (
         "k=2048",
         [0xd8283b1a77816b24, 0x65f91f8ea5958bb6, 0x9a26097ea5564113],
+    ),
+];
+const GRIDSELECT_F64_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x18fd0c98c2f2c718, 0x599311b9ef9ebba1, 0x4a49b05e147acee2],
+    ),
+    (
+        "k=32",
+        [0x27cb1557ff03dbfa, 0xbe1b608164768127, 0x3634b81a796b29ad],
+    ),
+    (
+        "k=100",
+        [0x39e3a90ed06575b6, 0x2511af5e42fb2f44, 0xe04603339a5fddf8],
+    ),
+    (
+        "k=256",
+        [0x63806ce497df4c5b, 0xf9857712df4820e2, 0xb24aabb4243c6b6b],
+    ),
+    (
+        "k=2048",
+        [0xf7b96274246a57c6, 0x60492118432cfe7f, 0xb1c53aa3831408da],
+    ),
+];
+const RADIK_F64_BATCH: &[(&str, [u64; 3])] = &[
+    (
+        "k=1",
+        [0x18fd0c98c2f2c718, 0x00085257ec71f5c6, 0xb93ee84302badd52],
+    ),
+    (
+        "k=32",
+        [0x89617689d4bfb23a, 0xd33b51a65e0b551a, 0xb93ee84302badd52],
+    ),
+    (
+        "k=100",
+        [0xdda63390666458be, 0xde39fd546609cc74, 0xb93ee84302badd52],
+    ),
+    (
+        "k=256",
+        [0xca8f319cf6022ec8, 0x0a35bccf6edfb624, 0xb93ee84302badd52],
+    ),
+    (
+        "k=2048",
+        [0xc4e802f437e8adec, 0xd5a6f802dd932713, 0x70e6c3b5339c2468],
     ),
 ];
