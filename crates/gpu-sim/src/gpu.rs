@@ -313,8 +313,23 @@ impl Gpu {
         label: &str,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, SimError> {
-        let shadow = self.grant_alloc(label, data.len(), T::BYTES)?;
-        let buf = DeviceBuffer::staged(label, data, shadow);
+        self.try_htod_rows(label, &[data])
+    }
+
+    /// Fallible upload of `rows` laid end to end into one new device
+    /// buffer: one allocation grant and one link transfer (so one fault
+    /// draw) for the whole set, as a batched caller stages a row-major
+    /// matrix with a single `cudaMemcpy`. The device cells are built
+    /// straight from the row slices, with no host-side concatenation.
+    /// Faults behave as in [`Gpu::try_htod`].
+    pub fn try_htod_rows<T: DeviceScalar>(
+        &mut self,
+        label: &str,
+        rows: &[&[T]],
+    ) -> Result<DeviceBuffer<T>, SimError> {
+        let len = rows.iter().map(|r| r.len()).sum();
+        let shadow = self.grant_alloc(label, len, T::BYTES)?;
+        let buf = DeviceBuffer::staged(label, rows, shadow);
         self.register(&buf);
         match self.charge_transfer(label, buf.size_bytes(), true, EventKind::MemcpyHtoD) {
             Ok(()) => Ok(buf),
@@ -1007,6 +1022,85 @@ mod tests {
         assert_eq!(g.mem_allocated(), 0, "corrupted upload must not leak");
         // Next transfer is clean.
         assert!(g.try_htod("in", &[0u32; 64]).is_ok());
+    }
+
+    // ---- row uploads ---------------------------------------------------
+
+    /// Rows of 40, 0 and 50 words: the boundary at 40 falls inside the
+    /// sanitizer's first 64-word validity word, the end in its second.
+    fn rows() -> (Vec<u32>, Vec<u32>) {
+        ((0..40).collect(), (40..90).collect())
+    }
+
+    #[test]
+    fn htod_rows_is_initialised_across_row_boundaries() {
+        let (a, b) = rows();
+        let read_all = |g: &mut Gpu, buf: &DeviceBuffer<u32>| {
+            g.launch("read_all", LaunchConfig::grid_1d(1, 32), |ctx| {
+                for i in 0..buf.len() {
+                    let _ = ctx.ld(buf, i);
+                }
+            });
+            g.sanitizer_report().expect("armed").counts.initcheck
+        };
+        let mut g = gpu();
+        g.enable_sanitizer(SanitizerMode::full());
+        let buf = g.try_htod_rows("rows", &[&a, &[], &b]).unwrap();
+        assert_eq!(buf.to_vec(), (0..90).collect::<Vec<u32>>());
+        assert_eq!(read_all(&mut g, &buf), 0);
+        // The check is live: an unwritten allocation of the same size
+        // is flagged.
+        let unwritten = g.alloc::<u32>("unwritten", 90);
+        assert!(read_all(&mut g, &unwritten) > 0);
+    }
+
+    #[test]
+    fn corruption_fails_try_htod_rows_and_releases_memory() {
+        let plan = FaultPlan::seeded(4).with_scripted(ScriptedFault {
+            device: 0,
+            kind: FaultKind::TransferCorruption,
+            nth: 0,
+        });
+        let mut g = faulty_gpu(plan);
+        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        let (a, b) = rows();
+        assert_eq!(
+            g.try_htod_rows("rows", &[&a, &b]).unwrap_err(),
+            SimError::TransferCorruption { bytes: 360 }
+        );
+        assert_eq!(g.mem_allocated(), 0, "corrupted upload must not leak");
+        assert_eq!(g.fault_events().len(), 1, "one draw for the whole upload");
+        g.run_leakcheck();
+        assert_eq!(g.sanitizer_report().expect("armed").counts.leakcheck, 0);
+    }
+
+    #[test]
+    fn an_oom_grant_fails_try_htod_rows_without_charging_anything() {
+        let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
+        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        let half = vec![0u32; g.spec().device_mem_bytes / 8 + 1];
+        assert!(matches!(
+            g.try_htod_rows("rows", &[&half, &half]),
+            Err(SimError::OutOfDeviceMemory { .. })
+        ));
+        assert_eq!(g.mem_allocated(), 0);
+        assert!(g.timeline().events().is_empty(), "no transfer was paid");
+        g.run_leakcheck();
+        assert_eq!(g.sanitizer_report().expect("armed").counts.leakcheck, 0);
+    }
+
+    #[test]
+    fn htod_rows_matches_htod_of_the_concatenation() {
+        let (a, b) = rows();
+        let mut rows_gpu = gpu();
+        let by_rows = rows_gpu.try_htod_rows("in", &[&a, &b]).unwrap();
+        let mut flat_gpu = gpu();
+        let flat = flat_gpu.try_htod("in", &[a, b].concat()).unwrap();
+        assert_eq!(by_rows.to_vec(), flat.to_vec());
+        assert_eq!(by_rows.label(), flat.label());
+        assert_eq!(rows_gpu.mem_allocated(), flat_gpu.mem_allocated());
+        assert_eq!(rows_gpu.timeline().events(), flat_gpu.timeline().events());
+        assert_eq!(rows_gpu.elapsed_us(), flat_gpu.elapsed_us());
     }
 
     #[test]

@@ -232,18 +232,19 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         )
     }
 
-    /// Build a buffer straight from a host slice in one pass, attaching
-    /// `shadow` (when a sanitizer is armed) with every word marked
-    /// initialised. The staging step of [`Gpu::try_htod`](crate::Gpu::try_htod).
-    pub(crate) fn staged(label: &str, data: &[T], shadow: Option<BufferShadow>) -> Self {
+    /// Build a buffer straight from host rows laid end to end, in one
+    /// pass and without an intermediate host copy, attaching `shadow`
+    /// (when a sanitizer is armed) with every word marked initialised.
+    /// The staging step of [`Gpu::try_htod_rows`](crate::Gpu::try_htod_rows).
+    pub(crate) fn staged(label: &str, rows: &[&[T]], shadow: Option<BufferShadow>) -> Self {
         if let Some(sh) = &shadow {
             sh.mark_valid_all();
         }
-        Self::from_cells(
-            label,
-            data.iter().map(|&v| T::Atom::new(v.to_raw())).collect(),
-            shadow,
-        )
+        let mut cells = Vec::with_capacity(rows.iter().map(|r| r.len()).sum());
+        for row in rows {
+            cells.extend(row.iter().map(|&v| T::Atom::new(v.to_raw())));
+        }
+        Self::from_cells(label, cells.into_boxed_slice(), shadow)
     }
 
     fn from_cells(label: &str, cells: Box<[T::Atom]>, shadow: Option<BufferShadow>) -> Self {
@@ -276,7 +277,7 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
     /// Allocate and fill from a host slice (unmetered; see
     /// [`crate::Gpu::htod`] for the metered path).
     pub fn from_slice(label: &str, data: &[T]) -> Self {
-        Self::staged(label, data, None)
+        Self::staged(label, &[data], None)
     }
 
     /// A fresh, unshadowed buffer holding a copy of `len` elements

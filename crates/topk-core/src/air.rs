@@ -32,7 +32,7 @@
 
 use crate::error::TopKError;
 use crate::keys::{digit_of, digit_width_of, num_passes_of, prefix_of, RadixKey};
-use crate::matrix::{Candidates, Rows};
+use crate::matrix::{split_rows, Candidates, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -180,19 +180,12 @@ impl AirTopK {
                 ),
             });
         }
-        let batch = inputs.len();
-        let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        // Split the packed outputs into per-problem buffers (zero-cost
-        // view in real CUDA; a host-side reshape here).
-        let width = out_val.len() / batch;
-        Ok((0..batch)
-            .map(|p| {
-                (
-                    out_val.copy_range("air_values", p * width, width),
-                    out_idx.copy_range("air_indices", p * width, width),
-                )
-            })
-            .collect())
+        let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
+        Ok(split_rows(
+            packed,
+            inputs.len(),
+            ("air_values", "air_indices"),
+        ))
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
@@ -299,7 +292,7 @@ impl AirTopK {
 
     /// The shared implementation: outputs are packed row-major
     /// `batch × k` buffers.
-    fn run_rows<T: RadixKey>(
+    pub(crate) fn run_rows<T: RadixKey>(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,

@@ -21,7 +21,7 @@
 
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
-use crate::matrix::Rows;
+use crate::matrix::{split_rows, Rows};
 use crate::obs;
 use crate::recall::{expected_recall_parts, BucketedPlan};
 use crate::scratch::ScratchGuard;
@@ -251,15 +251,11 @@ impl TopKAlgorithm for BucketedTopK {
     ) -> Result<Vec<TopKOutput>, TopKError> {
         let n = check_batch(self, inputs)?;
         check_args(self, n, k)?;
-        let batch = inputs.len();
-        let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        Ok((0..batch)
-            .map(|p| {
-                TopKOutput::new(
-                    out_val.copy_range("bucketed_values", p * k, k),
-                    out_idx.copy_range("bucketed_indices", p * k, k),
-                )
-            })
+        let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
+        let labels = ("bucketed_values", "bucketed_indices");
+        Ok(split_rows(packed, inputs.len(), labels)
+            .into_iter()
+            .map(|(values, indices)| TopKOutput::new(values, indices))
             .collect())
     }
 }

@@ -23,18 +23,22 @@
 //!   configuration reports an unsupported shape.
 //!
 //! The sketch-aware entry points ([`SelectK::try_select_with_sketch`],
-//! [`SelectK::try_select_batch_with_sketch`]) are what the serving
-//! engine calls: a per-query distribution sketch routes adversarially
-//! skewed inputs away from AIR's degenerate histogram passes and
-//! many-small-row batches onto the single-launch row-wise path.
+//! [`SelectK::try_select_batch_with_sketch`],
+//! [`SelectK::try_select_matrix_with_sketch`]) route on a distribution
+//! sketch: adversarially skewed inputs go away from AIR's degenerate
+//! histogram passes, and many-small-row batches onto the single-launch
+//! row-wise path. The serving engine uploads each coalesced batch as
+//! one row-major [`DeviceMatrix`] and calls the matrix entry point, or
+//! [`SelectK::try_select_matrix_as`] for an approximate rung.
 
 use crate::air::{AirConfig, AirTopK};
 use crate::bucketed::BucketedTopK;
 use crate::error::TopKError;
 use crate::gridselect::{GridSelect, MAX_K as GRID_MAX_K};
+use crate::matrix::{DeviceMatrix, Rows};
 use crate::radik::{RadiK, RadiKConfig};
 use crate::rowwise::RowWiseTopK;
-use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
+use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use crate::tuner::{DistSketch, Plan, ProblemShape, TunedAlgo, Tuner};
 use crate::twostage::TwoStageTopK;
 use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu};
@@ -149,8 +153,11 @@ impl SelectK {
     }
 
     /// Feed an observed latency back into the tuner (no-op for a
-    /// static dispatcher). The serving engine calls this with measured
-    /// per-query kernel time so mispredicted plans self-correct.
+    /// static dispatcher), so mispredicted plans self-correct.
+    /// `observed_us` must be the time of the selection alone, what the
+    /// planner prices: the serving engine passes the simulated time
+    /// its select call took for the whole batch (launches and any
+    /// syncs inside it), never the batch's upload or readback.
     pub fn observe(&self, spec: &DeviceSpec, shape: &ProblemShape, observed_us: f64) {
         if let Some(tuner) = &self.tuner {
             tuner.observe(spec, shape, observed_us);
@@ -173,88 +180,57 @@ impl SelectK {
         }
     }
 
-    fn run_single(
-        &self,
-        algo: TunedAlgo,
-        gpu: &mut Gpu,
-        input: &DeviceBuffer<f32>,
-        k: usize,
-    ) -> Result<TopKOutput, TopKError> {
+    /// Run `f` on the selector `algo` names: the dispatcher's own
+    /// instance at the default digit width, a fresh one otherwise.
+    fn with_selector<R>(&self, algo: TunedAlgo, f: impl FnOnce(&dyn RowSelect) -> R) -> R {
         match algo {
-            TunedAlgo::Air { bits_per_pass } => {
-                if bits_per_pass == AirConfig::default().bits_per_pass {
-                    self.air.try_select(gpu, input, k)
-                } else {
-                    AirTopK::new(AirConfig {
-                        bits_per_pass,
-                        ..AirConfig::default()
-                    })
-                    .try_select(gpu, input, k)
-                }
+            TunedAlgo::Air { bits_per_pass }
+                if bits_per_pass != AirConfig::default().bits_per_pass =>
+            {
+                f(&AirTopK::new(AirConfig {
+                    bits_per_pass,
+                    ..AirConfig::default()
+                }))
             }
-            TunedAlgo::Grid => self.grid.try_select(gpu, input, k),
-            TunedAlgo::RadiK { bits_per_pass } => {
-                if bits_per_pass == RadiKConfig::default().bits_per_pass {
-                    self.radik.try_select(gpu, input, k)
-                } else {
-                    RadiK::new(RadiKConfig {
-                        bits_per_pass,
-                        ..RadiKConfig::default()
-                    })
-                    .try_select(gpu, input, k)
-                }
+            TunedAlgo::Air { .. } => f(&self.air),
+            TunedAlgo::Grid => f(&self.grid),
+            TunedAlgo::RadiK { bits_per_pass }
+                if bits_per_pass != RadiKConfig::default().bits_per_pass =>
+            {
+                f(&RadiK::new(RadiKConfig {
+                    bits_per_pass,
+                    ..RadiKConfig::default()
+                }))
             }
-            TunedAlgo::RowWise => self.rowwise.try_select(gpu, input, k),
-            TunedAlgo::Bucketed { per_bucket } => {
-                BucketedTopK::new(per_bucket as usize).try_select(gpu, input, k)
-            }
+            TunedAlgo::RadiK { .. } => f(&self.radik),
+            TunedAlgo::RowWise => f(&self.rowwise),
+            TunedAlgo::Bucketed { per_bucket } => f(&BucketedTopK::new(per_bucket as usize)),
             TunedAlgo::TwoStage {
                 partitions,
                 k_prime,
-            } => TwoStageTopK::new(partitions as usize, k_prime as usize).try_select(gpu, input, k),
+            } => f(&TwoStageTopK::new(partitions as usize, k_prime as usize)),
         }
     }
 
-    fn run_batch(
+    /// Route `shape` and `run` the chosen selector. The candidate gates
+    /// make a rejection unreachable in practice, but if a tuned pick
+    /// ever reports a shape it cannot handle, the static prior runs it
+    /// instead of failing the query.
+    fn routed<R>(
         &self,
-        algo: TunedAlgo,
         gpu: &mut Gpu,
-        inputs: &[DeviceBuffer<f32>],
-        k: usize,
-    ) -> Result<Vec<TopKOutput>, TopKError> {
-        match algo {
-            TunedAlgo::Air { bits_per_pass } => {
-                if bits_per_pass == AirConfig::default().bits_per_pass {
-                    self.air.try_select_batch(gpu, inputs, k)
-                } else {
-                    AirTopK::new(AirConfig {
-                        bits_per_pass,
-                        ..AirConfig::default()
-                    })
-                    .try_select_batch(gpu, inputs, k)
-                }
+        shape: &ProblemShape,
+        run: impl Fn(&dyn RowSelect, &mut Gpu) -> Result<R, TopKError>,
+    ) -> Result<R, TopKError> {
+        let algo = self.route(gpu.spec(), shape);
+        match self.with_selector(algo, |s| run(s, gpu)) {
+            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
+                if self.tuner.is_some() =>
+            {
+                let fallback = self.static_algo(shape.n, shape.k, shape.batch);
+                self.with_selector(fallback, |s| run(s, gpu))
             }
-            TunedAlgo::Grid => self.grid.try_select_batch(gpu, inputs, k),
-            TunedAlgo::RadiK { bits_per_pass } => {
-                if bits_per_pass == RadiKConfig::default().bits_per_pass {
-                    self.radik.try_select_batch(gpu, inputs, k)
-                } else {
-                    RadiK::new(RadiKConfig {
-                        bits_per_pass,
-                        ..RadiKConfig::default()
-                    })
-                    .try_select_batch(gpu, inputs, k)
-                }
-            }
-            TunedAlgo::RowWise => self.rowwise.try_select_batch(gpu, inputs, k),
-            TunedAlgo::Bucketed { per_bucket } => {
-                BucketedTopK::new(per_bucket as usize).try_select_batch(gpu, inputs, k)
-            }
-            TunedAlgo::TwoStage {
-                partitions,
-                k_prime,
-            } => TwoStageTopK::new(partitions as usize, k_prime as usize)
-                .try_select_batch(gpu, inputs, k),
+            result => result,
         }
     }
 
@@ -269,20 +245,7 @@ impl SelectK {
     ) -> Result<TopKOutput, TopKError> {
         check_args(self, input.len(), k)?;
         let shape = ProblemShape::new(input.len(), k, 1).with_sketch(sketch);
-        let algo = self.route(gpu.spec(), &shape);
-        match self.run_single(algo, gpu, input, k) {
-            // The candidate gates make this unreachable in practice,
-            // but if a tuned pick ever reports a shape it cannot
-            // handle we fall back to the static prior rather than
-            // failing the query.
-            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
-                if self.tuner.is_some() =>
-            {
-                let fallback = self.static_algo(input.len(), k, 1);
-                self.run_single(fallback, gpu, input, k)
-            }
-            result => result,
-        }
+        self.routed(gpu, &shape, |s, gpu| s.try_select(gpu, input, k))
     }
 
     /// Batched selection with a caller-provided distribution sketch.
@@ -299,18 +262,104 @@ impl SelectK {
         // overhead differently for every algorithm, and collapsing it
         // to 1 here would silently re-route every coalesced query.
         let shape = ProblemShape::new(n, k, inputs.len()).with_sketch(sketch);
-        let algo = self.route(gpu.spec(), &shape);
-        match self.run_batch(algo, gpu, inputs, k) {
-            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
-                if self.tuner.is_some() =>
-            {
-                let fallback = self.static_algo(n, k, inputs.len());
-                self.run_batch(fallback, gpu, inputs, k)
-            }
-            result => result,
-        }
+        self.routed(gpu, &shape, |s, gpu| s.try_select_batch(gpu, inputs, k))
+    }
+
+    /// Matrix-shaped selection with a caller-provided distribution
+    /// sketch (RAFT `matrix::select_k` parity): per-row top-K of one
+    /// contiguous `rows × cols` matrix, routed like
+    /// [`Self::try_select_batch_with_sketch`] on a batch of `rows`, with
+    /// the results packed into `rows × k` value and index matrices —
+    /// one pair of buffers however many rows there are.
+    pub fn try_select_matrix_with_sketch(
+        &self,
+        gpu: &mut Gpu,
+        input: &DeviceMatrix<f32>,
+        k: usize,
+        sketch: DistSketch,
+    ) -> Result<PackedOutput, TopKError> {
+        check_matrix(self, input)?;
+        check_args(self, input.cols(), k)?;
+        let shape = ProblemShape::new(input.cols(), k, input.rows()).with_sketch(sketch);
+        let packed = self.routed(gpu, &shape, |s, gpu| {
+            s.select_rows(gpu, Rows::Matrix(input), k)
+        })?;
+        Ok(pack(packed, input.rows(), k))
+    }
+
+    /// [`Self::try_select_matrix_with_sketch`] with the configuration
+    /// forced to `algo` instead of routed, and no fallback: how a
+    /// caller runs a configuration it chose itself, such as an
+    /// approximate rung.
+    pub fn try_select_matrix_as(
+        &self,
+        gpu: &mut Gpu,
+        input: &DeviceMatrix<f32>,
+        k: usize,
+        algo: TunedAlgo,
+    ) -> Result<PackedOutput, TopKError> {
+        check_matrix(self, input)?;
+        let packed = self.with_selector(algo, |s| s.select_rows(gpu, Rows::Matrix(input), k))?;
+        Ok(pack(packed, input.rows(), k))
     }
 }
+
+/// Packed `rows × k` values and indices of a matrix-shaped selection.
+pub type PackedOutput = (DeviceMatrix<f32>, DeviceMatrix<u32>);
+
+/// A matrix input needs at least one row.
+fn check_matrix(alg: &dyn TopKAlgorithm, input: &DeviceMatrix<f32>) -> Result<(), TopKError> {
+    if input.rows() == 0 {
+        return Err(TopKError::UnsupportedShape {
+            algorithm: alg.name(),
+            detail: "empty matrix".into(),
+        });
+    }
+    Ok(())
+}
+
+fn pack((values, indices): TypedOutput<f32>, rows: usize, k: usize) -> PackedOutput {
+    (
+        DeviceMatrix::from_buffer(values, rows, k),
+        DeviceMatrix::from_buffer(indices, rows, k),
+    )
+}
+
+/// The selectors the dispatcher routes between, as one interface: the
+/// public single and batched entry points, plus the packed `rows × k`
+/// core behind the matrix entry points.
+trait RowSelect: TopKAlgorithm {
+    fn select_rows(
+        &self,
+        gpu: &mut Gpu,
+        rows: Rows<'_, f32>,
+        k: usize,
+    ) -> Result<TypedOutput<f32>, TopKError>;
+}
+
+macro_rules! row_select {
+    ($($algo:ty),+) => {$(
+        impl RowSelect for $algo {
+            fn select_rows(
+                &self,
+                gpu: &mut Gpu,
+                rows: Rows<'_, f32>,
+                k: usize,
+            ) -> Result<TypedOutput<f32>, TopKError> {
+                self.run_rows(gpu, rows, k)
+            }
+        }
+    )+};
+}
+
+row_select!(
+    AirTopK,
+    GridSelect,
+    RadiK,
+    RowWiseTopK,
+    BucketedTopK,
+    TwoStageTopK
+);
 
 impl TopKAlgorithm for SelectK {
     fn name(&self) -> &'static str {
@@ -345,7 +394,7 @@ mod tests {
     use super::*;
     use crate::verify::verify_topk;
     use datagen::{generate, Distribution};
-    use gpu_sim::{DeviceSpec, Gpu};
+    use gpu_sim::{BlockPool, DeviceSpec, Gpu};
 
     #[test]
     fn routing_follows_the_guidelines() {
@@ -470,6 +519,55 @@ mod tests {
             tuned_us < static_us,
             "tuned {tuned_us:.1}µs vs static {static_us:.1}µs"
         );
+    }
+
+    #[test]
+    fn matrix_selection_matches_batched_selection_for_every_configuration() {
+        let (rows, n, k) = (3, 20_000, 64);
+        let datas: Vec<Vec<f32>> = (0..rows)
+            .map(|i| generate(Distribution::Normal, n, 40 + i as u64))
+            .collect();
+        let s = SelectK::default();
+        let algos = [
+            TunedAlgo::Air { bits_per_pass: 8 },
+            TunedAlgo::Air { bits_per_pass: 11 },
+            TunedAlgo::Grid,
+            TunedAlgo::RadiK { bits_per_pass: 8 },
+            TunedAlgo::RadiK { bits_per_pass: 11 },
+            TunedAlgo::RowWise,
+            TunedAlgo::Bucketed { per_bucket: 16 },
+            TunedAlgo::TwoStage {
+                partitions: 8,
+                k_prime: 32,
+            },
+        ];
+        for algo in algos {
+            // One worker: AIR's atomic output cursors then place rows
+            // in the same order on both paths.
+            let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+            let bufs: Vec<_> = datas.iter().map(|d| gpu.htod("row", d)).collect();
+            let batched = s
+                .with_selector(algo, |a| a.try_select_batch(&mut gpu, &bufs, k))
+                .unwrap();
+            let m = DeviceMatrix::htod(&mut gpu, "m", &datas.concat(), rows, n);
+            let (vals, idxs) = s.try_select_matrix_as(&mut gpu, &m, k, algo).unwrap();
+            assert_eq!((vals.rows(), vals.cols()), (rows, k));
+            for (r, out) in batched.iter().enumerate() {
+                assert_eq!(vals.row_to_vec(r), out.values.to_vec(), "{algo:?} row {r}");
+                assert_eq!(idxs.row_to_vec(r), out.indices.to_vec(), "{algo:?} row {r}");
+            }
+        }
+        // The routed entry point answers exactly, one row or several.
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        for r in [1, rows] {
+            let m = DeviceMatrix::htod(&mut gpu, "m", &datas[..r].concat(), r, n);
+            let (vals, idxs) = s
+                .try_select_matrix_with_sketch(&mut gpu, &m, k, DistSketch::uniform())
+                .unwrap();
+            for (row, data) in datas[..r].iter().enumerate() {
+                verify_topk(data, k, &vals.row_to_vec(row), &idxs.row_to_vec(row)).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use crate::bitonic::{merge_into_topk, sort_queue};
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
-use crate::matrix::Rows;
+use crate::matrix::{split_rows, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -227,7 +227,9 @@ impl GridSelect {
                 ),
             });
         }
-        select_rows_core(gpu, "gridselect_kernel", Rows::Slices(inputs), k, &self.cfg)
+        let packed =
+            select_rows_core(gpu, "gridselect_kernel", Rows::Slices(inputs), k, &self.cfg)?;
+        Ok(split_rows(packed, inputs.len(), OUT_LABELS))
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
@@ -242,9 +244,30 @@ impl GridSelect {
         T: RadixKey,
         T::Ordered: DeviceScalar,
     {
-        select_rows_core(gpu, "gridselect_kernel", Rows::Matrix(input), k, &self.cfg)
+        let packed = select_rows_core(gpu, "gridselect_kernel", Rows::Matrix(input), k, &self.cfg)?;
+        Ok(split_rows(packed, input.rows(), OUT_LABELS))
+    }
+
+    /// The packed `rows × k` core over either row shape, for the
+    /// dispatcher's matrix entry point.
+    pub(crate) fn run_rows<T>(
+        &self,
+        gpu: &mut Gpu,
+        rows: Rows<'_, T>,
+        k: usize,
+    ) -> Result<TypedOutput<T>, TopKError>
+    where
+        T: RadixKey,
+        T::Ordered: DeviceScalar,
+    {
+        check_args(self, rows.n(), k)?;
+        select_rows_core(gpu, "gridselect_kernel", rows, k, &self.cfg)
     }
 }
+
+/// Labels of the per-row copies [`split_rows`] makes of the packed
+/// outputs.
+const OUT_LABELS: (&str, &str) = ("gs_values", "gs_indices");
 
 impl TopKAlgorithm for GridSelect {
     fn name(&self) -> &'static str {
@@ -420,21 +443,22 @@ pub fn select_partial_core(
             ),
         });
     }
-    Ok(select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg)?
+    let packed = select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg)?;
+    Ok(split_rows(packed, inputs.len(), OUT_LABELS)
         .into_iter()
         .map(|(values, indices)| TopKOutput::new(values, indices))
         .collect())
 }
 
 /// The core over buffer-backed rows: each warp loads its 32-lane
-/// groups as coalesced tiles.
+/// groups as coalesced tiles. Outputs are packed `rows × k`.
 fn select_rows_core<T>(
     gpu: &mut Gpu,
     name: &str,
     rows: Rows<'_, T>,
     k: usize,
     cfg: &GridSelectConfig,
-) -> Result<Vec<TypedOutput<T>>, TopKError>
+) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
@@ -512,13 +536,15 @@ where
             *key = producer(ctx, prob, start + lane).to_ordered();
         }
     };
-    select_groups_core(gpu, name, n, batch, k, cfg, fill, declare_reads)
+    let packed = select_groups_core(gpu, name, n, batch, k, cfg, fill, declare_reads)?;
+    Ok(split_rows(packed, batch, OUT_LABELS))
 }
 
 /// The core behind every entry point. The lane-group producer
 /// `fill(ctx, prob, start, keys)` writes the ordered keys of problem
 /// `prob`'s elements `start..start + keys.len()`, one lockstep group
-/// of at most 32 lanes at a time.
+/// of at most 32 lanes at a time. Outputs are packed `batch × k`:
+/// problem `p`'s results sit at `p * k`.
 #[allow(clippy::too_many_arguments)]
 fn select_groups_core<T, G, D>(
     gpu: &mut Gpu,
@@ -529,7 +555,7 @@ fn select_groups_core<T, G, D>(
     cfg: &GridSelectConfig,
     fill: G,
     declare_reads: D,
-) -> Result<Vec<TypedOutput<T>>, TopKError>
+) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
@@ -581,7 +607,7 @@ fn streaming_core_launches<T, G, D>(
     cfg: &GridSelectConfig,
     fill: G,
     declare_reads: D,
-) -> Result<Vec<TypedOutput<T>>, TopKError>
+) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
@@ -609,12 +635,8 @@ where
     let mut lists = bpp;
     let scratch_keys = ws.alloc::<T::Ordered>(gpu, "gs_scratch_keys", batch * bpp * klen)?;
     let scratch_idx = ws.alloc::<u32>(gpu, "gs_scratch_idx", batch * bpp * klen)?;
-    let out_val: Vec<DeviceBuffer<T>> = (0..batch)
-        .map(|_| outs.alloc::<T>(gpu, "gs_out_val", k))
-        .collect::<Result<_, _>>()?;
-    let out_idx: Vec<DeviceBuffer<u32>> = (0..batch)
-        .map(|_| outs.alloc::<u32>(gpu, "gs_out_idx", k))
-        .collect::<Result<_, _>>()?;
+    let out_val = outs.alloc::<T>(gpu, "gs_out_val", batch * k)?;
+    let out_idx = outs.alloc::<u32>(gpu, "gs_out_idx", batch * k)?;
 
     let queue = cfg.queue;
     let ipt = cfg.items_per_thread;
@@ -624,18 +646,15 @@ where
         QueueKind::PerThread { len } => len * WARP_SIZE,
     };
     let entry_bytes = std::mem::size_of::<T::Ordered>() + 4;
-    // Which problem's output a block writes is `block / bpp` — fixed
-    // per buffer but not expressible per-entry, so the k-slot outputs
-    // are declared block-coordinated rather than exclusive.
-    let mut contract = declare_reads(KernelContract::new(name))
+    // A block writes problem `block / bpp`'s k-slot row; the `bpp`
+    // blocks of one problem share it, so the outputs are declared
+    // block-coordinated rather than exclusive.
+    let contract = declare_reads(KernelContract::new(name))
         .writes(&scratch_keys, Footprint::per_block(klen))
         .writes(&scratch_idx, Footprint::per_block(klen))
+        .writes_shared(&out_val, Footprint::per_group(bpp, k))
+        .writes_shared(&out_idx, Footprint::per_group(bpp, k))
         .uses_shared_mem(warps * (klen + queue_slots) * entry_bytes);
-    for p in 0..batch {
-        contract = contract
-            .writes_shared(&out_val[p], Footprint::fixed(0, k))
-            .writes_shared(&out_idx[p], Footprint::fixed(0, k));
-    }
     gpu.try_launch_checked(&contract, LaunchConfig::grid_1d(grid, block_dim), |ctx| {
         let prob = ctx.block_idx / bpp;
         let blk = ctx.block_idx % bpp;
@@ -684,8 +703,12 @@ where
             // Single block per problem (WarpSelect/BlockSelect shape):
             // write the final K directly.
             for i in 0..k {
-                ctx.st(&out_val[prob], i, T::from_ordered(head[0].list_keys[i]));
-                ctx.st(&out_idx[prob], i, head[0].list_idx[i]);
+                ctx.st(
+                    &out_val,
+                    prob * k + i,
+                    T::from_ordered(head[0].list_keys[i]),
+                );
+                ctx.st(&out_idx, prob * k + i, head[0].list_idx[i]);
             }
         } else {
             let base = (prob * bpp + blk) * klen;
@@ -713,14 +736,11 @@ where
         let groups = lists.div_ceil(MERGE_FANIN);
         let cur = lists;
         let step = stride;
-        let mut contract = KernelContract::new("gridselect_merge_kernel")
+        let contract = KernelContract::new("gridselect_merge_kernel")
             .coordinates(&scratch_keys, Footprint::per_group(groups, bpp * klen))
-            .coordinates(&scratch_idx, Footprint::per_group(groups, bpp * klen));
-        for p in 0..batch {
-            contract = contract
-                .writes_shared(&out_val[p], Footprint::fixed(0, k))
-                .writes_shared(&out_idx[p], Footprint::fixed(0, k));
-        }
+            .coordinates(&scratch_idx, Footprint::per_group(groups, bpp * klen))
+            .writes_shared(&out_val, Footprint::per_group(groups, k))
+            .writes_shared(&out_idx, Footprint::per_group(groups, k));
         gpu.try_launch_checked(
             &contract,
             LaunchConfig::grid_1d(batch * groups, 256),
@@ -751,8 +771,8 @@ where
                     // Final round: emit the K results (the list is
                     // sorted ascending; slots beyond k are sentinels).
                     for i in 0..k {
-                        ctx.st(&out_val[prob], i, T::from_ordered(keys[i]));
-                        ctx.st(&out_idx[prob], i, idx[i]);
+                        ctx.st(&out_val, prob * k + i, T::from_ordered(keys[i]));
+                        ctx.st(&out_idx, prob * k + i, idx[i]);
                     }
                 } else {
                     // Write back to this group's own first slot (the
@@ -769,9 +789,7 @@ where
         stride *= MERGE_FANIN;
     }
 
-    Ok((0..batch)
-        .map(|p| (out_val[p].clone(), out_idx[p].clone()))
-        .collect())
+    Ok((out_val, out_idx))
 }
 
 /// Process one 32-element lockstep group `start..end` (clamped to one

@@ -12,6 +12,7 @@
 //! out each block's contiguous share of a row as one coalesced
 //! [`Tile`].
 
+use crate::traits::TypedOutput;
 use gpu_sim::{
     BlockCtx, DeviceBuffer, DeviceScalar, Footprint, Gpu, KernelContract, Tile, TileIter,
 };
@@ -99,6 +100,29 @@ impl<'a, T: DeviceScalar> Rows<'a, T> {
             Rows::Matrix(m) => c.reads(m.buffer(), Footprint::all()),
         }
     }
+}
+
+/// Split packed `rows × width` outputs into one `(values, indices)`
+/// pair per row: a host-side reshape (an offset view in CUDA) into
+/// unmetered copies labelled `labels`. A single row is handed back as
+/// is.
+pub(crate) fn split_rows<T: DeviceScalar>(
+    (values, indices): TypedOutput<T>,
+    rows: usize,
+    labels: (&str, &str),
+) -> Vec<TypedOutput<T>> {
+    if rows == 1 {
+        return vec![(values, indices)];
+    }
+    let width = values.len() / rows;
+    (0..rows)
+        .map(|p| {
+            (
+                values.copy_range(labels.0, p * width, width),
+                indices.copy_range(labels.1, p * width, width),
+            )
+        })
+        .collect()
 }
 
 /// `(value, index)` pairs of a pass source, from [`Rows::source`].

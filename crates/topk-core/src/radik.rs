@@ -34,7 +34,7 @@
 use crate::air::ONE_BLOCK_THRESHOLD;
 use crate::error::TopKError;
 use crate::keys::{common_prefix_len_of, digit_at, num_passes_of, OrderedBits, RadixKey};
-use crate::matrix::{Candidates, Rows};
+use crate::matrix::{split_rows, Candidates, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -169,17 +169,12 @@ impl RadiK {
                 ),
             });
         }
-        let batch = inputs.len();
-        let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        let width = out_val.len() / batch;
-        Ok((0..batch)
-            .map(|p| {
-                (
-                    out_val.copy_range("radik_values", p * width, width),
-                    out_idx.copy_range("radik_indices", p * width, width),
-                )
-            })
-            .collect())
+        let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
+        Ok(split_rows(
+            packed,
+            inputs.len(),
+            ("radik_values", "radik_indices"),
+        ))
     }
 
     /// Matrix-shaped batched selection (packed `rows × k` outputs).
@@ -214,7 +209,7 @@ impl RadiK {
         ))
     }
 
-    fn run_rows<T>(
+    pub(crate) fn run_rows<T>(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,
@@ -229,16 +224,7 @@ impl RadiK {
         if k == n || n <= ONE_BLOCK_THRESHOLD {
             // The sketch pass can't pay for itself here; AIR's trivial
             // and one-block paths are already optimal.
-            return match inputs {
-                Rows::Slices(v) => {
-                    let outs = self.inner.run_batch_typed(gpu, v, k)?;
-                    Ok(repack(outs, k))
-                }
-                Rows::Matrix(m) => {
-                    let (vals, idxs) = self.inner.run_matrix_typed(gpu, m, k)?;
-                    Ok((vals.buffer().clone(), idxs.buffer().clone()))
-                }
-            };
+            return self.inner.run_rows(gpu, inputs, k);
         }
         let mut ws = ScratchGuard::new();
         let mut outs = ScratchGuard::new();
@@ -862,24 +848,6 @@ impl<T: RadixKey> RoundSweep<'_, T> {
         ctx.st_scatter(self.out_val, self.out_base + pos, v);
         ctx.st_scatter(self.out_idx, self.out_base + pos, idx);
     }
-}
-
-/// Re-pack per-problem typed outputs into the packed `batch × k` pair
-/// `run_rows` promises (used on the delegated small-problem path).
-fn repack<T: RadixKey>(
-    outs: Vec<TypedOutput<T>>,
-    k: usize,
-) -> (DeviceBuffer<T>, DeviceBuffer<u32>) {
-    let batch = outs.len();
-    let val = DeviceBuffer::<T>::zeroed("radik_out_val", batch * k);
-    let idx = DeviceBuffer::<u32>::zeroed("radik_out_idx", batch * k);
-    for (p, (v, i)) in outs.iter().enumerate() {
-        for j in 0..k {
-            val.set(p * k + j, v.get(j));
-            idx.set(p * k + j, i.get(j));
-        }
-    }
-    (val, idx)
 }
 
 impl TopKAlgorithm for RadiK {

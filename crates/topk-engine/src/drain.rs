@@ -15,9 +15,7 @@ use gpu_sim::{EventKind, Gpu, SanitizerCounts, SimError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use topk_core::tuner::{DistSketch, PlanKey, ProblemShape, TunedAlgo};
-use topk_core::{
-    AlgoSnapshot, BucketedTopK, ScratchGuard, SelectK, TopKAlgorithm, TopKError, TwoStageTopK,
-};
+use topk_core::{AlgoSnapshot, DeviceMatrix, ScratchGuard, SelectK, TopKError};
 
 /// A submitted, not-yet-drained query.
 pub(crate) struct Pending {
@@ -135,7 +133,15 @@ fn sanitizer_counts(gpu: &Gpu) -> SanitizerCounts {
 }
 
 /// A batch attempt's answers or error, unless its worker panicked.
-type Outcome = std::thread::Result<Result<Vec<QueryOutput>, TopKError>>;
+type Outcome = std::thread::Result<Result<Answers, TopKError>>;
+
+/// A successful batch attempt: one answer per member query, and the
+/// simulated time the selection alone took (the upload and readback
+/// excluded), which is what the tuner prices.
+struct Answers {
+    outs: Vec<QueryOutput>,
+    select_us: f64,
+}
 
 /// The state of one drain in flight.
 pub(crate) struct Drain<'e> {
@@ -257,7 +263,7 @@ impl<'e> Drain<'e> {
         let rung = self.choose_rung(&job, dev, start_at);
         let (outcome, start_us, end_us) = self.execute(&job, dev, start_at, rung.map(|c| c.algo));
         match outcome {
-            Ok(Ok(outs)) => self.settle(job, dev, rung, outs, start_us, end_us),
+            Ok(Ok(answers)) => self.settle(job, dev, rung, answers, start_us, end_us),
             Ok(Err(e)) if !e.is_device_fault() => {
                 // The query's own fault (bad k, bad shape): it would
                 // fail identically on any device, so it is terminal
@@ -357,7 +363,7 @@ impl<'e> Drain<'e> {
         job: Job,
         dev: usize,
         rung: Option<RungChoice>,
-        outs: Vec<QueryOutput>,
+        Answers { outs, select_us }: Answers,
         start_us: f64,
         end_us: f64,
     ) {
@@ -365,7 +371,7 @@ impl<'e> Drain<'e> {
         // Exact attempts only, so approximate timings never pollute
         // the exact cost model they were chosen to undercut.
         if rung.is_none() {
-            self.observe(&job, dev, end_us - start_us);
+            self.observe(&job, dev, select_us);
         }
         let (span, size, attempt) = (Some(job.span), job.queries.len(), job.attempts);
         self.emit(
@@ -434,9 +440,9 @@ impl<'e> Drain<'e> {
         self.results.push(r);
     }
 
-    /// Close the tuning loop: the batch's measured service time
+    /// Close the tuning loop: the batch's measured selection time
     /// recalibrates its plan bucket.
-    fn observe(&mut self, batch: &Job, dev: usize, service_us: f64) {
+    fn observe(&mut self, batch: &Job, dev: usize, select_us: f64) {
         let shape =
             ProblemShape::new(batch.n, batch.k, batch.queries.len()).with_sketch(batch.sketch);
         // Drift accounting reads the plan this dispatch was priced
@@ -446,10 +452,10 @@ impl<'e> Drain<'e> {
         if let Some(plan) = self.selector.tuner().and_then(|t| t.peek(&shape)) {
             self.eng
                 .drift
-                .observe(PlanKey::of(&shape), &plan, service_us);
+                .observe(PlanKey::of(&shape), &plan, select_us);
         }
         self.selector
-            .observe(self.eng.gpus[dev].spec(), &shape, service_us);
+            .observe(self.eng.gpus[dev].spec(), &shape, select_us);
     }
 
     /// Fold a device fault into the breaker and emit the transition it
@@ -736,10 +742,12 @@ fn coalesce(pending: Vec<Pending>, window: usize) -> Vec<Job> {
     batches
 }
 
-/// Upload, select (fused when the batch has > 1 query), download.
-/// Device-side inputs and outputs are freed on every non-panicking
-/// path — including injected-fault errors — so the next batch on this
-/// device sees honest `mem_allocated`.
+/// Upload the batch as one row-major matrix, select, read the packed
+/// results back with one copy each for values and indices, and split
+/// them per query on the host. Device-side inputs and outputs are
+/// freed on every non-panicking path — including injected-fault
+/// errors — so the next batch on this device sees honest
+/// `mem_allocated`.
 ///
 /// `approx` carries the scheduler's accuracy-ladder decision: `None`
 /// routes through the exact adaptive dispatcher; a
@@ -750,7 +758,7 @@ fn run_batch(
     selector: &SelectK,
     batch: &Job,
     approx: Option<TunedAlgo>,
-) -> Result<Vec<QueryOutput>, TopKError> {
+) -> Result<Answers, TopKError> {
     let mut ws = ScratchGuard::new();
     let r = batch_passes(gpu, &mut ws, selector, batch, approx);
     ws.release(gpu);
@@ -763,64 +771,40 @@ fn batch_passes(
     selector: &SelectK,
     batch: &Job,
     approx: Option<TunedAlgo>,
-) -> Result<Vec<QueryOutput>, TopKError> {
-    let mut inputs = Vec::with_capacity(batch.queries.len());
-    for q in &batch.queries {
-        let buf = gpu.try_htod(&format!("query{}", q.id), &q.data)?;
-        ws.adopt(&buf);
-        inputs.push(buf);
-    }
-    let outs = match approx {
-        Some(TunedAlgo::Bucketed { per_bucket }) => {
-            let algo = BucketedTopK::new(per_bucket as usize);
-            if inputs.len() == 1 {
-                vec![algo.try_select(gpu, &inputs[0], batch.k)?]
-            } else {
-                algo.try_select_batch(gpu, &inputs, batch.k)?
-            }
-        }
-        Some(TunedAlgo::TwoStage {
-            partitions,
-            k_prime,
-        }) => {
-            let algo = TwoStageTopK::new(partitions as usize, k_prime as usize);
-            if inputs.len() == 1 {
-                vec![algo.try_select(gpu, &inputs[0], batch.k)?]
-            } else {
-                algo.try_select_batch(gpu, &inputs, batch.k)?
-            }
-        }
-        _ if inputs.len() == 1 => {
-            vec![selector.try_select_with_sketch(gpu, &inputs[0], batch.k, batch.sketch)?]
-        }
-        _ => selector.try_select_batch_with_sketch(gpu, &inputs, batch.k, batch.sketch)?,
+) -> Result<Answers, TopKError> {
+    let rows: Vec<&[f32]> = batch.queries.iter().map(|q| q.data.as_slice()).collect();
+    // Named after the lead query: fault events carry the label, and
+    // query ids, unlike span ids, repeat exactly on a rerun.
+    let label = format!("query{}", batch.queries[0].id);
+    let buf = gpu.try_htod_rows(&label, &rows)?;
+    ws.adopt(&buf);
+    let input = DeviceMatrix::from_buffer(buf, rows.len(), batch.n);
+    let select_start = gpu.elapsed_us();
+    let (values, indices) = match approx {
+        Some(algo) => selector.try_select_matrix_as(gpu, &input, batch.k, algo)?,
+        None => selector.try_select_matrix_with_sketch(gpu, &input, batch.k, batch.sketch)?,
     };
+    let select_us = gpu.elapsed_us() - select_start;
     // Read back through the fallible path (an injected corruption must
-    // surface, not panic), but keep freeing every output buffer even
-    // when an earlier readback failed.
-    let mut host = Vec::with_capacity(outs.len());
-    let mut first_err: Option<TopKError> = None;
-    for out in outs {
-        if first_err.is_none() {
-            let read = gpu
-                .try_dtoh(&out.values)
-                .and_then(|values| gpu.try_dtoh(&out.indices).map(|indices| (values, indices)));
-            match read {
-                Ok((values, indices)) => host.push(QueryOutput {
-                    values,
-                    indices,
-                    k: out.k,
-                }),
-                Err(e) => first_err = Some(e.into()),
-            }
-        }
-        gpu.free(&out.values);
-        gpu.free(&out.indices);
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(host),
-    }
+    // surface, not panic), but free both outputs even when a readback
+    // failed.
+    let read = gpu
+        .try_dtoh(values.buffer())
+        .and_then(|v| gpu.try_dtoh(indices.buffer()).map(|i| (v, i)));
+    gpu.free(values.buffer());
+    gpu.free(indices.buffer());
+    let (values, indices) = read?;
+    let k = batch.k;
+    let outs = values
+        .chunks_exact(k)
+        .zip(indices.chunks_exact(k))
+        .map(|(v, i)| QueryOutput {
+            values: v.to_vec(),
+            indices: i.to_vec(),
+            k,
+        })
+        .collect();
+    Ok(Answers { outs, select_us })
 }
 
 #[cfg(test)]

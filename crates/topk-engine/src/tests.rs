@@ -1,6 +1,6 @@
 use super::*;
 use datagen::{generate, Distribution};
-use gpu_sim::{FaultKind, ScriptedFault};
+use gpu_sim::{EventKind, FaultKind, ScriptedFault};
 use proptest::prelude::*;
 use topk_core::{verify_topk, TopKAlgorithm};
 
@@ -330,9 +330,10 @@ fn metrics_and_snapshot_reflect_a_mixed_drain() {
             .with_window(4)
             .with_queue_capacity(32),
     );
-    let good = generate(Distribution::Uniform, 100_000, 7);
+    // A shape the tuner routes to AIR, so the drain counts AIR passes.
+    let good = generate(Distribution::Uniform, 1 << 16, 7);
     for _ in 0..6 {
-        engine.submit(good.clone(), 32).unwrap();
+        engine.submit(good.clone(), 512).unwrap();
     }
     engine.submit(good.clone(), 0).unwrap(); // InvalidK
     assert_eq!(engine.snapshot().queue_depth, 7);
@@ -866,6 +867,13 @@ fn a_trigger_evicted_within_its_step_still_dumps_a_post_mortem() {
     }
 }
 
+/// Row length and K of the chaos scenario's queries. A batch's upload
+/// and readback cost the same on every rung, so only the selection
+/// itself can get cheaper; at this shape the two-stage rung's
+/// selection is about half the exact one's, enough headroom for the
+/// scenario's deadline to separate the rungs.
+const CHAOS_SHAPE: (usize, usize) = (1 << 15, 512);
+
 /// The chaos acceptance scenario: 4 devices, scripted worker panics
 /// retire two of them, every query carries a tight deadline.
 /// Exact-only serving must demonstrably miss deadlines;
@@ -873,6 +881,7 @@ fn a_trigger_evicted_within_its_step_still_dumps_a_post_mortem() {
 /// via the approximate rungs at ≥ 0.95 aggregate measured recall,
 /// reproducibly.
 fn chaos_scenario(recall_target: f64, deadline_us: Option<u64>) -> (DrainReport, Vec<Vec<f32>>) {
+    let (n, k) = CHAOS_SHAPE;
     let plan = FaultPlan::seeded(31)
         .with_scripted(ScriptedFault {
             device: 0,
@@ -894,8 +903,8 @@ fn chaos_scenario(recall_target: f64, deadline_us: Option<u64>) -> (DrainReport,
     let mut engine = TopKEngine::new(cfg);
     let mut inputs = Vec::new();
     for q in 0..32 {
-        let data = generate(Distribution::Uniform, 1 << 16, 500 + q as u64);
-        engine.submit(data.clone(), 128).unwrap();
+        let data = generate(Distribution::Uniform, n, 500 + q as u64);
+        engine.submit(data.clone(), k).unwrap();
         inputs.push(data);
     }
     (engine.drain(), inputs)
@@ -950,7 +959,7 @@ fn chaos_degradation_serves_every_query_within_deadline() {
     let mut measured_sum = 0.0;
     for r in &approx_run.results {
         let out = r.outcome.as_ref().unwrap();
-        measured_sum += topk_core::measured_recall(&inputs[r.id], 128, &out.values);
+        measured_sum += topk_core::measured_recall(&inputs[r.id], CHAOS_SHAPE.1, &out.values);
     }
     let measured_mean = measured_sum / approx_run.results.len() as f64;
     assert!(
@@ -1017,4 +1026,94 @@ fn sanitizer_counts_are_drain_relative() {
     assert_eq!(first.sanitizer.total(), 0);
     assert_eq!(second.sanitizer.total(), 0);
     assert_eq!(second.devices[0].sanitizer, SanitizerCounts::default());
+}
+
+/// The serving mix at a test-sized scale: `(log2 n, k, distribution)`
+/// per shape, skewed and tied shapes included.
+const MIX: [(u32, usize, Distribution); 6] = [
+    (12, 1, Distribution::Uniform),
+    (13, 16, Distribution::Normal),
+    (14, 64, Distribution::RadixAdversarial { m_bits: 24 }),
+    (
+        15,
+        128,
+        Distribution::Zipf {
+            exponent_tenths: 11,
+        },
+    ),
+    (16, 512, Distribution::Uniform),
+    (14, 32, Distribution::RadixAdversarial { m_bits: 24 }),
+];
+
+/// `per_shape` queries of every [`MIX`] shape, interleaved.
+fn mix_queries(per_shape: usize) -> Vec<(Vec<f32>, usize)> {
+    (0..per_shape * MIX.len())
+        .map(|j| {
+            let (log2, k, dist) = MIX[j % MIX.len()];
+            (generate(dist, 1 << log2, 900 + j as u64), k)
+        })
+        .collect()
+}
+
+fn drain_queries(engine: &mut TopKEngine, queries: &[(Vec<f32>, usize)]) -> DrainReport {
+    for (data, k) in queries {
+        engine.submit(data.clone(), *k).unwrap();
+    }
+    engine.drain()
+}
+
+#[test]
+fn a_coalesced_job_uploads_once_and_reads_back_one_pair() {
+    let mut engine = a100_engine(1, 8);
+    let queries: Vec<(Vec<f32>, usize)> = (0..8)
+        .map(|q| (generate(Distribution::Uniform, 1 << 14, q), 64))
+        .collect();
+    let events_before = engine.gpus[0].timeline().events().len();
+    let report = drain_queries(&mut engine, &queries);
+    assert!(report.results.iter().all(|r| r.batch_size == 8));
+    let count = |kind: EventKind| {
+        engine.gpus[0].timeline().events()[events_before..]
+            .iter()
+            .filter(|e| e.kind == kind)
+            .count()
+    };
+    assert_eq!(count(EventKind::MemcpyHtoD), 1, "one upload for the job");
+    assert_eq!(count(EventKind::MemcpyDtoH), 2, "one values + indices pair");
+    for (r, (data, k)) in report.results.iter().zip(&queries) {
+        let out = r.outcome.as_ref().unwrap();
+        verify_topk(data, *k, &out.values, &out.indices).unwrap();
+    }
+}
+
+#[test]
+fn a_fault_free_mixed_drain_keeps_the_calibration_near_one() {
+    // The tuner observes the selection alone: a drain whose time is
+    // mostly uploads and readbacks must not inflate its cost model.
+    let mut engine = a100_engine(2, 8);
+    let report = drain_queries(&mut engine, &mix_queries(8));
+    assert!(report.results.iter().all(|r| r.outcome.is_ok()));
+    let calibration = engine.calibration();
+    assert!(!calibration.is_empty(), "the drain fed the tuner");
+    for (family, factor) in calibration {
+        assert!(
+            (0.5..=2.0).contains(&factor),
+            "{family} calibrated to {factor}"
+        );
+    }
+}
+
+#[test]
+fn windows_one_and_eight_answer_the_same_queries_exactly() {
+    let queries = mix_queries(3);
+    for window in [1, 8] {
+        let report = drain_queries(&mut a100_engine(2, window), &queries);
+        for (r, (data, k)) in report.results.iter().zip(&queries) {
+            let out = r
+                .outcome
+                .as_ref()
+                .unwrap_or_else(|e| panic!("window {window} query {}: {e}", r.id));
+            verify_topk(data, *k, &out.values, &out.indices)
+                .unwrap_or_else(|e| panic!("window {window} query {}: {e}", r.id));
+        }
+    }
 }

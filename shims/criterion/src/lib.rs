@@ -2,15 +2,27 @@
 //! `criterion_group!`/`criterion_main!`, benchmark groups with
 //! `sample_size`/`throughput`/`bench_function`/`bench_with_input`, and
 //! `Bencher::iter`. Instead of criterion's statistical engine, each
-//! benchmark runs a fixed warm-up plus measured sample loop and prints
-//! mean wall time (and throughput when configured) — enough to compare
-//! runs by eye and to keep `cargo bench`/`--all-targets` building in an
-//! offline environment.
+//! benchmark runs one timed warm-up call, then splits its measured
+//! samples into up to five timed batches and prints the median
+//! batch's mean wall time per iteration (and throughput when
+//! configured). A batch runs at least a millisecond of wall time, so a
+//! sub-microsecond payload is timed over many calls, and one preempted
+//! batch moves the median far less than it moves a single mean. That
+//! is enough to compare runs by eye and to keep
+//! `cargo bench`/`--all-targets` building in an offline environment.
+//! `CRITERION_SHIM_SAMPLES=1` (the CI smoke run) times one batch.
 
 use std::time::{Duration, Instant};
 
-/// How many measured iterations a `Bencher::iter` call performs.
-/// `CRITERION_SHIM_SAMPLES` overrides (e.g. `=1` for CI smoke runs).
+/// Most timed batches one `Bencher::iter` call splits its samples into.
+const BATCHES: usize = 5;
+
+/// Least wall time one timed batch runs for.
+const MIN_BATCH: Duration = Duration::from_millis(1);
+
+/// How many measured iterations a `Bencher::iter` call performs at
+/// least. `CRITERION_SHIM_SAMPLES` overrides (e.g. `=1` for CI smoke
+/// runs).
 fn samples(group_hint: usize) -> usize {
     std::env::var("CRITERION_SHIM_SAMPLES")
         .ok()
@@ -66,20 +78,36 @@ pub enum Throughput {
 /// Passed to benchmark closures; `iter` runs and times the payload.
 pub struct Bencher {
     iters: usize,
-    /// Mean time per iteration, filled by [`Bencher::iter`].
+    /// Median batch's mean time per iteration, filled by
+    /// [`Bencher::iter`].
     elapsed: Duration,
 }
 
 impl Bencher {
-    /// Run `f` for the configured number of samples (plus one warm-up),
-    /// recording mean wall time per iteration.
+    /// Run `f` once to warm up, then for the configured number of
+    /// samples in up to `BATCHES` batches of at least `MIN_BATCH`
+    /// each, recording the median batch's mean wall time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        std::hint::black_box(f()); // warm-up, untimed
         let start = Instant::now();
-        for _ in 0..self.iters {
-            std::hint::black_box(f());
-        }
-        self.elapsed = start.elapsed() / self.iters as u32;
+        std::hint::black_box(f());
+        let warm_up = start.elapsed().max(Duration::from_nanos(1));
+        let batches = self.iters.min(BATCHES);
+        let per_batch = self
+            .iters
+            .div_ceil(batches)
+            .max((MIN_BATCH.as_nanos() / warm_up.as_nanos()) as usize)
+            .max(1);
+        let mut means: Vec<Duration> = (0..batches)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..per_batch {
+                    std::hint::black_box(f());
+                }
+                start.elapsed() / per_batch as u32
+            })
+            .collect();
+        means.sort_unstable();
+        self.elapsed = means[batches / 2];
     }
 }
 
@@ -216,6 +244,34 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn iter_times_every_sample_in_batches() {
+        let mut b = Bencher {
+            iters: 8,
+            elapsed: Duration::ZERO,
+        };
+        let mut calls = 0;
+        b.iter(|| {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        });
+        // One warm-up plus five batches of two sleeps each: the eight
+        // samples are split (rounded up), not multiplied.
+        assert_eq!(calls, 1 + BATCHES * 2);
+        assert!(b.elapsed >= Duration::from_millis(2));
+    }
+
+    #[test]
+    fn a_sub_microsecond_payload_fills_each_batch() {
+        let mut b = Bencher {
+            iters: 1,
+            elapsed: Duration::ZERO,
+        };
+        let mut calls = 0u64;
+        b.iter(|| calls += 1);
+        assert!(calls > 2, "one batch of {calls} calls is too short to time");
+    }
 
     #[test]
     fn group_runs_and_reports() {

@@ -118,12 +118,14 @@ mod json {
 }
 
 /// Drain a mixed workload (including one bad query) on two devices.
+/// The `2^16, K = 512` shape is one the tuner routes to AIR, so the
+/// drain counts AIR passes.
 fn drained_engine() -> (TopKEngine, DrainReport) {
     let mut engine = TopKEngine::new(EngineConfig::a100_pool(2).with_window(4));
     for q in 0..12 {
-        let n = [40_000, 20_000, 4096][q % 3];
+        let (n, k) = [(40_000, 64), (20_000, 64), (1 << 16, 512)][q % 3];
         let data = datagen::generate(Distribution::Uniform, n, q as u64);
-        engine.submit(data, 64).unwrap();
+        engine.submit(data, k).unwrap();
     }
     engine.submit(vec![1.0, 2.0, 3.0], 0).unwrap(); // InvalidK
     let report = engine.drain();
