@@ -14,8 +14,8 @@
 //! ([`DeviceBuffer::from_slice`], the metered [`Gpu::htod`](crate::Gpu::htod))
 //! constructs its cells straight from the slice and marks its
 //! sanitizer shadow valid once, and readbacks ([`DeviceBuffer::to_vec`],
-//! [`DeviceBuffer::copy_range`], [`Gpu::dtoh_range`](crate::Gpu::dtoh_range)) check their
-//! bounds once up front and then copy the cells in order.
+//! [`Gpu::dtoh_range`](crate::Gpu::dtoh_range)) and [`Gpu::split`](crate::Gpu::split)
+//! check their bounds once up front and then copy the cells in order.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -280,17 +280,23 @@ impl<T: DeviceScalar> DeviceBuffer<T> {
         Self::staged(label, &[data], None)
     }
 
-    /// A fresh, unshadowed buffer holding a copy of `len` elements
-    /// starting at `offset`: the unmetered host-side equivalent of
-    /// taking a device-pointer offset view. Panics with a labeled
+    /// A fresh buffer holding a copy of `len` elements starting at
+    /// `offset`, with `shadow` attached: one piece of a
+    /// [`Gpu::split`](crate::Gpu::split). Panics with a labeled
     /// [`SimError::OutOfBounds`] description when the range overruns.
-    pub fn copy_range(&self, label: &str, offset: usize, len: usize) -> Self {
+    pub(crate) fn piece(
+        &self,
+        label: &str,
+        offset: usize,
+        len: usize,
+        shadow: Option<BufferShadow>,
+    ) -> Self {
         let cells = self
             .range_cells(offset, len)
             .iter()
             .map(|c| T::Atom::new(c.load()))
             .collect();
-        Self::from_cells(label, cells, None)
+        Self::from_cells(label, cells, shadow)
     }
 
     /// Number of elements.
@@ -497,20 +503,20 @@ mod tests {
     }
 
     #[test]
-    fn copy_range_is_an_independent_copy() {
+    fn a_piece_is_an_independent_copy() {
         let b = DeviceBuffer::from_slice("src", &[1u32, 2, 3, 4, 5]);
-        let c = b.copy_range("dst", 1, 3);
+        let c = b.piece("dst", 1, 3, None);
         assert_eq!((c.label(), c.to_vec()), ("dst", vec![2, 3, 4]));
         c.set(0, 99);
         assert_eq!(b.get(1), 2, "a copy, not an alias");
-        assert!(b.copy_range("empty", 5, 0).is_empty());
+        assert!(b.piece("empty", 5, 0, None).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "buffer \"src\": index 5 >= len 5")]
-    fn copy_range_past_the_end_is_a_labeled_panic() {
+    fn a_piece_past_the_end_is_a_labeled_panic() {
         let b = DeviceBuffer::from_slice("src", &[1u32, 2, 3, 4, 5]);
-        let _ = b.copy_range("dst", 3, 3);
+        let _ = b.piece("dst", 3, 3, None);
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl TopKAlgorithm for BucketedTopK {
         check_args(self, n, k)?;
         let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
         let labels = ("bucketed_values", "bucketed_indices");
-        Ok(split_rows(packed, inputs.len(), labels)
+        Ok(split_rows(gpu, packed, inputs.len(), labels)
             .into_iter()
             .map(|(values, indices)| TopKOutput::new(values, indices))
             .collect())

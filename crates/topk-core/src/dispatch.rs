@@ -36,7 +36,7 @@ use crate::bucketed::BucketedTopK;
 use crate::error::TopKError;
 use crate::gridselect::{GridSelect, MAX_K as GRID_MAX_K};
 use crate::matrix::{DeviceMatrix, Rows};
-use crate::radik::{RadiK, RadiKConfig};
+use crate::radik::RadiK;
 use crate::rowwise::RowWiseTopK;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use crate::tuner::{DistSketch, Plan, ProblemShape, TunedAlgo, Tuner};
@@ -195,11 +195,11 @@ impl SelectK {
             TunedAlgo::Air { .. } => f(&self.air),
             TunedAlgo::Grid => f(&self.grid),
             TunedAlgo::RadiK { bits_per_pass }
-                if bits_per_pass != RadiKConfig::default().bits_per_pass =>
+                if bits_per_pass != AirConfig::default().bits_per_pass =>
             {
-                f(&RadiK::new(RadiKConfig {
+                f(&RadiK::new(AirConfig {
                     bits_per_pass,
-                    ..RadiKConfig::default()
+                    ..AirConfig::default()
                 }))
             }
             TunedAlgo::RadiK { .. } => f(&self.radik),

@@ -229,7 +229,7 @@ impl GridSelect {
         }
         let packed =
             select_rows_core(gpu, "gridselect_kernel", Rows::Slices(inputs), k, &self.cfg)?;
-        Ok(split_rows(packed, inputs.len(), OUT_LABELS))
+        Ok(split_rows(gpu, packed, inputs.len(), OUT_LABELS))
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
@@ -245,7 +245,7 @@ impl GridSelect {
         T::Ordered: DeviceScalar,
     {
         let packed = select_rows_core(gpu, "gridselect_kernel", Rows::Matrix(input), k, &self.cfg)?;
-        Ok(split_rows(packed, input.rows(), OUT_LABELS))
+        Ok(split_rows(gpu, packed, input.rows(), OUT_LABELS))
     }
 
     /// The packed `rows × k` core over either row shape, for the
@@ -265,7 +265,7 @@ impl GridSelect {
     }
 }
 
-/// Labels of the per-row copies [`split_rows`] makes of the packed
+/// Labels of the per-row pieces [`split_rows`] makes of the packed
 /// outputs.
 const OUT_LABELS: (&str, &str) = ("gs_values", "gs_indices");
 
@@ -444,7 +444,7 @@ pub fn select_partial_core(
         });
     }
     let packed = select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg)?;
-    Ok(split_rows(packed, inputs.len(), OUT_LABELS)
+    Ok(split_rows(gpu, packed, inputs.len(), OUT_LABELS)
         .into_iter()
         .map(|(values, indices)| TopKOutput::new(values, indices))
         .collect())
@@ -537,7 +537,7 @@ where
         }
     };
     let packed = select_groups_core(gpu, name, n, batch, k, cfg, fill, declare_reads)?;
-    Ok(split_rows(packed, batch, OUT_LABELS))
+    Ok(split_rows(gpu, packed, batch, OUT_LABELS))
 }
 
 /// The core behind every entry point. The lane-group producer

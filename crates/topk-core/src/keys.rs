@@ -20,9 +20,10 @@
 
 use gpu_sim::memory::DeviceScalar;
 
-/// An unsigned bit-string type that radix passes can be run over.
+/// An unsigned bit-string type that radix passes can be run over, and
+/// that device buffers can hold.
 pub trait OrderedBits:
-    Copy + Ord + Eq + Default + Send + Sync + std::fmt::Debug + std::hash::Hash + 'static
+    DeviceScalar + Ord + Eq + Default + std::fmt::Debug + std::hash::Hash
 {
     /// Width in bits (32 or 64).
     const BITS: u32;

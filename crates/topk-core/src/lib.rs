@@ -37,6 +37,7 @@ pub mod largest;
 pub mod matrix;
 pub mod obs;
 pub mod radik;
+pub mod radix;
 pub mod recall;
 pub mod rowwise;
 pub mod scratch;
@@ -56,7 +57,8 @@ pub use keys::RadixKey;
 pub use largest::{reference_largest, SelectLargest};
 pub use matrix::DeviceMatrix;
 pub use obs::{AlgoCounters, AlgoSnapshot};
-pub use radik::{RadiK, RadiKConfig};
+pub use radik::RadiK;
+pub use radix::{MsbFirst, RadixTopK, Schedule, Sketched};
 pub use recall::{
     expected_recall, measured_recall, plan_bucketed, plan_two_stage, BucketedPlan, TwoStagePlan,
 };

@@ -270,7 +270,7 @@ impl TopKAlgorithm for RowWiseTopK {
         check_args(self, n, k)?;
         let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
         let labels = ("rowwise_values", "rowwise_indices");
-        Ok(split_rows(packed, inputs.len(), labels)
+        Ok(split_rows(gpu, packed, inputs.len(), labels)
             .into_iter()
             .map(|(values, indices)| TopKOutput::new(values, indices))
             .collect())
