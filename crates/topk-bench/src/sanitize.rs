@@ -28,7 +28,7 @@
 use datagen::Distribution;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::{DeviceSpec, Footprint, Gpu, KernelContract, LaunchConfig, SanitizerMode};
-use topk_core::{AirTopK, TopKAlgorithm, WarpSelector};
+use topk_core::{AirConfig, AirTopK, RadiK, TopKAlgorithm, UnfusedRadix, WarpSelector};
 use topk_engine::{EngineConfig, FaultPlan, TopKEngine};
 use topk_hybrid::DrTopK;
 
@@ -105,14 +105,24 @@ pub struct SanitizeSummary {
 /// the whole matrix: bucketed keeps 16 winners per bucket, two-stage
 /// keeps 256 candidates in each of 8 partitions (covering K up to
 /// 2048 without starving any partition down to N = 4096).
+///
+/// The radix family also runs at 8-bit digits, the width the tuner
+/// serves (`air:8`, `radik:8`) and the §3.1 fusion cell compares.
 fn gate_algorithms() -> Vec<Box<dyn TopKAlgorithm>> {
+    let b8 = AirConfig {
+        bits_per_pass: 8,
+        ..AirConfig::default()
+    };
     let mut algs = topk_baselines::all_baselines();
     algs.push(Box::new(AirTopK::default()));
+    algs.push(Box::new(AirTopK::new(b8.clone())));
     algs.push(Box::new(topk_core::GridSelect::default()));
-    algs.push(Box::new(topk_core::UnfusedRadix::default()));
+    algs.push(Box::new(UnfusedRadix::default()));
+    algs.push(Box::new(UnfusedRadix { bits_per_pass: 8 }));
     algs.push(Box::new(topk_core::StreamingSelect::default()));
     algs.push(Box::new(DrTopK::new(AirTopK::default())));
-    algs.push(Box::new(topk_core::RadiK::default()));
+    algs.push(Box::new(RadiK::default()));
+    algs.push(Box::new(RadiK::new(b8)));
     algs.push(Box::new(topk_core::RowWiseTopK::default()));
     algs.push(Box::new(topk_core::BucketedTopK::default()));
     algs.push(Box::new(topk_core::TwoStageTopK::new(8, 256)));
