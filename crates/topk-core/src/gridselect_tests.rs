@@ -256,3 +256,83 @@ fn uses_two_kernel_types() {
     assert!(names.contains("gridselect_merge_kernel"));
     assert_eq!(g.timeline().memcpy_us(), 0.0);
 }
+
+/// `(blocks per problem, merge fan-ins)` of the default plan for f32
+/// keys and GridSelect's block-shared bound.
+fn plan_of(n: usize, k: usize, batch: usize) -> (usize, Vec<usize>) {
+    let cfg = GridSelectConfig::default();
+    let plan = GridPlan::new(&DeviceSpec::a100(), n, k, batch, &cfg, 4, true);
+    (plan.blocks_per_problem, plan.merge_fanin)
+}
+
+#[test]
+fn plan_pins_the_single_large_shapes() {
+    // Batch 1 fills the A100 model's 1,728 saturating warps with 432
+    // four-warp blocks; K = 2048 stops at the K cap (a warp's slice
+    // must be well above K).
+    assert_eq!(plan_of(1 << 22, 32, 1), (432, vec![16, 27]));
+    assert_eq!(plan_of(1 << 23, 32, 1), (432, vec![16, 27]));
+    assert_eq!(plan_of(1 << 22, 256, 1), (432, vec![8, 8, 7]));
+    assert_eq!(plan_of(1 << 23, 256, 1), (432, vec![8, 8, 7]));
+    assert_eq!(plan_of(1 << 22, 2048, 1), (64, vec![4, 4, 4]));
+    assert_eq!(plan_of(1 << 23, 2048, 1), (128, vec![2, 4, 4, 4]));
+}
+
+#[test]
+fn plan_stops_where_occupancy_stops_rising() {
+    // 32 problems fill the device with 14 blocks each (was 64).
+    assert_eq!(plan_of(1 << 18, 128, 32).0, 14);
+    // K = 2048 lists take 66 KB of shared memory, two blocks per SM:
+    // 216 blocks already reach the highest occupancy.
+    assert_eq!(plan_of(1 << 26, 2048, 1).0, 216);
+    // A hard cap still holds (BlockSelect's shape).
+    let one = GridSelectConfig {
+        max_blocks_per_problem: 1,
+        ..GridSelectConfig::default()
+    };
+    let plan = GridPlan::new(&DeviceSpec::a100(), 1 << 22, 32, 1, &one, 4, false);
+    assert_eq!((plan.blocks_per_problem, plan.launches.len()), (1, 1));
+}
+
+#[test]
+fn a_cheap_cell_gets_a_wide_grid_and_a_multi_round_merge() {
+    // One warp of one item per thread makes every block cheap, so the
+    // plan gives the problem more than 256 blocks; their 16-long lists
+    // are worth merging in more than one round.
+    let cfg = GridSelectConfig {
+        items_per_thread: 1,
+        warps_per_block: 1,
+        ..GridSelectConfig::default()
+    };
+    let (n, k) = (1 << 16, 16);
+    let plan = GridPlan::new(&DeviceSpec::a100(), n, k, 1, &cfg, 4, true);
+    assert!(plan.blocks_per_problem > 256, "{plan:?}");
+    assert!(plan.merge_fanin.len() > 1, "{plan:?}");
+    let data = generate(Distribution::Uniform, n, 9);
+    let run = |workers: usize| {
+        let mut g = Gpu::with_pool(DeviceSpec::a100(), gpu_sim::BlockPool::new(workers));
+        let input = g.htod("in", &data);
+        g.reset_profile();
+        let out = GridSelect::new(cfg.clone()).select(&mut g, &input, k);
+        let shapes: Vec<_> = g
+            .reports()
+            .iter()
+            .map(|r| (r.cfg.grid_dim, r.cfg.block_dim, r.stats))
+            .collect();
+        (out.values.to_vec(), out.indices.to_vec(), shapes)
+    };
+    let one = run(1);
+    verify_topk(&data, k, &one.0, &one.1).unwrap();
+    let planned: Vec<_> = plan
+        .launches
+        .iter()
+        .map(|l| (l.grid_dim, l.block_dim))
+        .collect();
+    let observed: Vec<_> = one.2.iter().map(|&(g, b, _)| (g, b)).collect();
+    assert_eq!(observed, planned);
+    assert_eq!(
+        run(2),
+        one,
+        "the answer and meters depend on the worker count"
+    );
+}

@@ -51,10 +51,11 @@ use std::sync::Mutex;
 use gpu_sim::{sequence_cost, DeviceSpec, KernelStats, PlannedLaunch};
 
 use crate::air::ONE_BLOCK_THRESHOLD;
-use crate::gridselect::MAX_K as GRID_MAX_K;
+use crate::gridselect::{GridPlan, MAX_K as GRID_MAX_K};
 use crate::keys::{common_prefix_len_of, OrderedBits, RadixKey};
 use crate::obs;
 use crate::rowwise::ROWWISE_MAX_K;
+use crate::GridSelectConfig;
 
 /// Key width the predictors model (the engine serves `f32` keys).
 const KEY_BITS: u32 = 32;
@@ -71,14 +72,6 @@ const SECTOR_BYTES: u64 = 32;
 const SWEEP_BLOCK: usize = 512;
 const SWEEP_CHUNK: usize = 512 * 16;
 const BUFFER_ALPHA: u64 = 128;
-
-// Launch geometry shared with `gridselect.rs`.
-const GRID_WARPS: usize = 4;
-const GRID_BLOCK: usize = 128;
-const GRID_CHUNK: usize = GRID_BLOCK * 32;
-const GRID_MAX_BPP: usize = 256;
-const GRID_QUEUE: usize = 32;
-const MERGE_FANIN: usize = 8;
 
 // Launch geometry shared with `rowwise.rs`.
 const ROWWISE_BLOCK: usize = 256;
@@ -1044,58 +1037,17 @@ fn predict_radik(
     Some(launches)
 }
 
+/// GridSelect's own launch plan ([`GridPlan`]) for the default
+/// configuration: the launches the kernel makes, not a copy of them.
 fn predict_grid(spec: &DeviceSpec, shape: &ProblemShape) -> Option<Vec<PlannedLaunch>> {
     let ProblemShape { n, k, batch, .. } = *shape;
     if k > GRID_MAX_K || k >= n {
         return None;
     }
-    let batch_u = batch as u64;
-    let klen = k.next_power_of_two();
-    let shared = (GRID_WARPS * (klen + GRID_QUEUE)) as u64 * PAIR_BYTES;
-    if shared > spec.shared_mem_per_block as u64 {
-        return None;
-    }
-    let k_cap = (n / (8 * k * GRID_WARPS)).max(1);
-    let bpp = n.div_ceil(GRID_CHUNK).min(k_cap).clamp(1, GRID_MAX_BPP);
-    let lists_bytes = klen as u64 * PAIR_BYTES;
-
-    // Main pass: stream the input through per-warp sorted queues, then
-    // write each block's k-list to scratch.
-    let main = launch(
-        batch * bpp,
-        GRID_BLOCK,
-        KernelStats {
-            bytes_read: n as u64 * KEY_BYTES * batch_u,
-            bytes_written: bpp as u64 * lists_bytes * batch_u,
-            compute_ops: (6 * n as u64
-                + (bpp * GRID_WARPS * 4 * klen) as u64 * (klen.trailing_zeros().max(1) as u64))
-                * batch_u,
-            atomic_ops: (bpp as u64) * batch_u,
-            shared_mem_bytes: shared,
-            ..KernelStats::default()
-        },
-    );
-    let mut launches = vec![main];
-
-    // Tree merge: fan-in 8 per round until one list per problem remains.
-    let mut lists = bpp;
-    while lists > 1 {
-        let groups = lists.div_ceil(MERGE_FANIN);
-        let merge_shared = (MERGE_FANIN as u64 * lists_bytes).min(spec.shared_mem_per_block as u64);
-        launches.push(launch(
-            batch * groups,
-            256,
-            KernelStats {
-                bytes_read: lists as u64 * lists_bytes * batch_u,
-                bytes_written: groups as u64 * lists_bytes * batch_u,
-                compute_ops: 8 * lists as u64 * klen as u64 * batch_u,
-                shared_mem_bytes: merge_shared,
-                ..KernelStats::default()
-            },
-        ));
-        lists = groups;
-    }
-    Some(launches)
+    let cfg = GridSelectConfig::default();
+    let plan = GridPlan::new(spec, n, k, batch, &cfg, KEY_BYTES as usize, true);
+    (plan.launches[0].stats.shared_mem_bytes <= spec.shared_mem_per_block as u64)
+        .then_some(plan.launches)
 }
 
 fn predict_rowwise(spec: &DeviceSpec, shape: &ProblemShape) -> Option<Vec<PlannedLaunch>> {
@@ -1290,6 +1242,53 @@ mod tests {
         assert_eq!(snap[0].0, plan.algo.family());
         assert!(snap[0].1 > 1.0 && snap[0].1 < 2.0, "factor {}", snap[0].1);
         assert_eq!(tuner.calibration_factor(plan.algo.family()), snap[0].1);
+    }
+
+    #[test]
+    fn grid_prediction_is_the_launches_gridselect_makes() {
+        // Launch count, grid and block dims and every byte counter equal
+        // the observed reports; so do the merge rounds' compute ops.
+        // Only the main kernel's ops (its flushes) are modelled.
+        use crate::{GridSelect, TopKAlgorithm};
+        use datagen::{generate, Distribution};
+        let spec = a100();
+        let shape_of = |r: &PlannedLaunch| {
+            let s = r.stats;
+            let bytes = (
+                s.bytes_read,
+                s.bytes_written,
+                s.bytes_scattered,
+                s.atomic_ops,
+            );
+            (r.grid_dim, r.block_dim, bytes, s.shared_mem_bytes)
+        };
+        for dist in [Distribution::Uniform, Distribution::Normal] {
+            for (n, k, batch) in [(1 << 18, 32, 1), (1 << 18, 256, 1), (20_001, 64, 8)] {
+                let planned = predict_grid(&spec, &ProblemShape::new(n, k, batch)).unwrap();
+                let mut gpu = gpu_sim::Gpu::new(spec.clone());
+                let inputs: Vec<_> = (0..batch)
+                    .map(|b| gpu.htod("in", &generate(dist, n, b as u64)))
+                    .collect();
+                gpu.reset_profile();
+                GridSelect::default().select_batch(&mut gpu, &inputs, k);
+                let observed: Vec<PlannedLaunch> = gpu
+                    .reports()
+                    .iter()
+                    .map(|r| launch(r.cfg.grid_dim, r.cfg.block_dim, r.stats))
+                    .collect();
+                let cell = format!("{dist:?} n={n} k={k} batch={batch}");
+                assert!(observed.len() > 1, "{cell}: no merge round");
+                let shapes = |ls: &[PlannedLaunch]| ls.iter().map(shape_of).collect::<Vec<_>>();
+                assert_eq!(shapes(&planned), shapes(&observed), "{cell}");
+                let merge_ops = |ls: &[PlannedLaunch]| {
+                    ls[1..]
+                        .iter()
+                        .map(|l| l.stats.compute_ops)
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(merge_ops(&planned), merge_ops(&observed), "{cell}");
+            }
+        }
     }
 
     #[test]
