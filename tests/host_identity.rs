@@ -517,83 +517,83 @@ fn air_f64_batch_is_bit_identical() {
 const GRIDSELECT: &[(&str, [u64; 3])] = &[
     (
         "uniform k=1",
-        [0x4bc5e1d89b146cf0, 0xad142c173b7e2cd7, 0x66c07cff87b041cc],
+        [0x4bc5e1d89b146cf0, 0x0f5c39805df7e587, 0xe4b7af247e6be6ce],
     ),
     (
         "uniform k=32",
-        [0x54cb03cd145e85f3, 0xd7ce7a6906b6e3eb, 0x0728a0e3f16ab33e],
+        [0x54cb03cd145e85f3, 0x885b90fc37168155, 0x8b1234c4723d6359],
     ),
     (
         "uniform k=100",
-        [0x2bb4d0a875c17118, 0x49e73a469a1c0682, 0xc2bb3576bbf9cd81],
+        [0x2bb4d0a875c17118, 0xfd5226e2ad76277f, 0x566fafc7fd0262ca],
     ),
     (
         "uniform k=256",
-        [0xd60a0747a71adb1a, 0x95ebed22e37ce4ba, 0xe5b9ce9ea46deb13],
+        [0xd60a0747a71adb1a, 0x44065fe0b6bfc45c, 0x334af1eb004cc1cb],
     ),
     (
         "uniform k=2048",
-        [0x59b1e51c5c7582dc, 0x928a41daa2e88076, 0xb3e32376a9b73cd5],
+        [0x59b1e51c5c7582dc, 0xe867cf46ecb31772, 0x75ecd52f58cda72e],
     ),
     (
         "ties16 k=1",
-        [0xfbd826abf9ffdee2, 0x92dd2cb0ab5d0da7, 0xa741ab72253434a7],
+        [0xfbd826abf9ffdee2, 0x5d53a535b2e5a831, 0x1a9e0b42b2182a4d],
     ),
     (
         "ties16 k=32",
-        [0xf0351c78ae1214c8, 0x879ea27a3bd433e3, 0x7fcaa3af68fbd45d],
+        [0xf0351c78ae1214c8, 0x6f12b90ac4afe537, 0x8a0e68696e5ec59a],
     ),
     (
         "ties16 k=100",
-        [0x150baf59c2d22209, 0x9bcaf150535c7c33, 0x6ea61ced8eb61e0f],
+        [0xa0389087c13a7e0d, 0xeb6f97ac7bfacd8e, 0x6b986cad069240a1],
     ),
     (
         "ties16 k=256",
-        [0xb6c24b3b6e9f56a1, 0x98b3fdc68904eebc, 0xd72ecc1a6802eee6],
+        [0x2e6ad3743fb75929, 0xcf95e96789366349, 0x6b58a01b590c110e],
     ),
     (
         "ties16 k=2048",
-        [0xc28a37041fdbad22, 0xb16548200f886945, 0x2e8eab7312f4cae0],
+        [0xc9a8225049d2c84e, 0x6f4fe7bb90d0ec16, 0x901832b18a0fcc82],
     ),
     (
         "equal k=1",
-        [0x05afe762d6f451d8, 0x92dd2cb0ab5d0da7, 0xa741ab72253434a7],
+        [0x05afe762d6f451d8, 0x5d53a535b2e5a831, 0x1a9e0b42b2182a4d],
     ),
     (
         "equal k=32",
-        [0x6ba96e3da701e625, 0x82ef7c39d47f621a, 0xa741ab72253434a7],
+        [0x6ba96e3da701e625, 0xa89f3f085307cfc0, 0x1a9e0b42b2182a4d],
     ),
     (
         "equal k=100",
-        [0x4b7de11ab729ed21, 0xd6a1ee68639b2d5f, 0xfdcb350f0a559440],
+        [0x4b7de11ab729ed21, 0xc37e2d0d6d46808b, 0x824e081c5b6e71a2],
     ),
     (
         "equal k=256",
-        [0x515b0c2b58a89b25, 0x17c062a6592e4745, 0xe3f21c4b8bfa1a8c],
+        [0x515b0c2b58a89b25, 0xd5fb8fbbefba4f51, 0x6874ef58dd12f7ee],
     ),
     (
         "equal k=2048",
-        [0xd03bef1bb8f36b25, 0x43aab4fa81538860, 0xe622ca784c490e28],
+        [0xd03bef1bb8f36b25, 0x40a90f0a4b8c780b, 0xf6f1d6af5e33646d],
     ),
     (
         "adversarial24 k=1",
-        [0x9c790a4b9ec64f19, 0xcec5e526a745d02f, 0x6d4a316cf81e48be],
+        [0x9c790a4b9ec64f19, 0x69393fef43bb856d, 0xc45da828e05815bd],
     ),
     (
         "adversarial24 k=32",
-        [0xec27b70a7faf9304, 0x381dde06e4a37e31, 0xbd62677830407f4b],
+        [0x80f927854e4a7014, 0x958c5312dcf51fd9, 0x07270dd455515528],
     ),
     (
         "adversarial24 k=100",
-        [0xd63688043d804cdf, 0x1582c7aaf379e78f, 0xf024266f2ded2abd],
+        [0x98e773877ddf2fbb, 0x5c5a7968137e1ec3, 0x6b3533240d227ecd],
     ),
     (
         "adversarial24 k=256",
-        [0x8356f1a08e95e06f, 0xabf59d603b5bb9f5, 0xe134e4ce525a1475],
+        [0x6cd66cdefbe6e3c3, 0x3832d8d6e81cbf64, 0x81741abfde2e3b0c],
     ),
     (
         "adversarial24 k=2048",
-        [0x1a3729b7abfde006, 0x097be171b1f63c8a, 0xa5f07b0b1d6672cd],
+        [0xb892dccab84c3ed2, 0xd21ec1c0abc4c6dc, 0x8b6bc4bf0b278b29],
     ),
 ];
 const WARPSELECT: &[(&str, [u64; 3])] = &[
@@ -1125,45 +1125,45 @@ const AIR_MATRIX: &[(&str, [u64; 3])] = &[
 const GRIDSELECT_MATRIX: &[(&str, [u64; 3])] = &[
     (
         "k=1",
-        [0x910bec67397aedd0, 0xa6c023739a9e9326, 0x872b9e2ef1ef49b7],
+        [0x910bec67397aedd0, 0xa756ca474f46fe39, 0x46d5650ff8b474ba],
     ),
     (
         "k=32",
-        [0x21de9fee1b28fae0, 0x432c681cbf39bcce, 0xb27906c10ccadd69],
+        [0x4fe241cf87ff85b0, 0xee4c8b5d31d9243c, 0xcc22faefd48b3614],
     ),
     (
         "k=100",
-        [0xb215213a663ff1d7, 0xaa3a5e3498476167, 0x4306a66e34340853],
+        [0x83a88296f1b04983, 0x54fb54822fbc9118, 0xdf943e76d70bdc6c],
     ),
     (
         "k=256",
-        [0x4b54d064f69c569c, 0x7b8cdc46f1dfe29a, 0x2ef01b1afd0b0508],
+        [0x56b74ac2d8b7b926, 0xb6b2f63d1077fd1f, 0x9e99f61b5cbbcf09],
     ),
     (
         "k=2048",
-        [0xd8283b1a77816b24, 0x65f91f8ea5958bb6, 0x9a26097ea5564113],
+        [0x6c69494740090dac, 0x5bbf1314efc34ba5, 0x8c8cb9dcfa02395b],
     ),
 ];
 const GRIDSELECT_F64_BATCH: &[(&str, [u64; 3])] = &[
     (
         "k=1",
-        [0x18fd0c98c2f2c718, 0x599311b9ef9ebba1, 0x4a49b05e147acee2],
+        [0x18fd0c98c2f2c718, 0x2cbaf0a6d5e18ff2, 0xdf13dbcbadf2ce3b],
     ),
     (
         "k=32",
-        [0x27cb1557ff03dbfa, 0xbe1b608164768127, 0x3634b81a796b29ad],
+        [0x27cb1557ff03dbfa, 0x57df2c52d8527de7, 0xb2c97f845b4eb4c0],
     ),
     (
         "k=100",
-        [0x39e3a90ed06575b6, 0x2511af5e42fb2f44, 0xe04603339a5fddf8],
+        [0x6f5c6f80923a3452, 0x76e08614b1b32bc6, 0x499fe3058f0cce75],
     ),
     (
         "k=256",
-        [0x63806ce497df4c5b, 0xf9857712df4820e2, 0xb24aabb4243c6b6b],
+        [0x6cb51827662882f9, 0x5d5ac6709f1bb50b, 0x52e11508ded4acb1],
     ),
     (
         "k=2048",
-        [0xf7b96274246a57c6, 0x60492118432cfe7f, 0xb1c53aa3831408da],
+        [0xdd8051e49d6ef962, 0x312f089e41ab162f, 0x27fab68c3d220b3b],
     ),
 ];
 const RADIK_F64_BATCH: &[(&str, [u64; 3])] = &[
