@@ -19,9 +19,11 @@
 //!   GridSelect, UnfusedRadix, StreamingSelect, the DrTopK hybrid,
 //!   RadiK, RowWise, the approximate BucketedTopK and TwoStageTopK
 //!   rungs, and the SelectK dispatcher) × N ∈ {2^16, 2^20} ×
-//!   K ∈ {32, 1024} × batch ∈ {1, 32}, plus a chaos seed-matrix over
-//!   the serving engine and a sliding-window sweep over the
-//!   [`WarpSelector`] device-function path.
+//!   K ∈ {32, 1024} × batch ∈ {1, 32}, plus GridSelect at N = 2^22,
+//!   K = 32, batch 1 (the only cell where its plan gives a problem
+//!   more than 256 blocks), a chaos seed-matrix over the serving engine
+//!   and a sliding-window sweep over the [`WarpSelector`]
+//!   device-function path.
 //! * `smoke` — the same sweep at N = 2^16 with batch ∈ {1, 8}, a
 //!   single chaos seed and a single window; the CI-sized variant.
 
@@ -41,6 +43,9 @@ pub struct SanitizeMatrix {
     pub ks: Vec<usize>,
     /// Batch sizes (1 = the single-query path).
     pub batches: Vec<usize>,
+    /// Extra `(n, k, batch)` cells for GridSelect alone, beyond the
+    /// grid above.
+    pub grid_cells: Vec<(usize, usize, usize)>,
     /// Seeds for the engine chaos pass (empty = skip the engine pass).
     pub chaos_seeds: Vec<u64>,
     /// Queries per chaos drain.
@@ -53,13 +58,15 @@ pub struct SanitizeMatrix {
 
 impl SanitizeMatrix {
     /// The acceptance-gate grid: every algorithm over both problem
-    /// sizes, both K extremes, both batch shapes, plus a three-seed
-    /// chaos matrix on the engine.
+    /// sizes, both K extremes, both batch shapes, GridSelect on a grid
+    /// that fills the device, plus a three-seed chaos matrix on the
+    /// engine.
     pub fn full() -> Self {
         SanitizeMatrix {
             ns: vec![1 << 16, 1 << 20],
             ks: vec![32, 1024],
             batches: vec![1, 32],
+            grid_cells: vec![(1 << 22, 32, 1)],
             chaos_seeds: vec![11, 42, 1337],
             chaos_queries: 48,
             streaming_windows: vec![1 << 12, 1 << 16],
@@ -72,6 +79,7 @@ impl SanitizeMatrix {
             ns: vec![1 << 16],
             ks: vec![32, 1024],
             batches: vec![1, 8],
+            grid_cells: Vec::new(),
             chaos_seeds: vec![42],
             chaos_queries: 24,
             streaming_windows: vec![1 << 12],
@@ -108,31 +116,42 @@ pub struct SanitizeSummary {
 ///
 /// The radix family also runs at 8-bit digits, the width the tuner
 /// serves (`air:8`, `radik:8`) and the §3.1 fusion cell compares.
-fn gate_algorithms() -> Vec<Box<dyn TopKAlgorithm>> {
+/// Each entry carries the tag its findings print: the algorithm's name,
+/// plus its settings where they are not the defaults.
+fn gate_algorithms() -> Vec<(String, Box<dyn TopKAlgorithm>)> {
     let b8 = AirConfig {
         bits_per_pass: 8,
         ..AirConfig::default()
     };
-    let mut algs = topk_baselines::all_baselines();
-    algs.push(Box::new(AirTopK::default()));
-    algs.push(Box::new(AirTopK::new(b8.clone())));
-    algs.push(Box::new(topk_core::GridSelect::default()));
-    algs.push(Box::new(UnfusedRadix::default()));
-    algs.push(Box::new(UnfusedRadix { bits_per_pass: 8 }));
-    algs.push(Box::new(topk_core::StreamingSelect::default()));
-    algs.push(Box::new(DrTopK::new(AirTopK::default())));
-    algs.push(Box::new(RadiK::default()));
-    algs.push(Box::new(RadiK::new(b8)));
-    algs.push(Box::new(topk_core::RowWiseTopK::default()));
-    algs.push(Box::new(topk_core::BucketedTopK::default()));
-    algs.push(Box::new(topk_core::TwoStageTopK::new(8, 256)));
-    algs.push(Box::new(topk_core::SelectK::default()));
-    algs
+    let mut algs: Vec<(&str, Box<dyn TopKAlgorithm>)> = topk_baselines::all_baselines()
+        .into_iter()
+        .map(|alg| ("", alg))
+        .collect();
+    algs.push(("", Box::new(AirTopK::default())));
+    algs.push(("b=8", Box::new(AirTopK::new(b8.clone()))));
+    algs.push(("", Box::new(topk_core::GridSelect::default())));
+    algs.push(("", Box::new(UnfusedRadix::default())));
+    algs.push(("b=8", Box::new(UnfusedRadix { bits_per_pass: 8 })));
+    algs.push(("", Box::new(topk_core::StreamingSelect::default())));
+    algs.push(("", Box::new(DrTopK::new(AirTopK::default()))));
+    algs.push(("", Box::new(RadiK::default())));
+    algs.push(("b=8", Box::new(RadiK::new(b8))));
+    algs.push(("", Box::new(topk_core::RowWiseTopK::default())));
+    algs.push(("", Box::new(topk_core::BucketedTopK::default())));
+    algs.push(("", Box::new(topk_core::TwoStageTopK::new(8, 256))));
+    algs.push(("", Box::new(topk_core::SelectK::default())));
+    algs.into_iter()
+        .map(|(settings, alg)| {
+            let tag = format!("{} {settings}", alg.name());
+            (tag.trim_end().to_string(), alg)
+        })
+        .collect()
 }
 
 /// Run one algorithm configuration under the full sanitizer and fold
-/// its findings into the summary.
+/// its findings, tagged with `name`, into the summary.
 fn sanitize_config(
+    name: &str,
     alg: &dyn TopKAlgorithm,
     n: usize,
     k: usize,
@@ -142,7 +161,7 @@ fn sanitize_config(
     let mut gpu = Gpu::new(DeviceSpec::a100());
     gpu.enable_sanitizer(SanitizerMode::full().with_contracts());
 
-    let tag = format!("{} N={n} K={k} batch={batch}", alg.name());
+    let tag = format!("{name} N={n} K={k} batch={batch}");
     let result = if batch == 1 {
         let data = datagen::generate(Distribution::Uniform, n, (n + k) as u64);
         let input = gpu.htod("in", &data);
@@ -171,7 +190,7 @@ fn sanitize_config(
     }
     println!(
         "{:<16} {:>9} {:>6} {:>6}  {}",
-        alg.name(),
+        name,
         n,
         k,
         batch,
@@ -338,17 +357,21 @@ pub fn run(matrix: &SanitizeMatrix) -> SanitizeSummary {
         "{:<16} {:>9} {:>6} {:>6}  result",
         "algorithm", "n", "k", "batch"
     );
-    for alg in gate_algorithms() {
+    for (name, alg) in gate_algorithms() {
         for &n in &matrix.ns {
             for &k in &matrix.ks {
                 if k > n || alg.max_k().is_some_and(|mk| k > mk) {
                     continue;
                 }
                 for &batch in &matrix.batches {
-                    sanitize_config(alg.as_ref(), n, k, batch, &mut summary);
+                    sanitize_config(&name, alg.as_ref(), n, k, batch, &mut summary);
                 }
             }
         }
+    }
+    let grid = topk_core::GridSelect::default();
+    for &(n, k, batch) in &matrix.grid_cells {
+        sanitize_config(grid.name(), &grid, n, k, batch, &mut summary);
     }
     for &seed in &matrix.chaos_seeds {
         sanitize_chaos_drain(seed, matrix.chaos_queries, &mut summary);
@@ -388,6 +411,7 @@ mod tests {
             ns: vec![4096],
             ks: vec![32],
             batches: vec![1, 2],
+            grid_cells: vec![(1 << 14, 8, 1)],
             chaos_seeds: vec![7],
             chaos_queries: 8,
             streaming_windows: vec![256],
@@ -410,6 +434,7 @@ mod tests {
         assert_eq!(full.ns, vec![1 << 16, 1 << 20]);
         assert_eq!(full.ks, vec![32, 1024]);
         assert_eq!(full.batches, vec![1, 32]);
+        assert_eq!(full.grid_cells, vec![(1 << 22, 32, 1)]);
         assert_eq!(full.chaos_seeds.len(), 3);
         assert_eq!(full.streaming_windows, vec![1 << 12, 1 << 16]);
         let smoke = SanitizeMatrix::smoke();
