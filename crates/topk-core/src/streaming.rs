@@ -20,7 +20,7 @@
 //! workload.
 
 use crate::error::TopKError;
-use crate::gridselect::{QueueKind, WarpState};
+use crate::gridselect::{queue_slots, QueueKind, WarpState};
 use crate::keys::RadixKey;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
@@ -54,12 +54,8 @@ impl WarpSelector {
     /// reproduce plain WarpSelect).
     pub fn with_queue(ctx: &mut BlockCtx<'_>, k: usize, queue: QueueKind) -> Self {
         assert!((1..=MAX_K).contains(&k), "k = {k} out of range 1..={MAX_K}");
-        let slots = match queue {
-            QueueKind::Shared { len } => len,
-            QueueKind::PerThread { len } => len * WARP_SIZE,
-        };
         WarpSelector {
-            state: WarpState::new(ctx, k, slots),
+            state: WarpState::new(ctx, k, queue_slots(queue)),
             queue,
             k,
         }
