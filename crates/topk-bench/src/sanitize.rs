@@ -136,7 +136,7 @@ fn gate_algorithms() -> Vec<(String, Box<dyn TopKAlgorithm>)> {
     algs.push(("", Box::new(DrTopK::new(AirTopK::default()))));
     algs.push(("", Box::new(RadiK::default())));
     algs.push(("b=8", Box::new(RadiK::new(b8))));
-    algs.push(("", Box::new(topk_core::RowWiseTopK::default())));
+    algs.push(("", Box::new(topk_core::RowWiseTopK)));
     algs.push(("", Box::new(topk_core::BucketedTopK::default())));
     algs.push(("", Box::new(topk_core::TwoStageTopK::new(8, 256))));
     algs.push(("", Box::new(topk_core::SelectK::default())));

@@ -86,7 +86,7 @@ impl Default for SelectK {
             air: AirTopK::default(),
             grid: GridSelect::default(),
             radik: RadiK::default(),
-            rowwise: RowWiseTopK::default(),
+            rowwise: RowWiseTopK,
             tuner: Some(Tuner::new()),
             small_k_threshold: 256,
             large_n_threshold: 1 << 16,

@@ -31,6 +31,7 @@ pub mod bitonic;
 pub mod bucketed;
 pub mod dispatch;
 pub mod error;
+mod filter;
 pub mod gridselect;
 pub mod keys;
 pub mod largest;
@@ -62,7 +63,7 @@ pub use radix::{MsbFirst, RadixTopK, Schedule, Sketched};
 pub use recall::{
     expected_recall, measured_recall, plan_bucketed, plan_two_stage, BucketedPlan, TwoStagePlan,
 };
-pub use rowwise::{RowWiseConfig, RowWiseTopK, ROWWISE_MAX_K};
+pub use rowwise::{RowWiseTopK, ROWWISE_MAX_K};
 pub use scratch::ScratchGuard;
 pub use streaming::{StreamingSelect, WarpSelector};
 pub use traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};

@@ -287,7 +287,7 @@ mod tests {
         let algs: [Box<dyn TopKAlgorithm>; 6] = [
             Box::new(AirTopK::default()),
             Box::new(RadiK::default()),
-            Box::new(RowWiseTopK::default()),
+            Box::new(RowWiseTopK),
             Box::new(TwoStageTopK::default()),
             Box::new(BucketedTopK::default()),
             Box::new(GridSelect::default()),
