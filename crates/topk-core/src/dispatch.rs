@@ -115,7 +115,7 @@ impl SelectK {
     }
 
     /// Seed the dispatcher with an existing tuner (for example one
-    /// whose plan table was loaded from disk).
+    /// already warmed by other traffic).
     pub fn with_tuner(tuner: Tuner) -> Self {
         SelectK {
             tuner: Some(tuner),
@@ -572,14 +572,13 @@ mod tests {
 
     #[test]
     fn unsupported_tuned_pick_falls_back_to_the_static_prior() {
-        // Force a plan that is invalid for the actual shape by loading
-        // a poisoned table: RowWise caps k at 2048, so a RowWise plan
+        // Force a plan that is invalid for the actual shape by caching
+        // a poisoned plan: RowWise caps k at 2048, so a RowWise plan
         // for a k=4096 bucket must fall back rather than fail.
         let tuner = Tuner::new();
         let shape = ProblemShape::new(16 * 1024, 4096, 1);
         let key = crate::tuner::PlanKey::of(&shape);
-        let mut table = crate::tuner::PlanTable::new();
-        table.insert(
+        tuner.insert(
             key,
             Plan {
                 algo: TunedAlgo::RowWise,
@@ -587,7 +586,6 @@ mod tests {
                 raw_us: 1.0,
             },
         );
-        tuner.load_table_text(&table.to_text()).unwrap();
         let s = SelectK::with_tuner(tuner);
 
         let mut gpu = Gpu::new(DeviceSpec::a100());

@@ -67,7 +67,7 @@ pub use rowwise::{RowWiseTopK, ROWWISE_MAX_K};
 pub use scratch::ScratchGuard;
 pub use streaming::{StreamingSelect, WarpSelector};
 pub use traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
-pub use tuner::{DistSketch, Plan, PlanKey, PlanTable, ProblemShape, TunedAlgo, Tuner};
+pub use tuner::{DistSketch, Plan, PlanKey, ProblemShape, TunedAlgo, Tuner};
 pub use twostage::TwoStageTopK;
 pub use unfused::UnfusedRadix;
 pub use verify::{reference_topk, verify_topk, verify_topk_typed, VerifyError};

@@ -14,9 +14,8 @@
 //! * Every batch routes through the [`SelectK`] **adaptive
 //!   dispatcher**, priced by its merged distribution sketch and real
 //!   `(N, K, B)` shape; measured latencies feed the tuner back, and the
-//!   warm plan table persists across drains
-//!   ([`TopKEngine::plan_table_text`]). Each query comes back as its
-//!   own [`QueryResult`]: a `Result` plus simulated queue wait and
+//!   warm plan table persists across drains. Each query comes back as
+//!   its own [`QueryResult`]: a `Result` plus simulated queue wait and
 //!   latency.
 //!
 //! Each scheduling step places the earliest-runnable batch on the
@@ -1011,13 +1010,6 @@ impl TopKEngine {
     /// table and calibration state accumulated over drains).
     pub fn selector(&self) -> &SelectK {
         &self.selector
-    }
-
-    /// The dispatcher's current plan table rendered as text (see
-    /// [`topk_core::tuner::PlanTable::to_text`]) — a warm table can be
-    /// persisted and loaded into a future deployment.
-    pub fn plan_table_text(&self) -> Option<String> {
-        self.selector.tuner().map(|t| t.table_text())
     }
 
     /// Deduplicated sanitizer findings over the engine's lifetime, one
