@@ -1049,23 +1049,23 @@ const AIR: &[(&str, [u64; 3])] = &[
 const RADIK_BATCH: &[(&str, [u64; 3])] = &[
     (
         "k=1",
-        [0x910bec67397aedd0, 0xb2fb9f56abb6d85c, 0x975b6cccf7ca1929],
+        [0x910bec67397aedd0, 0xc575c286dd963564, 0x975b6cccf7ca1929],
     ),
     (
         "k=32",
-        [0x048a71b2ce8c071c, 0x446a8d5669edf23e, 0x975b6cccf7ca1929],
+        [0x048a71b2ce8c071c, 0x63b31982fe56b561, 0x975b6cccf7ca1929],
     ),
     (
         "k=100",
-        [0xd3c79a512baf48df, 0x5fe7f0bb6939201f, 0x49fbae8fb54835ea],
+        [0xd3c79a512baf48df, 0xbacb00ca414fa0dd, 0x49fbae8fb54835ea],
     ),
     (
         "k=256",
-        [0x34ec9c193afdff2a, 0x4cd9a7a922b28391, 0x975b6cccf7ca1929],
+        [0x34ec9c193afdff2a, 0xfd68a55946dc2aee, 0x975b6cccf7ca1929],
     ),
     (
         "k=2048",
-        [0x7e06728cd187f28c, 0x76fad48a52fccef1, 0x49fbae8fb54835ea],
+        [0x7e06728cd187f28c, 0x1c0a912eeee9362f, 0x49fbae8fb54835ea],
     ),
 ];
 const ROWWISE_BATCH: &[(&str, [u64; 3])] = &[
@@ -1225,23 +1225,23 @@ const GRIDSELECT_F64_BATCH: &[(&str, [u64; 3])] = &[
 const RADIK_F64_BATCH: &[(&str, [u64; 3])] = &[
     (
         "k=1",
-        [0x18fd0c98c2f2c718, 0x00085257ec71f5c6, 0xb93ee84302badd52],
+        [0x18fd0c98c2f2c718, 0xbb8fb3a1fa0a2785, 0xb93ee84302badd52],
     ),
     (
         "k=32",
-        [0x89617689d4bfb23a, 0xd33b51a65e0b551a, 0xb93ee84302badd52],
+        [0x89617689d4bfb23a, 0xae65bda0c62dedbc, 0xb93ee84302badd52],
     ),
     (
         "k=100",
-        [0xdda63390666458be, 0xde39fd546609cc74, 0xb93ee84302badd52],
+        [0xdda63390666458be, 0x216c9c78f4bab48e, 0xb93ee84302badd52],
     ),
     (
         "k=256",
-        [0xca8f319cf6022ec8, 0x0a35bccf6edfb624, 0xb93ee84302badd52],
+        [0xca8f319cf6022ec8, 0x6bae7ac9577c4c90, 0xb93ee84302badd52],
     ),
     (
         "k=2048",
-        [0xc4e802f437e8adec, 0xd5a6f802dd932713, 0x70e6c3b5339c2468],
+        [0xc4e802f437e8adec, 0xa3208aeec5a84dfc, 0x70e6c3b5339c2468],
     ),
 ];
 const UNFUSED_B11_BATCH: &[(&str, [u64; 3])] = &[
@@ -1357,23 +1357,23 @@ const AIR_NO_EARLY_STOP_BATCH: &[(&str, [u64; 3])] = &[
 const RADIK_B8_BATCH: &[(&str, [u64; 3])] = &[
     (
         "k=1",
-        [0x910bec67397aedd0, 0x3292767e9c3b9c55, 0x624ae165e76f6367],
+        [0x910bec67397aedd0, 0x08ed2ac764d080ce, 0x624ae165e76f6367],
     ),
     (
         "k=32",
-        [0x048a71b2ce8c071c, 0xf461cf71937be3b8, 0x624ae165e76f6367],
+        [0x048a71b2ce8c071c, 0x7260257661c03f50, 0x624ae165e76f6367],
     ),
     (
         "k=100",
-        [0x591592bed2974dcb, 0xd9c023f1e3f6534f, 0xaaca0c5a843814a4],
+        [0x591592bed2974dcb, 0x01c471f0e7e72390, 0xaaca0c5a843814a4],
     ),
     (
         "k=256",
-        [0x373e0f7f7be60e9e, 0x55857e43f0708891, 0xaaca0c5a843814a4],
+        [0x373e0f7f7be60e9e, 0xc2e98d972d3f6a8c, 0xaaca0c5a843814a4],
     ),
     (
         "k=2048",
-        [0x7e06728cd187f28c, 0x00e42f29843a720e, 0xa580e30e89d0e06d],
+        [0x7e06728cd187f28c, 0xa2314a03fa11262a, 0xa580e30e89d0e06d],
     ),
 ];
 const AIR_F64_BATCH: &[(&str, [u64; 3])] = &[
