@@ -1,5 +1,6 @@
-//! Golden identity of the warp-select family and the radix and
-//! row-streaming selectors.
+//! Golden identity of the warp-select family, the radix and
+//! row-streaming selectors, and the host-driven partition baselines
+//! (RadixSelect, QuickSelect, BucketSelect, SampleSelect).
 //!
 //! The host implementation of these selectors (queue flush, list
 //! merge, fused radix passes, tile loads) may be rewritten for speed,
@@ -15,9 +16,10 @@
 //! call), so RadiK, RowWise, TwoStage, Bucketed and AIR's one-block
 //! and matrix paths are pinned too.
 //!
-//! All runs use a one-worker block pool. AIR places results through
-//! atomic output cursors, so its output *order* depends on the order
-//! blocks run in; with one worker that order is fixed.
+//! All runs use a one-worker block pool. AIR and the partition
+//! baselines place results through atomic output cursors, so their
+//! output *order* depends on the order blocks run in; with one worker
+//! that order is fixed.
 
 use gpu_topk::gpu_sim::{BlockPool, DeviceBuffer, DeviceScalar};
 use gpu_topk::prelude::*;
@@ -305,6 +307,26 @@ fn streaming_select_is_bit_identical() {
 #[test]
 fn air_topk_is_bit_identical() {
     check(&AirTopK::default(), AIR);
+}
+
+#[test]
+fn radixselect_is_bit_identical() {
+    check(&RadixSelect, RADIXSELECT);
+}
+
+#[test]
+fn quickselect_is_bit_identical() {
+    check(&QuickSelect::default(), QUICKSELECT);
+}
+
+#[test]
+fn bucketselect_is_bit_identical() {
+    check(&BucketSelect, BUCKETSELECT);
+}
+
+#[test]
+fn sampleselect_is_bit_identical() {
+    check(&SampleSelect, SAMPLESELECT);
 }
 
 #[test]
@@ -1488,5 +1510,337 @@ const ROWWISE_F64_MATRIX: &[(&str, [u64; 3])] = &[
     (
         "k=2048",
         [0xf6449b1664655444, 0x67646675e196f02e, 0x266cf5b510fdf08d],
+    ),
+];
+
+const RADIXSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xcbfb051e8043b5f3, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0xe70a3e92c9481bc7, 0x3ad7331ddcc490ec, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x0b9735fbb3e8db20, 0x100a1fdb5a0add52, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0x54e030f4611a55ee, 0xe72b944cca5c42ac, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=2048",
+        [0x100e57ec10f58fb8, 0x1a7252ff49b35a31, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x44e855ab0f5f4f76, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x81b3f4dcf8e6ed65, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0x8d622fa0f0700ddf, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0x02d8f518334f8d87, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0x10a05088b90714ee, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xafea21462e3f950c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x847b123eee01b121, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xa6d7befc8ca0408c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0xa4e375a21c416fe4, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0x916b34d3358e2e39, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x98a3d80b372a86fd, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x6795dc24e513ff41, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x7957ea7395606c09, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0xc52b58a9f726be14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x418dfb302f78ff42, 0x9ea83c51e996f5c4, 0xde9fa0da6fc22a85],
+    ),
+];
+
+const QUICKSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0xf764b04667e0995c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x67e4c3a21fcf5e54, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x29b46668d3bed348, 0x0754287103562f9b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0xd60a0747a71adb1a, 0x3f2300e002bdff08, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=2048",
+        [0x90d71bc97f209588, 0xed6170869fabcedc, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0xda299f654904e36c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x344c6456b36bf984, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0xd14a7b8b0cf55375, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0x927d5e52054802b6, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0xd63edd4a9110c3d3, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xa4661c9fd71535f2, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0xcb931f381a6f54d2, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xa9e9612b24138f61, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0xebe38d53e603d910, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0xfedb2f20e7e854bc, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x2aa3168bf58b4dcc, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0x0333ee80c8cb9fbc, 0xb50fa80cf58697a8, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x703e495df03d5638, 0x14d431ba355df0d2, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x9dfb12ea986e9e60, 0x9997baa8f9938e4a, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x817ef883e1639323, 0x1a159460ebe8d008, 0xde9fa0da6fc22a85],
+    ),
+];
+
+const BUCKETSELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x1c0aed4215e89950, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0x7ba99bcc3b84cd1f, 0xe15bfc4dbe55f56e, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x705b82375f5e6f78, 0x48bb2e94e23e0931, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0x44cfa09ef2466b62, 0x41b1da7ab045b7ee, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=2048",
+        [0x9e33cfde9d14753c, 0x532e046010a36943, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x24962eb09f800807, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x074cca25c148007f, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0x041faf992e977a94, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0xa1e69aa68da6c707, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0xd76dc89b495f0360, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xcca4cc0759b3ddbb, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x82252475ca78ba63, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xa92c41aea619cb14, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x4a6584507c485d3b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0xde7dcb4ebd09ae95, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x01b2722e076f11ea, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0xab0ceb76555e0832, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x657d18d31fc37fad, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0xcd30904fd2dcf3f3, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0xbe89e49712d7f1de, 0xb41460e61ee3d6c5, 0xde9fa0da6fc22a85],
+    ),
+];
+
+const SAMPLESELECT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x57cf0b3f245b478b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0xf15c6bd5418b8be3, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0x9da3132aee3ce3a4, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0xf315592554dbe6f1, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=2048",
+        [0x040dc9b11af2ca60, 0xd043db0519f51763, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0xa89a5e62214ecc49, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x5cc317f77ea8e061, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0x816c05ce66927d36, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0x2b49f26c33280d49, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0x23a2fa032addd540, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x0018bfd43d442deb, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x1fd68813ca52dae3, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0xf871283a43715674, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x928125c466666d6b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0x9e9d6c96a4c190a9, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x66dfebde60ee9598, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x3ed209f4689a1210, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x5529daeb0cb7c76f, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0x4058574952499492, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0xbe89e49712d7f1de, 0xc40b7948bed7f0b2, 0xde9fa0da6fc22a85],
     ),
 ];
