@@ -28,7 +28,7 @@
 pub mod bitonic_topk;
 pub mod blockselect;
 pub mod bucketselect;
-pub mod common;
+mod common;
 pub mod quickselect;
 pub mod radixselect;
 pub mod sampleselect;
