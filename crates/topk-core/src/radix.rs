@@ -18,7 +18,8 @@
 //!   rank.
 //!
 //! Whatever the schedule, `K = N` takes one copy kernel and rows of at
-//! most [`ONE_BLOCK_THRESHOLD`] elements take the one-block kernel.
+//! most [`ONE_BLOCK_THRESHOLD`] elements take the one-block kernel when
+//! their candidates fit one block's shared memory.
 //! One launch plan (`RadixPlan`) chooses the path and sizes every
 //! launch; the tuner prices the same plan.
 //!
@@ -92,8 +93,8 @@ pub const ONE_BLOCK_THRESHOLD: usize = 8192;
 pub(crate) enum Path {
     /// K = N: one copy kernel.
     CopyAll,
-    /// N ≤ [`ONE_BLOCK_THRESHOLD`]: one block per problem runs every
-    /// pass in shared memory.
+    /// N ≤ [`ONE_BLOCK_THRESHOLD`] and the candidates fit a block's
+    /// shared memory: one block per problem runs every pass there.
     OneBlock,
     /// The sketch (sketched only), every round, the last filter.
     MultiPass,
@@ -135,9 +136,10 @@ pub(crate) struct RadixPlan {
 
 impl RadixPlan {
     /// Plan `batch` problems of `n` keys of `key_bits` bits, selecting
-    /// `k` (`1 ≤ k ≤ n`) under `cfg`, with the sketched schedule or
-    /// MSB-first.
+    /// `k` (`1 ≤ k ≤ n`) under `cfg` on `spec`, with the sketched schedule
+    /// or MSB-first.
     pub(crate) fn new(
+        spec: &DeviceSpec,
         cfg: &AirConfig,
         n: usize,
         k: usize,
@@ -150,15 +152,19 @@ impl RadixPlan {
         // pass count bounds the rounds any schedule needs.
         let rounds = key_bits.div_ceil(b) as usize;
         let radix = 1usize << b;
+        // Each one-block candidate keeps its ordered key and index in
+        // shared memory; a device whose blocks cannot hold them all takes
+        // the multi-pass path.
+        let one_block_shared = n * (key_bits as usize / 8 + 4);
         let (path, chunk, block_dim, shared) = if k == n {
             (Path::CopyAll, 256 * 16, 256, 0)
-        } else if n <= ONE_BLOCK_THRESHOLD {
-            // Each candidate keeps its ordered key and index in shared
-            // memory.
-            (Path::OneBlock, n, 256, n * (key_bits as usize / 8 + 4))
+        } else if n <= ONE_BLOCK_THRESHOLD && one_block_shared <= spec.shared_mem_per_block {
+            (Path::OneBlock, n, 256, one_block_shared)
         } else {
-            let chunk = cfg.block_dim * cfg.items_per_thread;
-            (Path::MultiPass, chunk, cfg.block_dim, radix * 4)
+            // Blocks no larger than the device allows.
+            let block_dim = cfg.block_dim.min(spec.max_threads_per_block);
+            let chunk = block_dim * cfg.items_per_thread;
+            (Path::MultiPass, chunk, block_dim, radix * 4)
         };
         let bpp = n.div_ceil(chunk).max(1);
         RadixPlan {
@@ -476,7 +482,15 @@ impl<S: Schedule> RadixTopK<S> {
     ) -> Result<TypedOutput<T>, TopKError> {
         let n = inputs.n();
         check_args(self, n, k)?;
-        let plan = RadixPlan::new(&self.cfg, n, k, inputs.batch(), bits::<T>(), S::SKETCHED);
+        let plan = RadixPlan::new(
+            gpu.spec(),
+            &self.cfg,
+            n,
+            k,
+            inputs.batch(),
+            bits::<T>(),
+            S::SKETCHED,
+        );
         // Workspace and outputs are tracked by guards so every `?`
         // below releases the simulated allocations instead of leaking
         // them into the device's `mem_allocated` accounting.
@@ -1509,7 +1523,8 @@ mod tests {
                             (false, observed(spec, &air, &data, k, batch)),
                             (true, observed(spec, &radik, &data, k, batch)),
                         ] {
-                            let plan = RadixPlan::new(&cfg, n, k, batch, bits::<T>(), sketched);
+                            let plan =
+                                RadixPlan::new(spec, &cfg, n, k, batch, bits::<T>(), sketched);
                             let planned: Vec<_> = plan
                                 .launches(spec, DistSketch::uniform())
                                 .iter()
@@ -1521,8 +1536,11 @@ mod tests {
                 }
             }
         }
-        let spec = DeviceSpec::a100();
-        cases::<f32>(&spec);
-        cases::<f64>(&spec);
+        // test_tiny's 16 KiB blocks cannot hold 5,000 one-block
+        // candidates, and its blocks stop at 256 threads.
+        for spec in [DeviceSpec::a100(), DeviceSpec::test_tiny()] {
+            cases::<f32>(&spec);
+            cases::<f64>(&spec);
+        }
     }
 }

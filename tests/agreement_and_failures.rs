@@ -9,6 +9,7 @@
 //! shared-memory overflow — and, for the approximate configurations,
 //! the analytic recall bound.
 
+use gpu_topk::gpu_sim::{LaunchConfig, SimError};
 use gpu_topk::prelude::*;
 use topk_core::keys::RadixKey;
 use topk_core::{measured_recall, BucketedTopK, TwoStageTopK, UnfusedRadix};
@@ -248,17 +249,43 @@ fn injected_oom_mid_selection_leaks_no_scratch() {
 
 #[test]
 fn shared_memory_overflow_fails_loudly() {
-    // A one-block AIR selection needs n*8 bytes of shared memory;
-    // test_tiny has 16 KiB, so 4096 candidates cannot fit. The
-    // simulator must fault like an over-subscribed CUDA launch, not
-    // corrupt memory.
+    // A block that asks for more shared memory than the device has must
+    // fault like an over-subscribed CUDA launch, not corrupt memory.
+    // test_tiny has 16 KiB per block; 4096 key/index pairs need 32 KiB.
+    // (The radix selectors plan around that limit; see the next test.)
     let mut gpu = Gpu::new(DeviceSpec::test_tiny());
-    let data = datagen::generate(Distribution::Uniform, 4096, 2);
-    let input = gpu.htod("in", &data);
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        AirTopK::default().select(&mut gpu, &input, 10)
-    }));
-    assert!(r.is_err(), "launch exceeding shared memory must fault");
+    let r = gpu.try_launch("oversubscribed", LaunchConfig::grid_1d(1, 256), |ctx| {
+        ctx.shared_alloc::<u64>(4096);
+    });
+    assert!(
+        matches!(r, Err(SimError::SharedMemExceeded { .. })),
+        "launch exceeding shared memory must fault"
+    );
+}
+
+#[test]
+fn small_shared_memory_falls_back_from_the_one_block_path() {
+    // test_tiny has 16 KiB of shared memory per block and the one-block
+    // radix path keeps 8 bytes per f32 candidate, so these shapes do not
+    // fit it. AIR and RadiK must take the multi-pass path instead of
+    // failing the launch, and the tuner must still find a candidate.
+    for (n, k) in [(4096, 2048), (8192, 2048), (8192, 4096)] {
+        let data = datagen::generate(Distribution::Uniform, n, 7);
+        let algs: [Box<dyn TopKAlgorithm>; 3] = [
+            Box::new(AirTopK::default()),
+            Box::new(topk_core::RadiK::default()),
+            Box::new(topk_core::SelectK::default()),
+        ];
+        for alg in &algs {
+            let mut gpu = Gpu::new(DeviceSpec::test_tiny());
+            let input = gpu.htod("in", &data);
+            let out = alg
+                .try_select(&mut gpu, &input, k)
+                .unwrap_or_else(|e| panic!("{} n={n} k={k}: {e}", alg.name()));
+            verify_topk(&data, k, &out.values.to_vec(), &out.indices.to_vec())
+                .unwrap_or_else(|e| panic!("{} n={n} k={k}: {e}", alg.name()));
+        }
+    }
 }
 
 #[test]
