@@ -47,14 +47,7 @@ impl TopKAlgorithm for BitonicTopK {
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
         check_args(self, input.len(), k)?;
-        let mut ws = ScratchGuard::new();
-        let mut outs = ScratchGuard::new();
-        let r = run_rounds(gpu, &mut ws, &mut outs, input, k);
-        ws.release(gpu);
-        if r.is_err() {
-            outs.release(gpu);
-        }
-        r
+        ScratchGuard::scope(gpu, |gpu, ws, outs| run_rounds(gpu, ws, outs, input, k))
     }
 }
 

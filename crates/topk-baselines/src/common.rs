@@ -358,17 +358,11 @@ pub(crate) fn try_select<P: Partition>(
     k: usize,
 ) -> Result<TopKOutput, TopKError> {
     check_args(alg, input.len(), k)?;
-    let (mut ws, mut outs) = (ScratchGuard::new(), ScratchGuard::new());
-    let r = (|| {
-        let mut st = SelectionState::new(gpu, &mut ws, &mut outs, input, k, P::SCRATCH)?;
+    ScratchGuard::scope(gpu, |gpu, ws, outs| {
+        let mut st = SelectionState::new(gpu, ws, outs, input, k, P::SCRATCH)?;
         drive(alg, gpu, &mut st)?;
         Ok(TopKOutput::new(st.out.val, st.out.idx))
-    })();
-    ws.release(gpu);
-    if r.is_err() {
-        outs.release(gpu);
-    }
-    r
+    })
 }
 
 /// The loop and its terminal rules.

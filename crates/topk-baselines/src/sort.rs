@@ -45,14 +45,9 @@ fn segmented_sort(
     gpu: &mut Gpu,
     inputs: &[DeviceBuffer<f32>],
 ) -> Result<(DeviceBuffer<u32>, DeviceBuffer<u32>), TopKError> {
-    let mut ws = ScratchGuard::new();
-    let mut pp = ScratchGuard::new();
-    let r = segmented_sort_passes(gpu, &mut ws, &mut pp, inputs);
-    ws.release(gpu);
-    if r.is_err() {
-        pp.release(gpu);
-    }
-    r
+    ScratchGuard::scope(gpu, |gpu, ws, pp| {
+        segmented_sort_passes(gpu, ws, pp, inputs)
+    })
 }
 
 /// Pass loop of [`segmented_sort`]: histogram/scan workspace in `ws`
@@ -221,8 +216,7 @@ fn extract(
     batch: usize,
     k: usize,
 ) -> Result<Vec<TopKOutput>, TopKError> {
-    let mut ws = ScratchGuard::new();
-    let r = (|| {
+    ScratchGuard::scope(gpu, |gpu, ws, _| {
         let out_val = ws.alloc::<f32>(gpu, "sort_out_val", batch * k)?;
         let out_idx = ws.alloc::<u32>(gpu, "sort_out_idx", batch * k)?;
         let (sk, si) = (sorted_keys.clone(), sorted_idx.clone());
@@ -259,9 +253,7 @@ fn extract(
                 TopKOutput::new(values, indices)
             })
             .collect())
-    })();
-    ws.release(gpu);
-    r
+    })
 }
 
 impl TopKAlgorithm for SortTopK {

@@ -8,7 +8,7 @@ use datagen::Distribution;
 use gpu_sim::{DeviceSpec, Gpu};
 use std::hint::black_box;
 use topk_baselines::SortTopK;
-use topk_core::{AirTopK, GridSelect, SelectK, SelectLargest, TopKAlgorithm};
+use topk_core::{AirTopK, GridSelect, RowSelect, SelectK, SelectLargest, TopKAlgorithm};
 use topk_hybrid::DrTopK;
 
 fn sim_time(alg: &dyn TopKAlgorithm, data: &[f32], k: usize) -> f64 {

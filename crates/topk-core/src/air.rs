@@ -30,7 +30,7 @@
 
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
-use crate::matrix::Rows;
+use crate::matrix::{select_rows, Rows};
 pub use crate::radix::ONE_BLOCK_THRESHOLD;
 use crate::radix::{MsbFirst, RadixTopK};
 use crate::scratch::ScratchGuard;
@@ -106,13 +106,13 @@ impl AirTopK {
         input: &DeviceBuffer<T>,
         k: usize,
     ) -> Result<T, TopKError> {
-        let (vals, idx) = self.run_rows(gpu, Rows::Slices(std::slice::from_ref(input)), k)?;
-        let mut ws = ScratchGuard::new();
-        ws.adopt(&vals);
-        ws.adopt(&idx);
-        let kth = max_of(gpu, &mut ws, &vals);
-        ws.release(gpu);
-        kth
+        let rows = Rows::Slices(std::slice::from_ref(input));
+        let (vals, idx) = select_rows(self, gpu, rows, k)?;
+        ScratchGuard::scope(gpu, |gpu, ws, _| {
+            ws.adopt(&vals);
+            ws.adopt(&idx);
+            max_of(gpu, ws, &vals)
+        })
     }
 
     /// [`AirTopK::kth_value_typed`] for `f32`.

@@ -2,6 +2,7 @@
 //! readable (the suite is as long as the algorithm itself).
 
 use super::*;
+use crate::matrix::RowSelect;
 use crate::traits::TopKAlgorithm;
 use crate::verify::verify_topk;
 use datagen::{generate, Distribution};

@@ -20,14 +20,14 @@
 //! selection.
 
 use crate::error::TopKError;
-use crate::filter::{filter_block, filter_entry_points, FilterPlan};
+use crate::filter::{filter_block, FilterPlan};
 use crate::keys::RadixKey;
-use crate::matrix::Rows;
+use crate::matrix::{select_batch, select_one, RowSelect, Rows};
 use crate::obs;
 use crate::recall::{expected_recall_parts, BucketedPlan};
 use crate::scratch::ScratchGuard;
-use crate::traits::{check_args, Category, TopKAlgorithm, TypedOutput};
-use gpu_sim::{Footprint, Gpu, KernelContract};
+use crate::traits::{Category, TopKAlgorithm, TopKOutput, TypedOutput};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// The bucketed approximate selector (see module docs).
@@ -87,18 +87,23 @@ impl BucketedTopK {
         let plan = self.plan(k);
         expected_recall_parts(k, &plan.takes(k))
     }
+}
+
+impl<T: RadixKey> RowSelect<T> for BucketedTopK {
+    fn row_labels(&self) -> (&'static str, &'static str) {
+        ("bucketed_values", "bucketed_indices")
+    }
 
     /// One fused launch over the whole batch: `batch · buckets`
     /// blocks, each streaming its bucket through a top-`take`
-    /// candidate filter, packed `batch × k` outputs.
-    pub(crate) fn run_rows<T: RadixKey>(
+    /// candidate filter.
+    fn run_rows(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<TypedOutput<T>, TopKError> {
         let n = inputs.n();
-        check_args(self, n, k)?;
         let batch = inputs.batch();
         let key_bytes = std::mem::size_of::<T::Ordered>();
         let plan = FilterPlan::bucketed(gpu.spec(), n, k, batch, self.plan(k), key_bytes).map_err(
@@ -110,47 +115,37 @@ impl BucketedTopK {
         let stage = plan.stages[0];
         let (buckets, per_bucket) = (stage.parts, stage.take);
 
-        let mut outs = ScratchGuard::new();
-        let out_val = outs.alloc::<T>(gpu, "bucketed_out_val", batch * k)?;
-        let out_idx = match outs.alloc::<u32>(gpu, "bucketed_out_idx", batch * k) {
-            Ok(b) => b,
-            Err(e) => {
-                outs.release(gpu);
-                return Err(e);
-            }
-        };
-
-        let (ov, oi) = (out_val.clone(), out_idx.clone());
-        // The `buckets` blocks of one row partition that row's k output
-        // slots by a static take-split; group-affine, not block-affine,
-        // so the write is declared row-coordinated.
-        let contract = inputs
-            .declare_reads(KernelContract::new("bucketed_topk_kernel"))
-            .writes_shared(&ov, Footprint::per_group(buckets, k))
-            .writes_shared(&oi, Footprint::per_group(buckets, k))
-            .uses_shared_mem(stage.shared_bytes());
-        let launched = gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
-            let row = ctx.block_idx / buckets;
-            let bucket = ctx.block_idx % buckets;
-            // Contiguous even split; the last bucket keeps the
-            // remainder winners so row outputs total exactly k.
-            let lo = bucket * n / buckets;
-            let hi = (bucket + 1) * n / buckets;
-            let take = if bucket + 1 == buckets {
-                k - (buckets - 1) * per_bucket
-            } else {
-                per_bucket
-            };
-            let items = inputs.tile(ctx, row, lo, hi).into_iter().map(T::to_ordered);
-            let kept = filter_block(ctx, items.zip(lo as u32..), take, stage.cap);
-            kept.store(ctx, (&ov, &oi), row * k + bucket * per_bucket);
-        });
-        if let Err(e) = launched {
-            outs.release(gpu);
-            return Err(e.into());
-        }
-        obs::counters().bucketed_selections.fetch_add(1, Relaxed);
-        Ok((out_val, out_idx))
+        ScratchGuard::scope(gpu, |gpu, _, outs| {
+            let out_val = outs.alloc::<T>(gpu, "bucketed_out_val", batch * k)?;
+            let out_idx = outs.alloc::<u32>(gpu, "bucketed_out_idx", batch * k)?;
+            let (ov, oi) = (out_val.clone(), out_idx.clone());
+            // The `buckets` blocks of one row partition that row's k
+            // output slots by a static take-split; group-affine, not
+            // block-affine, so the write is declared row-coordinated.
+            let contract = inputs
+                .declare_reads(KernelContract::new("bucketed_topk_kernel"))
+                .writes_shared(&ov, Footprint::per_group(buckets, k))
+                .writes_shared(&oi, Footprint::per_group(buckets, k))
+                .uses_shared_mem(stage.shared_bytes());
+            gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
+                let row = ctx.block_idx / buckets;
+                let bucket = ctx.block_idx % buckets;
+                // Contiguous even split; the last bucket keeps the
+                // remainder winners so row outputs total exactly k.
+                let lo = bucket * n / buckets;
+                let hi = (bucket + 1) * n / buckets;
+                let take = if bucket + 1 == buckets {
+                    k - (buckets - 1) * per_bucket
+                } else {
+                    per_bucket
+                };
+                let items = inputs.tile(ctx, row, lo, hi).into_iter().map(T::to_ordered);
+                let kept = filter_block(ctx, items.zip(lo as u32..), take, stage.cap);
+                kept.store(ctx, (&ov, &oi), row * k + bucket * per_bucket);
+            })?;
+            obs::counters().bucketed_selections.fetch_add(1, Relaxed);
+            Ok((out_val, out_idx))
+        })
     }
 }
 
@@ -163,7 +158,23 @@ impl TopKAlgorithm for BucketedTopK {
         Category::PartitionBased
     }
 
-    filter_entry_points!(("bucketed_values", "bucketed_indices"));
+    fn try_select(
+        &self,
+        gpu: &mut Gpu,
+        input: &DeviceBuffer<f32>,
+        k: usize,
+    ) -> Result<TopKOutput, TopKError> {
+        select_one(self, gpu, input, k)
+    }
+
+    fn try_select_batch(
+        &self,
+        gpu: &mut Gpu,
+        inputs: &[DeviceBuffer<f32>],
+        k: usize,
+    ) -> Result<Vec<TopKOutput>, TopKError> {
+        select_batch(self, gpu, inputs, k)
+    }
 }
 
 #[cfg(test)]

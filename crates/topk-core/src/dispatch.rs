@@ -35,10 +35,10 @@ use crate::air::{AirConfig, AirTopK};
 use crate::bucketed::BucketedTopK;
 use crate::error::TopKError;
 use crate::gridselect::{GridSelect, MAX_K as GRID_MAX_K};
-use crate::matrix::{DeviceMatrix, Rows};
+use crate::matrix::{DeviceMatrix, RowSelect, Rows};
 use crate::radik::RadiK;
 use crate::rowwise::RowWiseTopK;
-use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
+use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
 use crate::tuner::{DistSketch, Plan, ProblemShape, TunedAlgo, Tuner};
 use crate::twostage::TwoStageTopK;
 use gpu_sim::{DeviceBuffer, DeviceSpec, Gpu};
@@ -278,13 +278,11 @@ impl SelectK {
         k: usize,
         sketch: DistSketch,
     ) -> Result<PackedOutput, TopKError> {
-        check_matrix(self, input)?;
-        check_args(self, input.cols(), k)?;
-        let shape = ProblemShape::new(input.cols(), k, input.rows()).with_sketch(sketch);
-        let packed = self.routed(gpu, &shape, |s, gpu| {
-            s.select_rows(gpu, Rows::Matrix(input), k)
-        })?;
-        Ok(pack(packed, input.rows(), k))
+        // Checked before routing, so an empty matrix is never planned.
+        let n = Rows::Matrix(input).check(self)?;
+        check_args(self, n, k)?;
+        let shape = ProblemShape::new(n, k, input.rows()).with_sketch(sketch);
+        self.routed(gpu, &shape, |s, gpu| s.run_matrix_typed(gpu, input, k))
     }
 
     /// [`Self::try_select_matrix_with_sketch`] with the configuration
@@ -298,68 +296,12 @@ impl SelectK {
         k: usize,
         algo: TunedAlgo,
     ) -> Result<PackedOutput, TopKError> {
-        check_matrix(self, input)?;
-        let packed = self.with_selector(algo, |s| s.select_rows(gpu, Rows::Matrix(input), k))?;
-        Ok(pack(packed, input.rows(), k))
+        self.with_selector(algo, |s| s.run_matrix_typed(gpu, input, k))
     }
 }
 
 /// Packed `rows × k` values and indices of a matrix-shaped selection.
 pub type PackedOutput = (DeviceMatrix<f32>, DeviceMatrix<u32>);
-
-/// A matrix input needs at least one row.
-fn check_matrix(alg: &dyn TopKAlgorithm, input: &DeviceMatrix<f32>) -> Result<(), TopKError> {
-    if input.rows() == 0 {
-        return Err(TopKError::UnsupportedShape {
-            algorithm: alg.name(),
-            detail: "empty matrix".into(),
-        });
-    }
-    Ok(())
-}
-
-fn pack((values, indices): TypedOutput<f32>, rows: usize, k: usize) -> PackedOutput {
-    (
-        DeviceMatrix::from_buffer(values, rows, k),
-        DeviceMatrix::from_buffer(indices, rows, k),
-    )
-}
-
-/// The selectors the dispatcher routes between, as one interface: the
-/// public single and batched entry points, plus the packed `rows × k`
-/// core behind the matrix entry points.
-trait RowSelect: TopKAlgorithm {
-    fn select_rows(
-        &self,
-        gpu: &mut Gpu,
-        rows: Rows<'_, f32>,
-        k: usize,
-    ) -> Result<TypedOutput<f32>, TopKError>;
-}
-
-macro_rules! row_select {
-    ($($algo:ty),+) => {$(
-        impl RowSelect for $algo {
-            fn select_rows(
-                &self,
-                gpu: &mut Gpu,
-                rows: Rows<'_, f32>,
-                k: usize,
-            ) -> Result<TypedOutput<f32>, TopKError> {
-                self.run_rows(gpu, rows, k)
-            }
-        }
-    )+};
-}
-
-row_select!(
-    AirTopK,
-    GridSelect,
-    RadiK,
-    RowWiseTopK,
-    BucketedTopK,
-    TwoStageTopK
-);
 
 impl TopKAlgorithm for SelectK {
     fn name(&self) -> &'static str {

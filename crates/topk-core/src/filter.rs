@@ -284,46 +284,10 @@ impl FilterPlan {
     }
 }
 
-/// The `try_select` and `try_select_batch` of a filter-family selector
-/// with a packed `run_rows`: a single input is one row; a batch is
-/// split into one output per row, labelled `labels`.
-macro_rules! filter_entry_points {
-    ($labels:expr) => {
-        fn try_select(
-            &self,
-            gpu: &mut ::gpu_sim::Gpu,
-            input: &::gpu_sim::DeviceBuffer<f32>,
-            k: usize,
-        ) -> Result<$crate::TopKOutput, $crate::TopKError> {
-            let rows = $crate::matrix::Rows::Slices(std::slice::from_ref(input));
-            let (values, indices) = self.run_rows(gpu, rows, k)?;
-            Ok($crate::TopKOutput::new(values, indices))
-        }
-
-        fn try_select_batch(
-            &self,
-            gpu: &mut ::gpu_sim::Gpu,
-            inputs: &[::gpu_sim::DeviceBuffer<f32>],
-            k: usize,
-        ) -> Result<Vec<$crate::TopKOutput>, $crate::TopKError> {
-            let n = $crate::check_batch(self, inputs)?;
-            $crate::check_args(self, n, k)?;
-            let packed = self.run_rows(gpu, $crate::matrix::Rows::Slices(inputs), k)?;
-            Ok(
-                $crate::matrix::split_rows(gpu, packed, inputs.len(), $labels)
-                    .into_iter()
-                    .map(|(values, indices)| $crate::TopKOutput::new(values, indices))
-                    .collect(),
-            )
-        }
-    };
-}
-pub(crate) use filter_entry_points;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Rows;
+    use crate::matrix::{RowSelect, Rows};
     use crate::{BucketedTopK, RowWiseTopK, TwoStageTopK};
     use gpu_sim::Gpu;
     use proptest::prelude::*;

@@ -37,16 +37,16 @@
 use crate::bitonic::{merge_into_topk, sort_queue};
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
-use crate::matrix::{split_rows, Rows};
+use crate::matrix::{select_batch, select_one, split_rows, RowSelect, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
-use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
+use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use gpu_sim::cost::kernel_cost;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::warp::{ballot, Lanes};
 use gpu_sim::{
-    BlockCtx, DeviceBuffer, DeviceScalar, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats,
-    LaunchConfig, PlannedLaunch,
+    BlockCtx, DeviceBuffer, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats, LaunchConfig,
+    PlannedLaunch,
 };
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -182,7 +182,8 @@ impl GridSelect {
         P: Fn(&mut BlockCtx<'_>, usize) -> f32 + Sync,
         D: Fn(KernelContract) -> KernelContract,
     {
-        let mut outs = select_streaming_core(
+        check_args(self, n, k)?;
+        let (values, indices) = select_streaming_core_typed(
             gpu,
             "gridselect_fused_kernel",
             n,
@@ -191,102 +192,23 @@ impl GridSelect {
             &self.cfg,
             |ctx, _prob, i| producer(ctx, i),
             declare_reads,
-        )?;
-        outs.pop().ok_or_else(|| TopKError::UnsupportedShape {
-            algorithm: self.name(),
-            detail: "batch of one produced no output".into(),
-        })
+        )?
+        .swap_remove(0);
+        Ok(TopKOutput::new(values, indices))
+    }
+}
+
+impl<T: RadixKey> RowSelect<T> for GridSelect {
+    fn row_labels(&self) -> (&'static str, &'static str) {
+        OUT_LABELS
     }
 
-    /// Solve a batch with a single launch set.
-    pub fn run_batch(
-        &self,
-        gpu: &mut Gpu,
-        inputs: &[DeviceBuffer<f32>],
-        k: usize,
-    ) -> Result<Vec<TopKOutput>, TopKError> {
-        let n = check_batch(self, inputs)?;
-        check_args(self, n, k)?;
-        select_slices(gpu, "gridselect_kernel", inputs, k, &self.cfg, true)
-    }
-
-    /// Generic-key batched selection (`f32/u32/i32/f64/u64/i64`), like
-    /// [`crate::AirTopK::run_batch_typed`]. Note that 64-bit keys
-    /// double the shared-memory footprint of the per-warp lists, which
-    /// costs occupancy.
-    pub fn run_batch_typed<T>(
-        &self,
-        gpu: &mut Gpu,
-        inputs: &[DeviceBuffer<T>],
-        k: usize,
-    ) -> Result<Vec<TypedOutput<T>>, TopKError>
-    where
-        T: RadixKey,
-        T::Ordered: DeviceScalar,
-    {
-        let Some(first) = inputs.first() else {
-            return Err(TopKError::UnsupportedShape {
-                algorithm: self.name(),
-                detail: "empty batch".into(),
-            });
-        };
-        let n = first.len();
-        if let Some(bad) = inputs.iter().find(|b| b.len() != n) {
-            return Err(TopKError::UnsupportedShape {
-                algorithm: self.name(),
-                detail: format!(
-                    "batched inputs must share one length, got {n} and {}",
-                    bad.len()
-                ),
-            });
-        }
-        let packed = select_rows_core(
-            gpu,
-            "gridselect_kernel",
-            Rows::Slices(inputs),
-            k,
-            &self.cfg,
-            true,
-        )?;
-        Ok(split_rows(gpu, packed, inputs.len(), OUT_LABELS))
-    }
-
-    /// Matrix-shaped batched selection (RAFT `matrix::select_k`
-    /// parity): one contiguous `rows × cols` input, per-row top-K.
-    pub fn run_matrix_typed<T>(
-        &self,
-        gpu: &mut Gpu,
-        input: &crate::matrix::DeviceMatrix<T>,
-        k: usize,
-    ) -> Result<Vec<TypedOutput<T>>, TopKError>
-    where
-        T: RadixKey,
-        T::Ordered: DeviceScalar,
-    {
-        let packed = select_rows_core(
-            gpu,
-            "gridselect_kernel",
-            Rows::Matrix(input),
-            k,
-            &self.cfg,
-            true,
-        )?;
-        Ok(split_rows(gpu, packed, input.rows(), OUT_LABELS))
-    }
-
-    /// The packed `rows × k` core over either row shape, for the
-    /// dispatcher's matrix entry point.
-    pub(crate) fn run_rows<T>(
+    fn run_rows(
         &self,
         gpu: &mut Gpu,
         rows: Rows<'_, T>,
         k: usize,
-    ) -> Result<TypedOutput<T>, TopKError>
-    where
-        T: RadixKey,
-        T::Ordered: DeviceScalar,
-    {
-        check_args(self, rows.n(), k)?;
+    ) -> Result<TypedOutput<T>, TopKError> {
         select_rows_core(gpu, "gridselect_kernel", rows, k, &self.cfg, true)
     }
 }
@@ -314,11 +236,7 @@ impl TopKAlgorithm for GridSelect {
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
-        let mut outs = self.run_batch(gpu, std::slice::from_ref(input), k)?;
-        outs.pop().ok_or_else(|| TopKError::UnsupportedShape {
-            algorithm: self.name(),
-            detail: "batch of one produced no output".into(),
-        })
+        select_one(self, gpu, input, k)
     }
 
     fn try_select_batch(
@@ -327,7 +245,7 @@ impl TopKAlgorithm for GridSelect {
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
-        self.run_batch(gpu, inputs, k)
+        select_batch(self, gpu, inputs, k)
     }
 }
 
@@ -455,36 +373,7 @@ pub fn select_partial_core(
     k: usize,
     cfg: &GridSelectConfig,
 ) -> Result<Vec<TopKOutput>, TopKError> {
-    let Some(first) = inputs.first() else {
-        return Err(TopKError::UnsupportedShape {
-            algorithm: CORE_NAME,
-            detail: "empty batch".into(),
-        });
-    };
-    let n = first.len();
-    if let Some(bad) = inputs.iter().find(|b| b.len() != n) {
-        return Err(TopKError::UnsupportedShape {
-            algorithm: CORE_NAME,
-            detail: format!(
-                "batched inputs must share one length, got {n} and {}",
-                bad.len()
-            ),
-        });
-    }
-    select_slices(gpu, name, inputs, k, cfg, false)
-}
-
-/// One batch of equal-length buffers through [`select_rows_core`],
-/// split into one output per input.
-fn select_slices(
-    gpu: &mut Gpu,
-    name: &str,
-    inputs: &[DeviceBuffer<f32>],
-    k: usize,
-    cfg: &GridSelectConfig,
-    shared_bound: bool,
-) -> Result<Vec<TopKOutput>, TopKError> {
-    let packed = select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg, shared_bound)?;
+    let packed = select_rows_core(gpu, name, Rows::Slices(inputs), k, cfg, false)?;
     Ok(split_rows(gpu, packed, inputs.len(), OUT_LABELS)
         .into_iter()
         .map(|(values, indices)| TopKOutput::new(values, indices))
@@ -503,7 +392,6 @@ fn select_rows_core<T>(
 ) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
-    T::Ordered: DeviceScalar,
 {
     select_groups_core(
         gpu,
@@ -529,35 +417,10 @@ where
 /// element index (lockstep within warps) and may do arbitrary metered
 /// work, e.g. compute a query-to-vector distance; the produced value
 /// never needs to exist in device memory. Runs GridSelect's kernel,
-/// block-shared k-th bound included.
-#[allow(clippy::too_many_arguments)]
-pub fn select_streaming_core<P, D>(
-    gpu: &mut Gpu,
-    name: &str,
-    n: usize,
-    batch: usize,
-    k: usize,
-    cfg: &GridSelectConfig,
-    producer: P,
-    declare_reads: D,
-) -> Result<Vec<TopKOutput>, TopKError>
-where
-    P: Fn(&mut BlockCtx<'_>, usize, usize) -> f32 + Sync,
-    D: Fn(KernelContract) -> KernelContract,
-{
-    Ok(
-        select_streaming_core_typed(gpu, name, n, batch, k, cfg, producer, declare_reads)?
-            .into_iter()
-            .map(|(values, indices)| TopKOutput::new(values, indices))
-            .collect(),
-    )
-}
-
-/// Generic-key variant of [`select_streaming_core`]: the producer may
-/// return any [`RadixKey`] type (`f32/u32/i32/f64/u64/i64`). 64-bit
-/// keys double the per-warp shared-memory footprint, which the cost
-/// model turns into lower occupancy — the same trade a real
-/// implementation makes.
+/// block-shared k-th bound included. The producer may return any
+/// [`RadixKey`] type (`f32/u32/i32/f64/u64/i64`); 64-bit keys double
+/// the per-warp shared-memory footprint, which the cost model turns
+/// into lower occupancy — the same trade a real implementation makes.
 #[allow(clippy::too_many_arguments)]
 pub fn select_streaming_core_typed<T, P, D>(
     gpu: &mut Gpu,
@@ -571,7 +434,6 @@ pub fn select_streaming_core_typed<T, P, D>(
 ) -> Result<Vec<TypedOutput<T>>, TopKError>
 where
     T: RadixKey,
-    T::Ordered: DeviceScalar,
     P: Fn(&mut BlockCtx<'_>, usize, usize) -> T + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {
@@ -604,7 +466,6 @@ fn select_groups_core<T, G, D>(
 ) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
-    T::Ordered: DeviceScalar,
     G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [T::Ordered]) + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {
@@ -626,26 +487,21 @@ where
         std::mem::size_of::<T::Ordered>(),
         shared_bound,
     );
-    let mut ws = ScratchGuard::new();
-    let mut outs = ScratchGuard::new();
-    let r = streaming_core_launches(
-        gpu,
-        &mut ws,
-        &mut outs,
-        name,
-        &plan,
-        n,
-        k,
-        cfg,
-        shared_bound,
-        fill,
-        declare_reads,
-    );
-    ws.release(gpu);
-    if r.is_err() {
-        outs.release(gpu);
-    }
-    r
+    ScratchGuard::scope(gpu, |gpu, ws, outs| {
+        streaming_core_launches(
+            gpu,
+            ws,
+            outs,
+            name,
+            &plan,
+            n,
+            k,
+            cfg,
+            shared_bound,
+            fill,
+            declare_reads,
+        )
+    })
 }
 
 /// Threads per block of `gridselect_merge_kernel`.
@@ -845,7 +701,6 @@ fn streaming_core_launches<T, G, D>(
 ) -> Result<TypedOutput<T>, TopKError>
 where
     T: RadixKey,
-    T::Ordered: DeviceScalar,
     G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [T::Ordered]) + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {

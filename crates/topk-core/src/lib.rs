@@ -56,7 +56,7 @@ pub use error::TopKError;
 pub use gridselect::{GridSelect, GridSelectConfig, QueueKind};
 pub use keys::RadixKey;
 pub use largest::{reference_largest, SelectLargest};
-pub use matrix::DeviceMatrix;
+pub use matrix::{DeviceMatrix, RowSelect};
 pub use obs::{AlgoCounters, AlgoSnapshot};
 pub use radik::RadiK;
 pub use radix::{MsbFirst, RadixTopK, Schedule, Sketched};

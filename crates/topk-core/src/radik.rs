@@ -57,6 +57,7 @@ pub type RadiK = RadixTopK<Sketched>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::RowSelect;
     use crate::obs;
     use crate::traits::TopKAlgorithm;
     use crate::verify::verify_topk;

@@ -32,10 +32,10 @@ use crate::error::TopKError;
 use crate::keys::{
     common_prefix_len_of, digit_at, digit_width_of, prefix_of, OrderedBits, RadixKey,
 };
-use crate::matrix::{split_rows, Candidates, DeviceMatrix, Rows};
+use crate::matrix::{select_batch, select_one, Candidates, RowSelect, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
-use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
+use crate::traits::{Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use crate::tuner::DistSketch;
 use gpu_sim::{
     BlockCtx, DeviceBuffer, DeviceScalar, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats,
@@ -348,6 +348,8 @@ pub(crate) mod sealed {
         const NAME: &'static str;
         /// Prefix of the workspace and output labels.
         const LABEL: &'static str;
+        /// Labels of the per-row pieces of a batch's outputs.
+        const ROW_LABELS: (&'static str, &'static str);
         /// Label of the kth-prefix buffer.
         const PREFIXES: &'static str;
         /// Names of the round kernel and of the last filter kernel.
@@ -368,6 +370,7 @@ pub struct MsbFirst;
 impl sealed::Sealed for MsbFirst {
     const NAME: &'static str = "AIR Top-K";
     const LABEL: &'static str = "air";
+    const ROW_LABELS: (&'static str, &'static str) = ("air_values", "air_indices");
     const PREFIXES: &'static str = "air_prefixes";
     const KERNELS: [&'static str; 2] = ["iteration_fused_kernel", "last_filter_kernel"];
     const SKETCHED: bool = false;
@@ -384,6 +387,7 @@ pub struct Sketched;
 impl sealed::Sealed for Sketched {
     const NAME: &'static str = "RadiK";
     const LABEL: &'static str = "radik";
+    const ROW_LABELS: (&'static str, &'static str) = ("radik_values", "radik_indices");
     const PREFIXES: &'static str = "radik_pvals";
     const KERNELS: [&'static str; 2] = ["radik_round_kernel", "radik_last_filter_kernel"];
     const SKETCHED: bool = true;
@@ -425,63 +429,20 @@ impl<S: Schedule> RadixTopK<S> {
     pub fn config(&self) -> &AirConfig {
         &self.cfg
     }
+}
 
-    /// Generic-key batched selection: any [`RadixKey`] type (`f32`,
-    /// `u32`, `i32`, and their 64-bit kin) works — the algorithm
-    /// operates on order-preserving bits throughout, like RAFT's
-    /// dtype-templated `select_k`. All problems share N and K; one set
-    /// of launches solves them all. Returns `(values, indices)`
-    /// buffers per problem.
-    pub fn run_batch_typed<T: RadixKey>(
-        &self,
-        gpu: &mut Gpu,
-        inputs: &[DeviceBuffer<T>],
-        k: usize,
-    ) -> Result<Vec<TypedOutput<T>>, TopKError> {
-        check_batch(self, inputs)?;
-        let packed = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        let (values, indices) = (
-            format!("{}_values", S::LABEL),
-            format!("{}_indices", S::LABEL),
-        );
-        Ok(split_rows(gpu, packed, inputs.len(), (&values, &indices)))
+impl<S: Schedule, T: RadixKey> RowSelect<T> for RadixTopK<S> {
+    fn row_labels(&self) -> (&'static str, &'static str) {
+        S::ROW_LABELS
     }
 
-    /// Matrix-shaped batched selection (RAFT `matrix::select_k`
-    /// parity): input is one contiguous `rows × cols` device matrix;
-    /// outputs come back as packed `rows × k` matrices with no per-row
-    /// reshaping.
-    pub fn run_matrix_typed<T: RadixKey>(
-        &self,
-        gpu: &mut Gpu,
-        input: &DeviceMatrix<T>,
-        k: usize,
-    ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError> {
-        let rows = input.rows();
-        if rows < 1 {
-            return Err(TopKError::UnsupportedShape {
-                algorithm: self.name(),
-                detail: "empty matrix".into(),
-            });
-        }
-        let (out_val, out_idx) = self.run_rows(gpu, Rows::Matrix(input), k)?;
-        let width = out_val.len() / rows;
-        Ok((
-            DeviceMatrix::from_buffer(out_val, rows, width),
-            DeviceMatrix::from_buffer(out_idx, rows, width),
-        ))
-    }
-
-    /// The shared implementation: outputs are packed row-major
-    /// `batch × k` buffers.
-    pub(crate) fn run_rows<T: RadixKey>(
+    fn run_rows(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<TypedOutput<T>, TopKError> {
         let n = inputs.n();
-        check_args(self, n, k)?;
         let plan = RadixPlan::new(
             gpu.spec(),
             &self.cfg,
@@ -494,34 +455,28 @@ impl<S: Schedule> RadixTopK<S> {
         // Workspace and outputs are tracked by guards so every `?`
         // below releases the simulated allocations instead of leaking
         // them into the device's `mem_allocated` accounting.
-        let (mut ws, mut outs) = (ScratchGuard::new(), ScratchGuard::new());
-        let r = match plan.path {
+        ScratchGuard::scope(gpu, |gpu, ws, outs| match plan.path {
             // Trivial selection (§3.3's observation applied at the API
             // boundary): every element is a result, so a single copy
             // kernel suffices. The host knows K and N, no device work
             // is needed to decide this.
-            Path::CopyAll => Self::copy_all(gpu, &mut outs, inputs, &plan),
+            Path::CopyAll => Self::copy_all(gpu, outs, inputs, &plan),
             // A sketch pass can't pay for itself here either.
-            Path::OneBlock => self.one_block(gpu, &mut outs, inputs, k, &plan),
+            Path::OneBlock => self.one_block(gpu, outs, inputs, k, &plan),
             Path::MultiPass => {
-                let m = Passes::<S, T>::alloc(&self.cfg, plan, gpu, &mut ws, &mut outs, inputs);
-                m.and_then(|m| {
-                    m.launch_sketch(gpu)?;
-                    for round in 0..m.plan.rounds {
-                        m.launch_round(gpu, round)?;
-                    }
-                    m.launch_last_filter(gpu)?;
-                    Ok((m.out_val, m.out_idx))
-                })
+                let m = Passes::<S, T>::alloc(&self.cfg, plan, gpu, ws, outs, inputs)?;
+                m.launch_sketch(gpu)?;
+                for round in 0..m.plan.rounds {
+                    m.launch_round(gpu, round)?;
+                }
+                m.launch_last_filter(gpu)?;
+                Ok((m.out_val, m.out_idx))
             }
-        };
-        ws.release(gpu);
-        if r.is_err() {
-            outs.release(gpu);
-        }
-        r
+        })
     }
+}
 
+impl<S: Schedule> RadixTopK<S> {
     /// K = N: copy everything out with identity indices, one coalesced
     /// kernel for the whole batch.
     fn copy_all<T: RadixKey>(
@@ -673,8 +628,7 @@ impl<S: Schedule> TopKAlgorithm for RadixTopK<S> {
         input: &DeviceBuffer<f32>,
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
-        let (values, indices) = self.run_rows(gpu, Rows::Slices(std::slice::from_ref(input)), k)?;
-        Ok(TopKOutput::new(values, indices))
+        select_one(self, gpu, input, k)
     }
 
     fn try_select_batch(
@@ -683,11 +637,7 @@ impl<S: Schedule> TopKAlgorithm for RadixTopK<S> {
         inputs: &[DeviceBuffer<f32>],
         k: usize,
     ) -> Result<Vec<TopKOutput>, TopKError> {
-        Ok(self
-            .run_batch_typed(gpu, inputs, k)?
-            .into_iter()
-            .map(|(values, indices)| TopKOutput::new(values, indices))
-            .collect())
+        select_batch(self, gpu, inputs, k)
     }
 }
 

@@ -28,14 +28,13 @@
 //! at least 1024 candidates, which amortises compactions for tiny K.
 
 use crate::error::TopKError;
-use crate::filter::{filter_block, filter_entry_points, FilterPlan};
+use crate::filter::{filter_block, FilterPlan};
 use crate::keys::RadixKey;
-use crate::matrix::DeviceMatrix;
-use crate::matrix::Rows;
+use crate::matrix::{select_batch, select_one, RowSelect, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
-use crate::traits::{check_args, Category, TopKAlgorithm, TypedOutput};
-use gpu_sim::{Footprint, Gpu, KernelContract};
+use crate::traits::{Category, TopKAlgorithm, TopKOutput, TypedOutput};
+use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Largest K the fused row-wise path supports: the candidate buffer
@@ -58,39 +57,19 @@ pub const ROWWISE_MAX_K: usize = 2048;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RowWiseTopK;
 
-impl RowWiseTopK {
-    /// Matrix-shaped entry point: row-wise top-K over a contiguous
-    /// `rows × cols` device matrix, outputs packed `rows × k`.
-    pub fn run_matrix_typed<T: RadixKey>(
-        &self,
-        gpu: &mut Gpu,
-        input: &DeviceMatrix<T>,
-        k: usize,
-    ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError> {
-        let rows = input.rows();
-        if rows < 1 {
-            return Err(TopKError::UnsupportedShape {
-                algorithm: self.name(),
-                detail: "empty matrix".into(),
-            });
-        }
-        let (out_val, out_idx) = self.run_rows(gpu, Rows::Matrix(input), k)?;
-        Ok((
-            DeviceMatrix::from_buffer(out_val, rows, k),
-            DeviceMatrix::from_buffer(out_idx, rows, k),
-        ))
+impl<T: RadixKey> RowSelect<T> for RowWiseTopK {
+    fn row_labels(&self) -> (&'static str, &'static str) {
+        ("rowwise_values", "rowwise_indices")
     }
 
-    /// The shared implementation: one kernel launch, one block per
-    /// row, packed `batch × k` outputs.
-    pub(crate) fn run_rows<T: RadixKey>(
+    /// One kernel launch, one block per row.
+    fn run_rows(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<TypedOutput<T>, TopKError> {
         let n = inputs.n();
-        check_args(self, n, k)?;
         let batch = inputs.batch();
         let key_bytes = std::mem::size_of::<T::Ordered>();
         let plan = FilterPlan::rowwise(gpu.spec(), n, k, batch, key_bytes).map_err(|detail| {
@@ -101,36 +80,26 @@ impl RowWiseTopK {
         })?;
         let stage = plan.stages[0];
 
-        let mut outs = ScratchGuard::new();
-        let out_val = outs.alloc::<T>(gpu, "rowwise_out_val", batch * k)?;
-        let out_idx = match outs.alloc::<u32>(gpu, "rowwise_out_idx", batch * k) {
-            Ok(b) => b,
-            Err(e) => {
-                outs.release(gpu);
-                return Err(e);
-            }
-        };
-
-        let (ov, oi) = (out_val.clone(), out_idx.clone());
-        let contract = inputs
-            .declare_reads(KernelContract::new("rowwise_fused_kernel"))
-            .writes(&ov, Footprint::per_block(k))
-            .writes(&oi, Footprint::per_block(k))
-            .uses_shared_mem(stage.shared_bytes());
-        let launched = gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
-            let row = ctx.block_idx;
-            let items = inputs.tile(ctx, row, 0, n).into_iter().map(T::to_ordered);
-            let kept = filter_block(ctx, items.zip(0..), k, stage.cap);
-            obs::counters()
-                .rowwise_compactions
-                .fetch_add(kept.compactions, Relaxed);
-            kept.store(ctx, (&ov, &oi), row * k);
-        });
-        if let Err(e) = launched {
-            outs.release(gpu);
-            return Err(e.into());
-        }
-        Ok((out_val, out_idx))
+        ScratchGuard::scope(gpu, |gpu, _, outs| {
+            let out_val = outs.alloc::<T>(gpu, "rowwise_out_val", batch * k)?;
+            let out_idx = outs.alloc::<u32>(gpu, "rowwise_out_idx", batch * k)?;
+            let (ov, oi) = (out_val.clone(), out_idx.clone());
+            let contract = inputs
+                .declare_reads(KernelContract::new("rowwise_fused_kernel"))
+                .writes(&ov, Footprint::per_block(k))
+                .writes(&oi, Footprint::per_block(k))
+                .uses_shared_mem(stage.shared_bytes());
+            gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
+                let row = ctx.block_idx;
+                let items = inputs.tile(ctx, row, 0, n).into_iter().map(T::to_ordered);
+                let kept = filter_block(ctx, items.zip(0..), k, stage.cap);
+                obs::counters()
+                    .rowwise_compactions
+                    .fetch_add(kept.compactions, Relaxed);
+                kept.store(ctx, (&ov, &oi), row * k);
+            })?;
+            Ok((out_val, out_idx))
+        })
     }
 }
 
@@ -147,12 +116,29 @@ impl TopKAlgorithm for RowWiseTopK {
         Some(ROWWISE_MAX_K)
     }
 
-    filter_entry_points!(("rowwise_values", "rowwise_indices"));
+    fn try_select(
+        &self,
+        gpu: &mut Gpu,
+        input: &DeviceBuffer<f32>,
+        k: usize,
+    ) -> Result<TopKOutput, TopKError> {
+        select_one(self, gpu, input, k)
+    }
+
+    fn try_select_batch(
+        &self,
+        gpu: &mut Gpu,
+        inputs: &[DeviceBuffer<f32>],
+        k: usize,
+    ) -> Result<Vec<TopKOutput>, TopKError> {
+        select_batch(self, gpu, inputs, k)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::DeviceMatrix;
     use crate::verify::verify_topk;
     use datagen::Distribution;
     use gpu_sim::{DeviceSpec, Gpu};

@@ -7,7 +7,7 @@
 //! the next query on the same device. [`ScratchGuard`] tracks the byte
 //! total of a group of allocations so any exit path can release them
 //! with one call, even after the typed buffer handles have been moved
-//! into kernel closures.
+//! into kernel closures; [`ScratchGuard::scope`] is that exit path.
 
 use crate::error::TopKError;
 use gpu_sim::{DeviceBuffer, DeviceScalar, Gpu, ShadowToken};
@@ -74,6 +74,23 @@ impl ScratchGuard {
             token.mark_freed();
         }
         gpu.free_bytes(self.bytes);
+    }
+
+    /// Run `body` with a workspace guard and an output guard, in that
+    /// order: the workspace is released on every exit, the outputs only
+    /// when `body` fails, so a success hands them to the caller. This
+    /// is the scratch scope of every fallible selection path.
+    pub fn scope<R>(
+        gpu: &mut Gpu,
+        body: impl FnOnce(&mut Gpu, &mut ScratchGuard, &mut ScratchGuard) -> Result<R, TopKError>,
+    ) -> Result<R, TopKError> {
+        let (mut ws, mut outs) = (ScratchGuard::new(), ScratchGuard::new());
+        let r = body(gpu, &mut ws, &mut outs);
+        ws.release(gpu);
+        if r.is_err() {
+            outs.release(gpu);
+        }
+        r
     }
 }
 

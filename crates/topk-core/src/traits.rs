@@ -139,7 +139,11 @@ pub trait TopKAlgorithm: Send + Sync {
 /// Validate common preconditions; algorithms call this first and
 /// propagate the error with `?`.
 #[must_use = "precondition failures are reported through the Result"]
-pub fn check_args(alg: &dyn TopKAlgorithm, n: usize, k: usize) -> Result<(), TopKError> {
+pub fn check_args(
+    alg: &(impl TopKAlgorithm + ?Sized),
+    n: usize,
+    k: usize,
+) -> Result<(), TopKError> {
     match TopKError::check_k(alg.name(), n, k, alg.max_k()) {
         Some(e) => Err(e),
         None => Ok(()),
@@ -149,7 +153,7 @@ pub fn check_args(alg: &dyn TopKAlgorithm, n: usize, k: usize) -> Result<(), Top
 /// Validate that every input in a batch has the same length as the
 /// first; natively batched kernels require congruent problems.
 pub fn check_batch<T: DeviceScalar>(
-    alg: &dyn TopKAlgorithm,
+    alg: &(impl TopKAlgorithm + ?Sized),
     inputs: &[DeviceBuffer<T>],
 ) -> Result<usize, TopKError> {
     let Some(first) = inputs.first() else {

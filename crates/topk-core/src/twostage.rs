@@ -19,13 +19,13 @@
 //! payload so the output indices point into the original input.
 
 use crate::error::TopKError;
-use crate::filter::{filter_block, filter_entry_points, FilterPlan};
+use crate::filter::{filter_block, FilterPlan};
 use crate::keys::RadixKey;
-use crate::matrix::Rows;
+use crate::matrix::{select_batch, select_one, RowSelect, Rows};
 use crate::obs;
 use crate::recall::TwoStagePlan;
 use crate::scratch::ScratchGuard;
-use crate::traits::{check_args, Category, TopKAlgorithm, TypedOutput};
+use crate::traits::{Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract};
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -87,19 +87,24 @@ impl TwoStageTopK {
     pub fn expected_recall(&self, k: usize) -> f64 {
         self.plan().expected_recall(k)
     }
+}
+
+impl<T: RadixKey> RowSelect<T> for TwoStageTopK {
+    fn row_labels(&self) -> (&'static str, &'static str) {
+        ("twostage_values", "twostage_indices")
+    }
 
     /// Two launches over the whole batch: stage one is
     /// `batch · partitions` blocks filtering partitions down to k′
     /// candidates each, stage two is `batch` blocks exactly reducing
-    /// the candidates; packed `batch × k` outputs.
-    pub(crate) fn run_rows<T: RadixKey>(
+    /// the candidates.
+    fn run_rows(
         &self,
         gpu: &mut Gpu,
         inputs: Rows<'_, T>,
         k: usize,
     ) -> Result<TypedOutput<T>, TopKError> {
         let n = inputs.n();
-        check_args(self, n, k)?;
         let (parts, kp) = (self.partitions, self.k_prime);
         let batch = inputs.batch();
         let key_bytes = std::mem::size_of::<T::Ordered>();
@@ -112,87 +117,53 @@ impl TwoStageTopK {
         let (partition, reduce) = (plan.stages[0], plan.stages[1]);
         let m = parts * kp; // stage-two candidates per problem
 
-        type Buffers<T> = (
-            DeviceBuffer<T>,
-            DeviceBuffer<u32>,
-            DeviceBuffer<T>,
-            DeviceBuffer<u32>,
-        );
-        let mut tmps = ScratchGuard::new();
-        let mut outs = ScratchGuard::new();
-        let alloc_all = |gpu: &mut Gpu,
-                         tmps: &mut ScratchGuard,
-                         outs: &mut ScratchGuard|
-         -> Result<Buffers<T>, TopKError> {
+        ScratchGuard::scope(gpu, |gpu, tmps, outs| {
             let cand_val = tmps.alloc::<T>(gpu, "twostage_cand_val", batch * m)?;
             let cand_idx = tmps.alloc::<u32>(gpu, "twostage_cand_idx", batch * m)?;
             let out_val = outs.alloc::<T>(gpu, "twostage_out_val", batch * k)?;
             let out_idx = outs.alloc::<u32>(gpu, "twostage_out_idx", batch * k)?;
-            Ok((cand_val, cand_idx, out_val, out_idx))
-        };
-        let (cand_val, cand_idx, out_val, out_idx) = match alloc_all(gpu, &mut tmps, &mut outs) {
-            Ok(bufs) => bufs,
-            Err(e) => {
-                tmps.release(gpu);
-                outs.release(gpu);
-                return Err(e);
-            }
-        };
 
-        // Stage 1: every partition keeps its k' smallest, with global
-        // indices, packed (row * parts + part) * kp into the
-        // candidate buffers.
-        let (cv, ci) = (cand_val.clone(), cand_idx.clone());
-        // Block (row * parts + part) owns candidate slots
-        // [block * k', block * k' + k') — exactly a per-block tile.
-        let contract = inputs
-            .declare_reads(KernelContract::new("twostage_partition_kernel"))
-            .writes(&cv, Footprint::per_block(kp))
-            .writes(&ci, Footprint::per_block(kp))
-            .uses_shared_mem(partition.shared_bytes());
-        let stage1 = gpu.try_launch_checked(&contract, partition.config(), move |ctx| {
-            let row = ctx.block_idx / parts;
-            let part = ctx.block_idx % parts;
-            let lo = part * n / parts;
-            let hi = (part + 1) * n / parts;
-            let items = inputs.tile(ctx, row, lo, hi).into_iter().map(T::to_ordered);
-            let kept = filter_block(ctx, items.zip(lo as u32..), kp, partition.cap);
-            kept.store(ctx, (&cv, &ci), ctx.block_idx * kp);
-        });
-        if let Err(e) = stage1 {
-            tmps.release(gpu);
-            outs.release(gpu);
-            return Err(e.into());
-        }
+            // Stage 1: every partition keeps its k' smallest, with
+            // global indices, packed (row * parts + part) * kp into the
+            // candidate buffers.
+            let (cv, ci) = (cand_val.clone(), cand_idx.clone());
+            // Block (row * parts + part) owns candidate slots
+            // [block * k', block * k' + k') — exactly a per-block tile.
+            let contract = inputs
+                .declare_reads(KernelContract::new("twostage_partition_kernel"))
+                .writes(&cv, Footprint::per_block(kp))
+                .writes(&ci, Footprint::per_block(kp))
+                .uses_shared_mem(partition.shared_bytes());
+            gpu.try_launch_checked(&contract, partition.config(), move |ctx| {
+                let row = ctx.block_idx / parts;
+                let part = ctx.block_idx % parts;
+                let lo = part * n / parts;
+                let hi = (part + 1) * n / parts;
+                let items = inputs.tile(ctx, row, lo, hi).into_iter().map(T::to_ordered);
+                let kept = filter_block(ctx, items.zip(lo as u32..), kp, partition.cap);
+                kept.store(ctx, (&cv, &ci), ctx.block_idx * kp);
+            })?;
 
-        // Stage 2: one block per problem exactly reduces the m
-        // candidates to K, carrying the stage-one global indices.
-        let (cv, ci) = (cand_val.clone(), cand_idx.clone());
-        let (ov, oi) = (out_val.clone(), out_idx.clone());
-        let contract = KernelContract::new("twostage_reduce_kernel")
-            .reads(&cv, Footprint::per_block(m))
-            .reads(&ci, Footprint::per_block(m))
-            .writes(&ov, Footprint::per_block(k))
-            .writes(&oi, Footprint::per_block(k))
-            .uses_shared_mem(reduce.shared_bytes());
-        let stage2 = gpu.try_launch_checked(&contract, reduce.config(), move |ctx| {
-            let row = ctx.block_idx;
-            let vals = ctx.ld_tile(&cv, row * m, (row + 1) * m);
-            let poss = ctx.ld_tile(&ci, row * m, (row + 1) * m);
-            let items = vals.into_iter().map(T::to_ordered).zip(poss);
-            let kept = filter_block(ctx, items, k, reduce.cap);
-            kept.store(ctx, (&ov, &oi), row * k);
-        });
-        // Drop the launch report borrow before touching the device
-        // again.
-        let stage2 = stage2.map(|_| ());
-        tmps.release(gpu);
-        if let Err(e) = stage2 {
-            outs.release(gpu);
-            return Err(e.into());
-        }
-        obs::counters().twostage_reduces.fetch_add(1, Relaxed);
-        Ok((out_val, out_idx))
+            // Stage 2: one block per problem exactly reduces the m
+            // candidates to K, carrying the stage-one global indices.
+            let (ov, oi) = (out_val.clone(), out_idx.clone());
+            let contract = KernelContract::new("twostage_reduce_kernel")
+                .reads(&cand_val, Footprint::per_block(m))
+                .reads(&cand_idx, Footprint::per_block(m))
+                .writes(&ov, Footprint::per_block(k))
+                .writes(&oi, Footprint::per_block(k))
+                .uses_shared_mem(reduce.shared_bytes());
+            gpu.try_launch_checked(&contract, reduce.config(), move |ctx| {
+                let row = ctx.block_idx;
+                let vals = ctx.ld_tile(&cand_val, row * m, (row + 1) * m);
+                let poss = ctx.ld_tile(&cand_idx, row * m, (row + 1) * m);
+                let items = vals.into_iter().map(T::to_ordered).zip(poss);
+                let kept = filter_block(ctx, items, k, reduce.cap);
+                kept.store(ctx, (&ov, &oi), row * k);
+            })?;
+            obs::counters().twostage_reduces.fetch_add(1, Relaxed);
+            Ok((out_val, out_idx))
+        })
     }
 }
 
@@ -205,7 +176,23 @@ impl TopKAlgorithm for TwoStageTopK {
         Category::PartitionBased
     }
 
-    filter_entry_points!(("twostage_values", "twostage_indices"));
+    fn try_select(
+        &self,
+        gpu: &mut Gpu,
+        input: &DeviceBuffer<f32>,
+        k: usize,
+    ) -> Result<TopKOutput, TopKError> {
+        select_one(self, gpu, input, k)
+    }
+
+    fn try_select_batch(
+        &self,
+        gpu: &mut Gpu,
+        inputs: &[DeviceBuffer<f32>],
+        k: usize,
+    ) -> Result<Vec<TopKOutput>, TopKError> {
+        select_batch(self, gpu, inputs, k)
+    }
 }
 
 #[cfg(test)]

@@ -66,13 +66,9 @@ impl TopKAlgorithm for UnfusedRadix {
         k: usize,
     ) -> Result<TopKOutput, TopKError> {
         check_args(self, input.len(), k)?;
-        let (mut ws, mut outs) = (ScratchGuard::new(), ScratchGuard::new());
-        let r = self.run_passes(gpu, &mut ws, &mut outs, input, k);
-        ws.release(gpu);
-        if r.is_err() {
-            outs.release(gpu);
-        }
-        r
+        ScratchGuard::scope(gpu, |gpu, ws, outs| {
+            self.run_passes(gpu, ws, outs, input, k)
+        })
     }
 }
 

@@ -759,10 +759,9 @@ fn run_batch(
     batch: &Job,
     approx: Option<TunedAlgo>,
 ) -> Result<Answers, TopKError> {
-    let mut ws = ScratchGuard::new();
-    let r = batch_passes(gpu, &mut ws, selector, batch, approx);
-    ws.release(gpu);
-    r
+    ScratchGuard::scope(gpu, |gpu, ws, _| {
+        batch_passes(gpu, ws, selector, batch, approx)
+    })
 }
 
 fn batch_passes(

@@ -250,14 +250,9 @@ impl<A: TopKAlgorithm> TopKAlgorithm for DrTopK<A> {
             return self.base.try_select(gpu, input, k);
         }
 
-        let mut ws = ScratchGuard::new();
-        let mut outs = ScratchGuard::new();
-        let r = self.hybrid_passes(gpu, &mut ws, &mut outs, input, k, sub_len, subranges);
-        ws.release(gpu);
-        if r.is_err() {
-            outs.release(gpu);
-        }
-        r
+        ScratchGuard::scope(gpu, |gpu, ws, outs| {
+            self.hybrid_passes(gpu, ws, outs, input, k, sub_len, subranges)
+        })
     }
 }
 

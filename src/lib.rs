@@ -59,8 +59,8 @@ pub mod prelude {
     };
     pub use crate::topk_core::{
         expected_recall, measured_recall, verify_topk, verify_topk_typed, AirConfig, AirTopK,
-        BucketedTopK, Category, DeviceMatrix, GridSelect, GridSelectConfig, QueueKind, SelectK,
-        SelectLargest, TopKAlgorithm, TopKError, TopKOutput, TwoStageTopK, UnfusedRadix,
+        BucketedTopK, Category, DeviceMatrix, GridSelect, GridSelectConfig, QueueKind, RowSelect,
+        SelectK, SelectLargest, TopKAlgorithm, TopKError, TopKOutput, TwoStageTopK, UnfusedRadix,
         WarpSelector,
     };
     pub use crate::topk_cpu::{heap_topk, parallel_topk};
