@@ -74,12 +74,11 @@ impl<A: TopKAlgorithm> SelectLargest<A> {
             move |ctx| {
                 let chunk = 256 * 8;
                 let start = ctx.block_idx * chunk;
-                let end = (start + chunk).min(n);
-                for i in start..end {
-                    let v = ctx.ld(&inp, i);
+                let tile = ctx.ld_tile(&inp, start, (start + chunk).min(n));
+                for (i, v) in (start..).zip(tile) {
                     ctx.st(&o, i, order_negate(v));
-                    ctx.ops(2);
                 }
+                ctx.ops(2 * tile.len() as u64);
             },
         );
         if let Err(e) = launched {
@@ -102,12 +101,11 @@ impl<A: TopKAlgorithm> SelectLargest<A> {
             LaunchConfig::for_elements(k, 256, 1, usize::MAX),
             move |ctx| {
                 let start = ctx.block_idx * 256;
-                let end = (start + 256).min(k);
-                for i in start..end {
-                    let v = ctx.ld(&src, i);
+                let tile = ctx.ld_tile(&src, start, (start + 256).min(k));
+                for (i, v) in (start..).zip(tile) {
                     ctx.st(&dst, i, order_negate(v));
-                    ctx.ops(2);
                 }
+                ctx.ops(2 * tile.len() as u64);
             },
         );
         if let Err(e) = launched {
