@@ -44,6 +44,7 @@ fn usage() -> ! {
                          flight-recorder post-mortem JSON dumps to DIR/postmortems/\n\
        topk-bench compare [--algos A,B,..] [--n N] [--k K] [--batch B] [--dist D] [--no-verify]\n\
        topk-bench tune-alpha [--n N] [--k K]\n\
+       topk-bench verify [--quick]\n\
        topk-bench sanitize [--matrix smoke|full]\n\
        topk-bench baseline [--out FILE] | baseline --check [--file FILE]"
     );
@@ -102,21 +103,29 @@ fn main() {
     }
     let cmd = args[0].clone();
 
-    // Tool subcommands take their own flags.
+    // Tool subcommands take their own flags; any other argument is a
+    // usage error, so a typo never starts a long run.
     if cmd == "verify" {
-        let quick = args.iter().any(|a| a == "--quick");
+        let mut quick = false;
+        for a in &args[1..] {
+            match a.as_str() {
+                "--quick" => quick = true,
+                _ => usage(),
+            }
+        }
         let failures = topk_bench::tools::verify_matrix(quick);
         std::process::exit(if failures == 0 { 0 } else { 1 });
     }
     if cmd == "sanitize" {
-        let matrix = match args.iter().position(|a| a == "--matrix") {
-            None => topk_bench::sanitize::SanitizeMatrix::full(),
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("smoke") => topk_bench::sanitize::SanitizeMatrix::smoke(),
-                Some("full") => topk_bench::sanitize::SanitizeMatrix::full(),
+        let mut matrix = topk_bench::sanitize::SanitizeMatrix::full();
+        let mut rest = args[1..].iter();
+        while let Some(a) = rest.next() {
+            matrix = match (a.as_str(), rest.next().map(String::as_str)) {
+                ("--matrix", Some("smoke")) => topk_bench::sanitize::SanitizeMatrix::smoke(),
+                ("--matrix", Some("full")) => topk_bench::sanitize::SanitizeMatrix::full(),
                 _ => usage(),
-            },
-        };
+            };
+        }
         let summary = topk_bench::sanitize::run(&matrix);
         std::process::exit(if summary.findings == 0 { 0 } else { 1 });
     }
@@ -126,11 +135,14 @@ fn main() {
         // on >5% regressions. `BENCH_REGRESSION_OK=1` downgrades check
         // failures to warnings (the documented override for intentional
         // tradeoffs — regenerate and commit the file to record them).
-        let check_mode = args.iter().any(|a| a == "--check");
+        let mut check_mode = false;
         let mut file = PathBuf::from("BENCH_10.json");
-        for flag in ["--out", "--file"] {
-            if let Some(i) = args.iter().position(|a| a == flag) {
-                file = PathBuf::from(args.get(i + 1).unwrap_or_else(|| usage()));
+        let mut rest = args[1..].iter();
+        while let Some(a) = rest.next() {
+            match a.as_str() {
+                "--check" => check_mode = true,
+                "--out" | "--file" => file = PathBuf::from(rest.next().unwrap_or_else(|| usage())),
+                _ => usage(),
             }
         }
         let report = topk_bench::baseline::run();
