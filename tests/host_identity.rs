@@ -1,6 +1,7 @@
 //! Golden identity of the warp-select family, the radix and
-//! row-streaming selectors, and the host-driven partition baselines
-//! (RadixSelect, QuickSelect, BucketSelect, SampleSelect).
+//! row-streaming selectors, the host-driven partition baselines
+//! (RadixSelect, QuickSelect, BucketSelect, SampleSelect), Sort and
+//! Dr. Top-K over AIR.
 //!
 //! The host implementation of these selectors (queue flush, list
 //! merge, fused radix passes, tile loads) may be rewritten for speed,
@@ -338,6 +339,18 @@ fn select_largest_is_bit_identical() {
         verify_largest,
         SELECT_LARGEST,
     );
+}
+
+/// The CUB-like full sort: 4 LSD passes of 3 kernels, then extract.
+#[test]
+fn sort_topk_is_bit_identical() {
+    check(&SortTopK, SORT);
+}
+
+/// Dr. Top-K's delegate reduce, gather and index map around AIR.
+#[test]
+fn drtopk_air_is_bit_identical() {
+    check(&DrTopK::new(AirTopK::default()), DRTOPK_AIR);
 }
 
 #[test]
@@ -1627,6 +1640,170 @@ const ROWWISE_F64_MATRIX: &[(&str, [u64; 3])] = &[
     ),
 ];
 
+const SORT: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x40e1b06ffc19ec91, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x7bfe6852d4d8a363, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0xc6d3899572729c4b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=256",
+        [0x4b6379379604236a, 0xc3a1389c8ff31605, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "uniform k=2048",
+        [0x59978ac86ddc3704, 0x2c5e73910a7c8ed2, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x4994adf42dbdfb06, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x14ca1ddbefce8254, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0xcf49bfaf46e0f41c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0x96f9015e561b265e, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0xcf891d45158980e5, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0xe940f9753008223f, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x4ca7309d16deaced, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0x49c0e3a35a151065, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x3f672ef4912b1e6b, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0xd8d19faac10c702c, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x25cb23c0117d792e, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0xa3cb7538db82bfdc, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x792153ea41ed0e94, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0x10010d42f90efa06, 0xde9fa0da6fc22a85],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x93ef340e6995a82e, 0x1f8918c49a5d32bd, 0xde9fa0da6fc22a85],
+    ),
+];
+const DRTOPK_AIR: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x543a1129efc3bab1, 0x2bd6536cb8873607],
+    ),
+    (
+        "uniform k=32",
+        [0xecb4c479136e2eb3, 0xcde6114caab6ac97, 0x8bc49721de432741],
+    ),
+    (
+        "uniform k=100",
+        [0x3c2c7e108f4f2054, 0x06ebdf8c93177691, 0xa90427d9942a3a26],
+    ),
+    (
+        "uniform k=256",
+        [0xa01858423819822a, 0x4f62533f1f46419d, 0x8bc49721de432741],
+    ),
+    (
+        "uniform k=2048",
+        [0x888adcb2d05dcf84, 0xb10566a2515d3eee, 0xeb6e1c42290e44c2],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0x6ed7dec3d8d9254a, 0xc2d7f832cf761c01],
+    ),
+    (
+        "ties16 k=32",
+        [0x002c0fc53e54d938, 0x71b7f6db5eec87c5, 0xc2d7f832cf761c01],
+    ),
+    (
+        "ties16 k=100",
+        [0xfd93cecf80c4aa4d, 0x2fe1ad2b5fbd5f91, 0xc2d7f832cf761c01],
+    ),
+    (
+        "ties16 k=256",
+        [0xd4c46a248ba3cc9d, 0x28d906f64e28acdb, 0xc2d7f832cf761c01],
+    ),
+    (
+        "ties16 k=2048",
+        [0xbb6cf5757e953165, 0xe9f4892c271ed40a, 0x272ed3fd592c2a05],
+    ),
+    (
+        "equal k=1",
+        [0x05afe762d6f451d8, 0x496c96057722c84f, 0xc2d7f832cf761c01],
+    ),
+    (
+        "equal k=32",
+        [0x6ba96e3da701e625, 0x5188bbaf6270c92b, 0xc2d7f832cf761c01],
+    ),
+    (
+        "equal k=100",
+        [0x4b7de11ab729ed21, 0x5f6919a3691aca89, 0xc2d7f832cf761c01],
+    ),
+    (
+        "equal k=256",
+        [0x515b0c2b58a89b25, 0x93f7cbd78ce91c58, 0xc2d7f832cf761c01],
+    ),
+    (
+        "equal k=2048",
+        [0xdfb0a349855ba925, 0x7adef41a4195d7c6, 0x272ed3fd592c2a05],
+    ),
+    (
+        "adversarial24 k=1",
+        [0x9c790a4b9ec64f19, 0x496c96057722c84f, 0xdb8f7d2823b29a80],
+    ),
+    (
+        "adversarial24 k=32",
+        [0xec27b70a7faf9304, 0x5188bbaf6270c92b, 0xc2d7f832cf761c01],
+    ),
+    (
+        "adversarial24 k=100",
+        [0x9a63a3efbb5f4f4f, 0x5f6919a3691aca89, 0xc2d7f832cf761c01],
+    ),
+    (
+        "adversarial24 k=256",
+        [0x5d2888b0d38b4441, 0x93f7cbd78ce91c58, 0xc2d7f832cf761c01],
+    ),
+    (
+        "adversarial24 k=2048",
+        [0x418dfb302f78ff42, 0x1002558b25554916, 0x272ed3fd592c2a05],
+    ),
+];
 const RADIXSELECT: &[(&str, [u64; 3])] = &[
     (
         "uniform k=1",
