@@ -93,12 +93,10 @@ fn run_rounds(
                     let base = r * run;
                     let mut kb = vec![u32::MAX; run];
                     let mut ib = vec![0u32; run];
-                    for (j, (kslot, islot)) in kb.iter_mut().zip(ib.iter_mut()).enumerate() {
-                        let i = base + j;
-                        if i < n {
-                            *kslot = ctx.ld(&input, i).to_ordered();
-                            *islot = i as u32;
-                        }
+                    let tile = ctx.ld_tile(&input, base, (base + run).min(n));
+                    for (j, v) in tile.into_iter().enumerate() {
+                        kb[j] = v.to_ordered();
+                        ib[j] = (base + j) as u32;
                     }
                     let ops = bitonic_sort(&mut kb, &mut ib, true);
                     ctx.ops(ops + run as u64);
@@ -138,12 +136,12 @@ fn run_rounds(
                 let end = (start + 32 * PAIRS_PER_BLOCK).min(out_runs);
                 for p in start..end {
                     let a = 2 * p * run;
-                    let mut kb: Vec<u32> = (0..run).map(|j| ctx.ld(&keys_s, a + j)).collect();
-                    let mut ib: Vec<u32> = (0..run).map(|j| ctx.ld(&idxs_s, a + j)).collect();
+                    let mut kb: Vec<u32> = ctx.ld_tile(&keys_s, a, a + run).iter().collect();
+                    let mut ib: Vec<u32> = ctx.ld_tile(&idxs_s, a, a + run).iter().collect();
                     if 2 * p + 1 < runs {
                         let b = (2 * p + 1) * run;
-                        let qk: Vec<u32> = (0..run).map(|j| ctx.ld(&keys_s, b + j)).collect();
-                        let qi: Vec<u32> = (0..run).map(|j| ctx.ld(&idxs_s, b + j)).collect();
+                        let qk: Vec<u32> = ctx.ld_tile(&keys_s, b, b + run).iter().collect();
+                        let qi: Vec<u32> = ctx.ld_tile(&idxs_s, b, b + run).iter().collect();
                         let ops = merge_into_topk(&mut kb, &mut ib, &qk, &qi);
                         ctx.ops(ops);
                     }
@@ -175,9 +173,9 @@ fn run_rounds(
                 .writes(&oi, Footprint::fixed(0, k))
                 .requires_grid_at_most(1);
             gpu.try_launch_checked(&contract, LaunchConfig::grid_1d(1, 256), move |ctx| {
-                for i in 0..k {
-                    let bits = ctx.ld(&keys_s, i);
-                    let idx = ctx.ld(&idxs_s, i);
+                let keys = ctx.ld_tile(&keys_s, 0, k);
+                for (i, (bits, idx)) in keys.into_iter().zip(ctx.ld_tile(&idxs_s, 0, k)).enumerate()
+                {
                     ctx.st(&ov, i, f32::from_ordered(bits));
                     ctx.st(&oi, i, idx);
                 }

@@ -19,7 +19,7 @@
 //! would unfairly slow this baseline by ~4× relative to its measured
 //! behaviour.
 
-use gpu_sim::{DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
+use gpu_sim::{BlockCtx, DeviceBuffer, Footprint, Gpu, KernelContract, LaunchConfig};
 use topk_core::error::TopKError;
 use topk_core::keys::RadixKey;
 use topk_core::scratch::ScratchGuard;
@@ -109,16 +109,18 @@ fn segmented_sort_passes(
                 let start = blk * CHUNK;
                 let end = (start + CHUNK).min(n);
                 let mut local = ctx.shared_alloc::<u32>(RADIX);
-                for i in start..end {
-                    let bits = if first {
-                        ctx.ld(&inputs[seg], i).to_ordered()
-                    } else {
-                        ctx.ld(&keys_src, seg * n + i)
-                    };
-                    let d = ((bits >> shift) & (RADIX as u32 - 1)) as usize;
-                    local[d] += 1;
-                    ctx.ops(3);
+                let mut count = |bits: u32| local[digit(bits, shift)] += 1;
+                if first {
+                    ctx.ld_tile(&inputs[seg], start, end)
+                        .into_iter()
+                        .for_each(|v| count(v.to_ordered()));
+                } else {
+                    let base = seg * n;
+                    ctx.ld_tile(&keys_src, base + start, base + end)
+                        .into_iter()
+                        .for_each(count);
                 }
+                ctx.ops(3 * (end - start) as u64);
                 let hbase = seg * RADIX * bpp;
                 for (d, &c) in local.iter().enumerate() {
                     if c != 0 {
@@ -140,9 +142,9 @@ fn segmented_sort_passes(
                 let seg = ctx.block_idx;
                 let base = seg * RADIX * bpp;
                 let mut acc = 0u32;
-                for slot in 0..RADIX * bpp {
-                    let h = ctx.ld(&hist, base + slot);
-                    ctx.st(&offsets, base + slot, acc);
+                let counts = ctx.ld_tile(&hist, base, base + RADIX * bpp);
+                for (slot, h) in (base..).zip(counts) {
+                    ctx.st(&offsets, slot, acc);
                     acc += h;
                 }
                 ctx.ops((RADIX * bpp) as u64 * 2);
@@ -178,25 +180,29 @@ fn segmented_sort_passes(
                 for (d, c) in cursors.iter_mut().enumerate() {
                     *c = ctx.ld(&offsets, obase + d * bpp + blk);
                 }
-                for i in start..end {
-                    let (bits, payload) = if first {
-                        (ctx.ld(&inputs[seg], i).to_ordered(), i as u32)
-                    } else {
-                        (
-                            ctx.ld(&keys_src, seg * n + i),
-                            ctx.ld(&vals_src, seg * n + i),
-                        )
-                    };
-                    let d = ((bits >> shift) & (RADIX as u32 - 1)) as usize;
+                // CUB bins in shared memory first, so global writes are
+                // (near-)coalesced: charge streaming stores plus the
+                // binning compute.
+                let mut scatter = |ctx: &mut BlockCtx<'_>, bits: u32, payload: u32| {
+                    let d = digit(bits, shift);
                     let pos = cursors[d] as usize;
                     cursors[d] += 1;
-                    // CUB bins in shared memory first, so global writes
-                    // are (near-)coalesced: charge streaming stores plus
-                    // the binning compute.
                     ctx.st(&keys_dst, seg * n + pos, bits);
                     ctx.st(&vals_dst, seg * n + pos, payload);
-                    ctx.ops(6);
+                };
+                if first {
+                    let keys = ctx.ld_tile(&inputs[seg], start, end);
+                    for (v, i) in keys.into_iter().zip(start as u32..) {
+                        scatter(ctx, v.to_ordered(), i);
+                    }
+                } else {
+                    let (lo, hi) = (seg * n + start, seg * n + end);
+                    let keys = ctx.ld_tile(&keys_src, lo, hi);
+                    for (bits, payload) in keys.into_iter().zip(ctx.ld_tile(&vals_src, lo, hi)) {
+                        scatter(ctx, bits, payload);
+                    }
                 }
+                ctx.ops(6 * (end - start) as u64);
             })?;
         }
     }
@@ -207,7 +213,14 @@ fn segmented_sort_passes(
     Ok((keys[sorted].clone(), vals[sorted].clone()))
 }
 
-/// Extract the first K of each sorted segment into per-problem outputs.
+/// Digit of `bits` at `shift`.
+fn digit(bits: u32, shift: u32) -> usize {
+    ((bits >> shift) & (RADIX as u32 - 1)) as usize
+}
+
+/// Extract the first K of each sorted segment into per-problem outputs:
+/// one packed `batch × K` pair, split into one device-accounted piece
+/// per problem.
 fn extract(
     gpu: &mut Gpu,
     sorted_keys: &DeviceBuffer<u32>,
@@ -216,9 +229,9 @@ fn extract(
     batch: usize,
     k: usize,
 ) -> Result<Vec<TopKOutput>, TopKError> {
-    ScratchGuard::scope(gpu, |gpu, ws, _| {
-        let out_val = ws.alloc::<f32>(gpu, "sort_out_val", batch * k)?;
-        let out_idx = ws.alloc::<u32>(gpu, "sort_out_idx", batch * k)?;
+    ScratchGuard::scope(gpu, |gpu, _, outs| {
+        let out_val = outs.alloc::<f32>(gpu, "sort_out_val", batch * k)?;
+        let out_idx = outs.alloc::<u32>(gpu, "sort_out_idx", batch * k)?;
         let (sk, si) = (sorted_keys.clone(), sorted_idx.clone());
         let (ov, oi) = (out_val.clone(), out_idx.clone());
         let contract = KernelContract::new("extract_topk")
@@ -230,28 +243,31 @@ fn extract(
             &contract,
             LaunchConfig::for_elements(batch * k, 256, 1, usize::MAX),
             move |ctx| {
-                let start = ctx.block_idx * 256;
-                let end = (start + 256).min(batch * k);
-                for slot in start..end {
+                let end = (ctx.block_idx * 256 + 256).min(batch * k);
+                let mut slot = ctx.block_idx * 256;
+                // Each run of slots within one segment is one contiguous
+                // read of that segment's sorted prefix.
+                while slot < end {
                     let (seg, i) = (slot / k, slot % k);
-                    let bits = ctx.ld(&sk, seg * n + i);
-                    let idx = ctx.ld(&si, seg * n + i);
-                    ctx.st(&ov, slot, f32::from_ordered(bits));
-                    ctx.st(&oi, slot, idx);
-                    ctx.ops(2);
+                    let len = (k - i).min(end - slot);
+                    let src = seg * n + i;
+                    let keys = ctx.ld_tile(&sk, src, src + len);
+                    let idxs = ctx.ld_tile(&si, src, src + len);
+                    for (dst, (bits, idx)) in (slot..).zip(keys.into_iter().zip(idxs)) {
+                        ctx.st(&ov, dst, f32::from_ordered(bits));
+                        ctx.st(&oi, dst, idx);
+                    }
+                    ctx.ops(2 * len as u64);
+                    slot += len;
                 }
             },
         )?;
-        Ok((0..batch)
-            .map(|p| {
-                let values = DeviceBuffer::<f32>::zeroed("sort_values", k);
-                let indices = DeviceBuffer::<u32>::zeroed("sort_indices", k);
-                for i in 0..k {
-                    values.set(i, out_val.get(p * k + i));
-                    indices.set(i, out_idx.get(p * k + i));
-                }
-                TopKOutput::new(values, indices)
-            })
+        let values = gpu.split(out_val, batch, "sort_values");
+        let indices = gpu.split(out_idx, batch, "sort_indices");
+        Ok(values
+            .into_iter()
+            .zip(indices)
+            .map(|(v, i)| TopKOutput::new(v, i))
             .collect())
     })
 }

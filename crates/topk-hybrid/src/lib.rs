@@ -125,16 +125,21 @@ impl<A: TopKAlgorithm> DrTopK<A> {
                     for s in start..end {
                         let lo = s * sub_len;
                         let hi = (lo + sub_len).min(n);
-                        let mut m = ctx.ld(&input, lo);
-                        for i in lo + 1..hi {
-                            let v = ctx.ld(&input, i);
-                            // Total-order min (-0.0 < +0.0).
-                            if topk_core::RadixKey::to_ordered(v)
-                                < topk_core::RadixKey::to_ordered(m)
-                            {
-                                m = v;
-                            }
-                        }
+                        // Total-order min (-0.0 < +0.0); the first of
+                        // equal keys wins.
+                        let m = ctx
+                            .ld_tile(&input, lo, hi)
+                            .iter()
+                            .reduce(|m, v| {
+                                if topk_core::RadixKey::to_ordered(v)
+                                    < topk_core::RadixKey::to_ordered(m)
+                                {
+                                    v
+                                } else {
+                                    m
+                                }
+                            })
+                            .expect("every subrange is non-empty");
                         ctx.ops((hi - lo) as u64 * 2);
                         ctx.st(&delegates, s, m);
                     }
@@ -169,8 +174,9 @@ impl<A: TopKAlgorithm> DrTopK<A> {
                 move |ctx| {
                     let start = ctx.block_idx * 64;
                     let end = (start + 64).min(k);
-                    for w in start..end {
-                        let sub = ctx.ld(&win_idx, w) as usize;
+                    let subs = ctx.ld_tile(&win_idx, start, end);
+                    for (w, sub) in (start..).zip(subs) {
+                        let sub = sub as usize;
                         let lo = sub * sub_len;
                         for j in 0..sub_len {
                             let dst = w * sub_len + j;
@@ -204,9 +210,8 @@ impl<A: TopKAlgorithm> DrTopK<A> {
                 .writes(&out_idx, Footprint::fixed(0, k))
                 .requires_grid_at_most(1);
             gpu.try_launch_checked(&contract, LaunchConfig::grid_1d(1, 256), move |ctx| {
-                for i in 0..k {
-                    let c = ctx.ld(&second_idx, i) as usize;
-                    let orig = ctx.ld_gather(&cand_src, c);
+                for (i, c) in ctx.ld_tile(&second_idx, 0, k).into_iter().enumerate() {
+                    let orig = ctx.ld_gather(&cand_src, c as usize);
                     debug_assert_ne!(orig, u32::MAX, "sentinel leaked into top-K");
                     ctx.st(&out_idx, i, orig);
                 }

@@ -247,6 +247,38 @@ fn injected_oom_mid_selection_leaks_no_scratch() {
     }
 }
 
+/// Sort hands out its results in device memory like the other batched
+/// selectors: a selection grows `mem_allocated` by exactly its
+/// `8·K·batch` output bytes, and freeing the outputs restores it. So
+/// Dr. Top-K over Sort, which adopts its base's outputs as scratch,
+/// releases only what was granted.
+#[test]
+fn sort_outputs_are_device_allocated() {
+    let data = datagen::generate(Distribution::Uniform, 10_000, 5);
+    let (k, batch) = (100, 3);
+    let algs: [&dyn TopKAlgorithm; 2] = [&SortTopK, &DrTopK::new(SortTopK)];
+    for alg in algs {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let inputs: Vec<_> = (0..batch)
+            .map(|i| gpu.htod(&format!("in{i}"), &data))
+            .collect();
+        let before = gpu.mem_allocated();
+        let outs = alg.select_batch(&mut gpu, &inputs, k);
+        assert_eq!(
+            gpu.mem_allocated(),
+            before + 8 * k * batch,
+            "{}",
+            alg.name()
+        );
+        for out in &outs {
+            verify_topk(&data, k, &out.values.to_vec(), &out.indices.to_vec()).unwrap();
+            gpu.free(&out.values);
+            gpu.free(&out.indices);
+        }
+        assert_eq!(gpu.mem_allocated(), before, "{}", alg.name());
+    }
+}
+
 #[test]
 fn shared_memory_overflow_fails_loudly() {
     // A block that asks for more shared memory than the device has must
