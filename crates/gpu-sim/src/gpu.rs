@@ -125,7 +125,7 @@ impl Gpu {
 
     /// Attribute subsequent kernel launches to tracing span `span`
     /// (until [`Gpu::clear_span`]). `0` means unattributed. Span ids
-    /// come from the observability layer (e.g. `topk_obs::next_span_id`)
+    /// come from the caller (`TopKEngine::submit` mints one per query)
     /// and land in every [`KernelReport::span`], linking launches back
     /// to the query or batch that caused them.
     pub fn set_span(&mut self, span: u64) {

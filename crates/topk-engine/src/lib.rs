@@ -75,8 +75,9 @@
 //! * [`TopKEngine::render_prometheus`] renders the metrics: latency
 //!   histograms, per-[`TopKError::kind`] error counters and the
 //!   [`topk_core::obs`] algorithm counters.
-//! * Every query carries a span id; its batch tags its kernel launches
-//!   with the lead query's span ([`QueryResult::batch_span`]).
+//! * Every query carries a span id, numbered from 1 per engine; its
+//!   batch tags its kernel launches with the lead query's span
+//!   ([`QueryResult::batch_span`]).
 //! * [`chrome_trace`] renders a [`DrainReport`] for
 //!   `chrome://tracing` / Perfetto.
 //! * A step that emits a trigger event dumps a post-mortem
@@ -939,6 +940,10 @@ pub struct TopKEngine {
     config: EngineConfig,
     pending: Vec<Pending>,
     next_id: usize,
+    /// Next tracing span id: minted per engine, so an engine's
+    /// artifacts do not depend on what else ran in the process. Never
+    /// 0, which means "no span".
+    next_span: u64,
     gpus: Vec<Gpu>,
     health: Vec<DeviceHealth>,
     /// The adaptive dispatcher. Persists across drains so its plan
@@ -987,6 +992,7 @@ impl TopKEngine {
         TopKEngine {
             pending: Vec::new(),
             next_id: 0,
+            next_span: 1,
             gpus,
             health: vec![DeviceHealth::default(); config.devices.len()],
             selector: SelectK::default(),
@@ -1188,7 +1194,8 @@ impl TopKEngine {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let span = topk_obs::next_span_id();
+        let span = self.next_span;
+        self.next_span += 1;
         // One O(n) min/max pass over the host data buys the dispatcher
         // a distribution sketch: skewed queries route away from AIR's
         // degenerate histogram passes.

@@ -1,7 +1,7 @@
 //! Scheduler invariants over generated fault scripts.
 //!
-//! Lives in its own test binary on purpose: span ids and the
-//! algorithm-level counters behind part of the Prometheus text are
+//! Lives in its own test binary on purpose: the algorithm-level
+//! counters (`topk_core::obs`) behind part of the Prometheus text are
 //! process-wide, so two same-script runs only compare equal when no
 //! other test drains an engine in the same process.
 
@@ -38,32 +38,6 @@ fn queries() -> impl Strategy<Value = Vec<Query>> {
             .map(|(shape, k, mode)| ([512, 1024, 2048][shape], k, mode))
             .collect()
     })
-}
-
-/// Rank-renumber every span id (`"span"` and `"batch_span"` args) in a
-/// Chrome trace: span ids are minted process-wide, so a rerun sees the
-/// same spans shifted.
-fn normalize_spans(trace: &str) -> String {
-    const KEY: &str = "span\":\"";
-    let span_at = |i: usize| -> u64 {
-        let digits = &trace[i + KEY.len()..];
-        let end = digits.find('"').expect("span value is quoted");
-        digits[..end].parse().expect("span value is a number")
-    };
-    let mut spans: Vec<u64> = trace.match_indices(KEY).map(|(i, _)| span_at(i)).collect();
-    spans.sort_unstable();
-    spans.dedup();
-    let mut out = String::with_capacity(trace.len());
-    let mut last = 0;
-    for (i, _) in trace.match_indices(KEY) {
-        let s = span_at(i);
-        let rank = spans.binary_search(&s).expect("span was collected");
-        out.push_str(&trace[last..i]);
-        out.push_str(&format!("{KEY}{rank}"));
-        last = i + KEY.len() + s.to_string().len();
-    }
-    out.push_str(&trace[last..]);
-    out
 }
 
 struct Run {
@@ -131,10 +105,7 @@ proptest! {
         let again = run(&script, pool, &queries);
         prop_assert_eq!(report.chaos_digest(), again.report.chaos_digest());
         prop_assert_eq!(engine.render_prometheus(), again.engine.render_prometheus());
-        prop_assert_eq!(
-            normalize_spans(&chrome_trace(&report)),
-            normalize_spans(&chrome_trace(&again.report))
-        );
+        prop_assert_eq!(chrome_trace(&report), chrome_trace(&again.report));
 
         // Every count ties out with the record it is folded from.
         let served = |label: &str| {

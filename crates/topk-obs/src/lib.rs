@@ -12,10 +12,6 @@
 //!   [`Counter`]s, [`Gauge`]s and log-bucketed [`Histogram`]s (with
 //!   p50/p95/p99 estimation), rendered in the Prometheus text
 //!   exposition format by [`MetricsRegistry::render_prometheus`].
-//! * [`next_span_id`] — process-unique span ids. `TopKEngine::submit`
-//!   mints one per query and threads it through batch formation into
-//!   `Gpu` kernel launches, so every `QueryResult` links to the kernel
-//!   spans that served it.
 //!
 //! No dependencies: everything is `std` atomics plus one mutex around
 //! the registry's name table, so the crate can sit below every other
@@ -41,50 +37,3 @@
 pub mod metrics;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Span ids are process-unique and never zero (0 means "no span").
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Mint the next process-unique span id (monotonic, nonzero).
-pub fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_ids_are_unique_and_nonzero() {
-        let a = next_span_id();
-        let b = next_span_id();
-        assert_ne!(a, 0);
-        assert_ne!(b, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn span_ids_are_unique_across_threads() {
-        let ids: Vec<u64> = crossbeam_free_scope();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len());
-    }
-
-    /// 4 threads × 100 ids without crossbeam (std::thread::scope).
-    fn crossbeam_free_scope() -> Vec<u64> {
-        let mut all = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| (0..100).map(|_| next_span_id()).collect::<Vec<_>>()))
-                .collect();
-            for h in handles {
-                all.extend(h.join().unwrap());
-            }
-        });
-        all
-    }
-}
