@@ -7,16 +7,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use topk_bench::serving::{drain_workload, mixed_workload};
+use topk_bench::serving::{drain, mixed_workload, EngineBenchOpts};
 
 const WINDOWS: [usize; 3] = [1, 8, 32];
 const QUERIES: usize = 96;
 const DEVICES: usize = 2;
 
 fn bench_engine_windows(c: &mut Criterion) {
+    let opts = EngineBenchOpts {
+        devices: DEVICES,
+        ..Default::default()
+    };
     let workload = mixed_workload(QUERIES, false);
     for window in WINDOWS {
-        let report = drain_workload(&workload, DEVICES, window);
+        let (_, report) = drain(&opts, &workload, window);
         eprintln!(
             "[bench_engine] window {:>2}: {:>9.0} simulated queries/sec \
              ({} fused batches, makespan {:.1} us)",
@@ -32,7 +36,7 @@ fn bench_engine_windows(c: &mut Criterion) {
     for window in WINDOWS {
         group.bench_with_input(BenchmarkId::new("window", window), &window, |b, &window| {
             b.iter(|| {
-                let report = drain_workload(&workload, DEVICES, window);
+                let (_, report) = drain(&opts, &workload, window);
                 black_box(report.queries_per_sec())
             });
         });

@@ -12,16 +12,20 @@
 //!   / merge / retry penalty / other);
 //! * the **cost-model drift table** (predicted vs observed per plan
 //!   bucket) and the tuner's EMA **calibration** state;
-//! * any **flight-recorder post-mortems** the drain triggered.
+//! * any **flight-recorder post-mortems** the drain triggered;
+//! * the engine's Prometheus metrics text and a Chrome trace of the
+//!   drain.
 //!
-//! One deliberately invalid query (`k = 0`) rides along, exactly as in
-//! [`crate::serving::engine_observability`]: its terminal failure
-//! trips the flight recorder, so the report always carries a real
-//! post-mortem document instead of an empty placeholder.
+//! The drain runs at the sweep's widest window, with every option the
+//! sweep applies. One deliberately invalid query (`k = 0`) rides along:
+//! its terminal failure shows in the per-kind error counters and trips
+//! the flight recorder, so the report always carries a real post-mortem
+//! document instead of an empty placeholder. `topk-bench engine` writes
+//! its observability artifacts from this same drain.
 
-use crate::serving::{mixed_workload, EngineBenchOpts};
+use crate::serving::{drain, mixed_workload, EngineBenchOpts};
 use gpu_sim::{render_roofline, roofline, Bound, RooflineRow};
-use topk_engine::{EngineConfig, StageBreakdown, TopKEngine};
+use topk_engine::{chrome_trace, StageBreakdown};
 
 /// Everything one profiling run produces.
 #[derive(Debug, Clone)]
@@ -34,36 +38,22 @@ pub struct ProfileArtifacts {
     /// Post-mortem JSON documents the drain triggered (at least one:
     /// the induced invalid-query failure).
     pub post_mortems: Vec<String>,
-    /// Prometheus text exposition after the drain, including the
+    /// Prometheus text exposition after the drain: latency histograms,
+    /// per-kind error counters, algorithm counters and the
     /// `topk_profile_*` and `topk_tuner_drift_*` series.
     pub metrics: String,
+    /// Chrome Trace Event Format JSON (one kernel track and one query
+    /// track per device).
+    pub trace: String,
 }
 
 /// Run the profiling drain and render every artefact.
 pub fn profile_report(opts: &EngineBenchOpts) -> ProfileArtifacts {
-    let workload = mixed_workload(opts.queries, opts.full);
-    let window = opts.windows.iter().copied().max().unwrap_or(8);
-    let mut cfg = EngineConfig::a100_pool(opts.devices)
-        .with_window(window)
-        .with_queue_capacity(workload.len() + 1);
-    if let Some(plan) = opts.fault_plan() {
-        cfg = cfg.with_faults(plan);
-    }
-    if let Some(d) = opts.deadline_us {
-        cfg = cfg.with_deadline_us(d);
-    }
-    let mut engine = TopKEngine::new(cfg);
-    for (data, k) in &workload {
-        engine
-            .submit(data.clone(), *k)
-            .expect("queue sized to the workload");
-    }
-    // The induced anomaly: a query no device can serve, so the flight
-    // recorder demonstrably triggers.
-    engine
-        .submit(vec![1.0, 2.0], 0)
-        .expect("queue sized to the workload");
-    let report = engine.drain();
+    let mut workload = mixed_workload(opts.queries, opts.full);
+    // The induced anomaly: a query no device can serve.
+    workload.push((vec![1.0, 2.0], 0));
+    let window = opts.widest_window();
+    let (mut engine, report) = drain(opts, &workload, window);
 
     let rooflines: Vec<(usize, Vec<RooflineRow>)> = report
         .devices
@@ -90,6 +80,7 @@ pub fn profile_report(opts: &EngineBenchOpts) -> ProfileArtifacts {
         html,
         post_mortems,
         metrics: engine.render_prometheus(),
+        trace: chrome_trace(&report),
     }
 }
 
@@ -246,6 +237,47 @@ mod tests {
         assert!(art.metrics.contains("topk_profile_peak_bw_frac"));
         assert!(art.metrics.contains("topk_tuner_drift_ratio"));
         assert!(art.metrics.contains("topk_engine_stage_us"));
+        assert!(art
+            .metrics
+            .contains("topk_engine_query_latency_us_bucket{le=\"1\"}"));
+        assert!(art
+            .metrics
+            .contains("topk_engine_query_errors_total{kind=\"invalid_k\"} 1"));
+        assert!(art.metrics.contains("topk_air_adaptive_skips_total"));
+        assert!(art.trace.contains("device 0 kernels"));
+        assert!(art.trace.contains("device 1 kernels"));
+        assert!(art.trace.trim_end().ends_with('}'));
+    }
+
+    /// The profiling drain runs with the sweep's recall target, so the
+    /// approximate rungs it permits serve queries there too.
+    #[test]
+    fn profile_report_applies_the_recall_target() {
+        let opts = EngineBenchOpts {
+            queries: 32,
+            devices: 2,
+            windows: vec![4],
+            fault_seed: Some(29),
+            fault_rate: 0.10,
+            ..Default::default()
+        };
+        let approx_served = |opts: &EngineBenchOpts| -> u64 {
+            let metrics = profile_report(opts).metrics;
+            metrics
+                .lines()
+                .filter(|l| l.starts_with("topk_engine_approx_served_total{"))
+                .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                .sum()
+        };
+        assert_eq!(approx_served(&opts), 0, "exact-only without a target");
+        let target = EngineBenchOpts {
+            recall_target: Some(0.9),
+            ..opts
+        };
+        assert!(
+            approx_served(&target) > 0,
+            "the target permits approximation"
+        );
     }
 
     #[test]

@@ -56,60 +56,24 @@ impl Default for EngineBenchOpts {
 }
 
 impl EngineBenchOpts {
-    /// The chaos plan these options describe, if fault injection is on.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_seed
-            .map(|seed| FaultPlan::chaos(seed, self.fault_rate))
+    /// The widest coalescing window of the sweep: the drain whose
+    /// coalescing shows most, behind the digest and every other
+    /// serving artifact.
+    pub fn widest_window(&self) -> usize {
+        self.windows.iter().copied().max().unwrap_or(8)
     }
 }
 
-/// One measured point of the sweep.
+/// One measured point of the sweep: the drain at one window.
 #[derive(Debug, Clone)]
 pub struct EnginePoint {
     /// Coalescing window used.
     pub window: usize,
     /// Devices in the pool.
     pub devices: usize,
-    /// Queries drained.
-    pub queries: usize,
-    /// Batches that fused ≥ 2 queries.
-    pub fused_batches: usize,
-    /// Simulated throughput, queries per second.
-    pub qps: f64,
-    /// Simulated makespan of the drain, µs.
-    pub makespan_us: f64,
-    /// Mean simulated per-query latency, µs.
-    pub mean_latency_us: f64,
-    /// Median simulated per-query latency, µs.
-    pub p50_latency_us: f64,
-    /// 99th-percentile simulated per-query latency, µs — the number a
-    /// serving SLO is written against; coalescing trades it for
-    /// throughput.
-    pub p99_latency_us: f64,
-    /// Same-device retry attempts during the drain.
-    pub retries: u64,
-    /// Batches re-landed on a different device after a fault.
-    pub failovers: u64,
-    /// Queries degraded to the host heap path.
-    pub cpu_fallbacks: u64,
-    /// Queries that terminated with `DeadlineExceeded`.
-    pub deadline_misses: u64,
-    /// Dispatches served from the tuner's cached plan table.
-    pub plan_hits: u64,
-    /// Dispatches that re-planned (cold bucket or invalidated entry).
-    pub plan_misses: u64,
-    /// Cached plans replaced by observed-latency feedback.
-    pub refinements: u64,
-    /// Queries served by the two-stage approximate rung.
-    pub approx_two_stage: u64,
-    /// Queries served by the bucketed approximate rung.
-    pub approx_bucketed: u64,
-    /// Median estimated recall across terminal queries.
-    pub p50_recall: f64,
-    /// 99th-percentile estimated recall (worst 1% excluded).
-    pub p99_recall: f64,
-    /// Mean estimated recall across terminal queries.
-    pub mean_est_recall: f64,
+    /// The drain's report: throughput, latency percentiles, resilience
+    /// and tuner counters, recall aggregates.
+    pub report: DrainReport,
     /// Mean *measured* recall over successful queries, re-checked on
     /// the host — only computed under `--verify` (`None` otherwise).
     pub mean_measured_recall: Option<f64>,
@@ -133,37 +97,25 @@ pub fn mixed_workload(queries: usize, full: bool) -> Vec<(Vec<f32>, usize)> {
         .collect()
 }
 
-/// Drain `workload` through a fresh engine at the given window,
-/// returning the full report.
-pub fn drain_workload(
+/// Drain `workload` through a fresh engine that `opts` describe — its
+/// pool, fault plan, deadline and recall target — at coalescing window
+/// `window`. Returns the drained engine, which still holds the drain's
+/// metrics, profiles and post-mortems, and the drain's report.
+pub fn drain(
+    opts: &EngineBenchOpts,
     workload: &[(Vec<f32>, usize)],
-    devices: usize,
     window: usize,
-) -> DrainReport {
-    drain_workload_with(workload, devices, window, None, None, None)
-}
-
-/// [`drain_workload`] with optional fault injection, a per-query
-/// deadline, and a per-query recall target — the chaos-benchmark entry
-/// point.
-pub fn drain_workload_with(
-    workload: &[(Vec<f32>, usize)],
-    devices: usize,
-    window: usize,
-    faults: Option<FaultPlan>,
-    deadline_us: Option<u64>,
-    recall_target: Option<f64>,
-) -> DrainReport {
-    let mut cfg = EngineConfig::a100_pool(devices)
+) -> (TopKEngine, DrainReport) {
+    let mut cfg = EngineConfig::a100_pool(opts.devices)
         .with_window(window)
         .with_queue_capacity(workload.len().max(1));
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan);
+    if let Some(seed) = opts.fault_seed {
+        cfg = cfg.with_faults(FaultPlan::chaos(seed, opts.fault_rate));
     }
-    if let Some(d) = deadline_us {
+    if let Some(d) = opts.deadline_us {
         cfg = cfg.with_deadline_us(d);
     }
-    if let Some(t) = recall_target {
+    if let Some(t) = opts.recall_target {
         cfg = cfg.with_recall_target(t);
     }
     let mut engine = TopKEngine::new(cfg);
@@ -172,7 +124,8 @@ pub fn drain_workload_with(
             .submit(data.clone(), *k)
             .expect("queue sized to the workload");
     }
-    engine.drain()
+    let report = engine.drain();
+    (engine, report)
 }
 
 /// Run the sweep: same workload, one drain per window.
@@ -181,14 +134,7 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
     opts.windows
         .iter()
         .map(|&window| {
-            let report = drain_workload_with(
-                &workload,
-                opts.devices,
-                window,
-                opts.fault_plan(),
-                opts.deadline_us,
-                opts.recall_target,
-            );
+            let (_, report) = drain(opts, &workload, window);
             let mut measured: Vec<f64> = Vec::new();
             if opts.verify {
                 for (r, (data, k)) in report.results.iter().zip(&workload) {
@@ -215,30 +161,9 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
             EnginePoint {
                 window,
                 devices: opts.devices,
-                queries: report.results.len(),
-                fused_batches: report.fused_batches(),
-                qps: report.queries_per_sec(),
-                makespan_us: report.makespan_us(),
-                mean_latency_us: report.mean_latency_us(),
-                p50_latency_us: report.p50_latency_us(),
-                p99_latency_us: report.p99_latency_us(),
-                retries: report.retries,
-                failovers: report.failovers,
-                cpu_fallbacks: report.cpu_fallbacks,
-                deadline_misses: report.deadline_misses,
-                plan_hits: report.algo.tuner_plan_hits,
-                plan_misses: report.algo.tuner_plan_misses,
-                refinements: report.algo.tuner_refinements,
-                approx_two_stage: report.approx_two_stage,
-                approx_bucketed: report.approx_bucketed,
-                p50_recall: report.p50_recall(),
-                p99_recall: report.p99_recall(),
-                mean_est_recall: report.mean_est_recall(),
-                mean_measured_recall: if measured.is_empty() {
-                    None
-                } else {
-                    Some(measured.iter().sum::<f64>() / measured.len() as f64)
-                },
+                report,
+                mean_measured_recall: (!measured.is_empty())
+                    .then(|| measured.iter().sum::<f64>() / measured.len() as f64),
             }
         })
         .collect()
@@ -253,30 +178,31 @@ pub fn render(points: &[EnginePoint]) -> String {
          2stage  bucket  rec_p50  rec_p99  rec_meas\n",
     );
     for p in points {
+        let r = &p.report;
         out.push_str(&format!(
             "{:>6}  {:>7}  {:>7}  {:>5}  {:>11.0}  {:>11.1}  {:>11.1}  {:>10.1}  {:>10.1}  \
              {:>7}  {:>9}  {:>9}  {:>7}  {:>8}  {:>6}  {:>6}  \
              {:>6}  {:>6}  {:>7.4}  {:>7.4}  {:>8}\n",
             p.window,
             p.devices,
-            p.queries,
-            p.fused_batches,
-            p.qps,
-            p.makespan_us,
-            p.mean_latency_us,
-            p.p50_latency_us,
-            p.p99_latency_us,
-            p.retries,
-            p.failovers,
-            p.cpu_fallbacks,
-            p.deadline_misses,
-            p.plan_hits,
-            p.plan_misses,
-            p.refinements,
-            p.approx_two_stage,
-            p.approx_bucketed,
-            p.p50_recall,
-            p.p99_recall,
+            r.results.len(),
+            r.fused_batches(),
+            r.queries_per_sec(),
+            r.makespan_us(),
+            r.mean_latency_us(),
+            r.p50_latency_us(),
+            r.p99_latency_us(),
+            r.retries,
+            r.failovers,
+            r.cpu_fallbacks,
+            r.deadline_misses,
+            r.algo.tuner_plan_hits,
+            r.algo.tuner_plan_misses,
+            r.algo.tuner_refinements,
+            r.approx_two_stage,
+            r.approx_bucketed,
+            r.p50_recall(),
+            r.p99_recall(),
             p.mean_measured_recall
                 .map_or_else(|| "-".to_string(), |r| format!("{r:.4}")),
         ));
@@ -291,10 +217,11 @@ pub fn render(points: &[EnginePoint]) -> String {
 pub fn recall_floor_violations(points: &[EnginePoint], target: f64) -> Vec<String> {
     let mut violations = Vec::new();
     for p in points {
-        if p.mean_est_recall + 1e-9 < target {
+        let est = p.report.mean_est_recall();
+        if est + 1e-9 < target {
             violations.push(format!(
                 "window {}: mean estimated recall {:.4} below target {:.4}",
-                p.window, p.mean_est_recall, target
+                p.window, est, target
             ));
         }
         // Measured recall is a statistical quantity (the analytic bound
@@ -312,72 +239,6 @@ pub fn recall_floor_violations(points: &[EnginePoint], target: f64) -> Vec<Strin
     violations
 }
 
-/// Observability artifacts from one instrumented drain: the engine's
-/// Prometheus metrics text and a Chrome trace of the drain.
-#[derive(Debug, Clone)]
-pub struct EngineArtifacts {
-    /// Prometheus text exposition (latency histograms, AIR/GridSelect
-    /// counters, per-kind error counters, device utilisation).
-    pub metrics: String,
-    /// Chrome Trace Event Format JSON (one kernel track and one query
-    /// track per device).
-    pub trace: String,
-}
-
-/// Drain the mixed workload through one instrumented engine and return
-/// its metrics and trace. The widest sweep window is used (that is the
-/// drain whose coalescing is most visible in the trace), and one
-/// deliberately invalid query rides along so the per-kind error
-/// counters show a real failure instead of all-zeros.
-pub fn engine_observability(opts: &EngineBenchOpts) -> EngineArtifacts {
-    let workload = mixed_workload(opts.queries, opts.full);
-    let window = opts.windows.iter().copied().max().unwrap_or(8);
-    let mut cfg = EngineConfig::a100_pool(opts.devices)
-        .with_window(window)
-        .with_queue_capacity(workload.len() + 1);
-    if let Some(plan) = opts.fault_plan() {
-        cfg = cfg.with_faults(plan);
-    }
-    if let Some(d) = opts.deadline_us {
-        cfg = cfg.with_deadline_us(d);
-    }
-    if let Some(t) = opts.recall_target {
-        cfg = cfg.with_recall_target(t);
-    }
-    let mut engine = TopKEngine::new(cfg);
-    for (data, k) in &workload {
-        engine
-            .submit(data.clone(), *k)
-            .expect("queue sized to the workload");
-    }
-    engine
-        .submit(vec![1.0, 2.0], 0)
-        .expect("queue sized to the workload");
-    let report = engine.drain();
-    EngineArtifacts {
-        metrics: engine.render_prometheus(),
-        trace: topk_engine::chrome_trace(&report),
-    }
-}
-
-/// Deterministic summary of one drain at the widest sweep window, for
-/// CI chaos-smoke diffing (`--digest-out`): two runs with the same
-/// options — including the same `--faults` seed — must produce
-/// byte-identical output.
-pub fn chaos_digest(opts: &EngineBenchOpts) -> String {
-    let workload = mixed_workload(opts.queries, opts.full);
-    let window = opts.windows.iter().copied().max().unwrap_or(8);
-    let report = drain_workload_with(
-        &workload,
-        opts.devices,
-        window,
-        opts.fault_plan(),
-        opts.deadline_us,
-        opts.recall_target,
-    );
-    report.chaos_digest()
-}
-
 /// The sweep as standard benchmark rows (`algo = TopKEngine`, `batch`
 /// = coalescing window, `time_us` = makespan) for `engine.csv`.
 pub fn to_rows(points: &[EnginePoint], full: bool) -> Vec<Row> {
@@ -391,14 +252,14 @@ pub fn to_rows(points: &[EnginePoint], full: bool) -> Vec<Row> {
             } else {
                 "serving-mixed".into()
             },
-            n: p.queries,
+            n: p.report.results.len(),
             k: 0,
             batch: p.window,
-            time_us: p.makespan_us,
+            time_us: p.report.makespan_us(),
             mem_bytes: 0,
             kernels: 0,
             pcie_us: 0.0,
-            idle_us: p.mean_latency_us,
+            idle_us: p.report.mean_latency_us(),
             verified: true,
         })
         .collect()
@@ -407,6 +268,16 @@ pub fn to_rows(points: &[EnginePoint], full: bool) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widest window's drain digest of a fresh sweep.
+    fn digest(opts: &EngineBenchOpts) -> String {
+        let points = engine_throughput(opts);
+        let widest = points.iter().find(|p| p.window == opts.widest_window());
+        widest
+            .expect("the sweep drains every window")
+            .report
+            .chaos_digest()
+    }
 
     #[test]
     fn sweep_produces_points_for_every_window() {
@@ -420,23 +291,24 @@ mod tests {
         let points = engine_throughput(&opts);
         assert_eq!(points.len(), 3);
         for p in &points {
-            assert_eq!(p.queries, 24);
-            assert!(p.qps > 0.0);
+            assert_eq!(p.report.results.len(), 24);
+            assert!(p.report.queries_per_sec() > 0.0);
         }
         // Window 1 never fuses; wider windows must.
-        assert_eq!(points[0].fused_batches, 0);
-        assert!(points[1].fused_batches > 0);
+        assert_eq!(points[0].report.fused_batches(), 0);
+        assert!(points[1].report.fused_batches() > 0);
         // Coalescing should not hurt throughput on a same-shape-heavy
         // mix (it amortises launches and fills the grid).
+        let qps = |p: &EnginePoint| p.report.queries_per_sec();
         assert!(
-            points[1].qps >= points[0].qps * 0.9,
+            qps(&points[1]) >= qps(&points[0]) * 0.9,
             "window 8 ({:.0} qps) much slower than window 1 ({:.0} qps)",
-            points[1].qps,
-            points[0].qps
+            qps(&points[1]),
+            qps(&points[0])
         );
         for p in &points {
-            assert!(p.p50_latency_us > 0.0);
-            assert!(p.p50_latency_us <= p.p99_latency_us);
+            assert!(p.report.p50_latency_us() > 0.0);
+            assert!(p.report.p50_latency_us() <= p.report.p99_latency_us());
         }
         let table = render(&points);
         assert!(table.contains("queries/sec"));
@@ -445,37 +317,18 @@ mod tests {
         assert!(table.contains("rec_p99"));
         // Exact-only defaults: no approximate rungs, unit recall.
         for p in &points {
-            assert_eq!(p.approx_two_stage + p.approx_bucketed, 0);
-            assert_eq!(p.mean_est_recall, 1.0);
+            assert_eq!(p.report.approx_two_stage + p.report.approx_bucketed, 0);
+            assert_eq!(p.report.mean_est_recall(), 1.0);
             assert_eq!(p.mean_measured_recall, Some(1.0));
         }
         assert!(recall_floor_violations(&points, 0.95).is_empty());
         // The tuner consults its plan table on every dispatch.
-        assert!(points.iter().all(|p| p.plan_hits + p.plan_misses > 0));
+        assert!(points
+            .iter()
+            .all(|p| p.report.algo.tuner_plan_hits + p.report.algo.tuner_plan_misses > 0));
         let rows = to_rows(&points, false);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].batch, 1);
-    }
-
-    #[test]
-    fn observability_artifacts_are_complete() {
-        let opts = EngineBenchOpts {
-            queries: 12,
-            devices: 2,
-            windows: vec![4],
-            ..Default::default()
-        };
-        let art = engine_observability(&opts);
-        assert!(art
-            .metrics
-            .contains("topk_engine_query_latency_us_bucket{le=\"1\"}"));
-        assert!(art
-            .metrics
-            .contains("topk_engine_query_errors_total{kind=\"invalid_k\"} 1"));
-        assert!(art.metrics.contains("topk_air_adaptive_skips_total"));
-        assert!(art.trace.contains("device 0 kernels"));
-        assert!(art.trace.contains("device 1 kernels"));
-        assert!(art.trace.ends_with("]}\n") || art.trace.trim_end().ends_with('}'));
     }
 
     #[test]
@@ -491,13 +344,17 @@ mod tests {
         };
         let points = engine_throughput(&opts);
         assert_eq!(points.len(), 1);
-        assert_eq!(points[0].queries, 32, "every query stays terminal");
+        assert_eq!(
+            points[0].report.results.len(),
+            32,
+            "every query stays terminal"
+        );
         let table = render(&points);
         assert!(table.contains("retries"));
         assert!(table.contains("failovers"));
         assert!(table.contains("fallbacks"));
         // The digest is a pure function of the options.
-        assert_eq!(chaos_digest(&opts), chaos_digest(&opts));
+        assert_eq!(points[0].report.chaos_digest(), digest(&opts));
     }
 
     #[test]
@@ -518,13 +375,16 @@ mod tests {
         };
         let points = engine_throughput(&opts);
         assert_eq!(points.len(), 1);
-        let p = &points[0];
-        assert_eq!(p.queries, 32, "every query stays terminal");
+        assert_eq!(
+            points[0].report.results.len(),
+            32,
+            "every query stays terminal"
+        );
         // Whatever mix of exact and approximate served, the estimated
         // recall the engine accounts must clear the target.
         assert!(recall_floor_violations(&points, 0.9).is_empty());
-        let digest = chaos_digest(&opts);
-        assert_eq!(digest, chaos_digest(&opts));
+        let digest = digest(&opts);
+        assert_eq!(digest, points[0].report.chaos_digest());
         assert!(digest.contains("recall_p50="), "{digest}");
         let table = render(&points);
         assert!(table.contains("2stage"));
