@@ -127,18 +127,8 @@ impl<A: TopKAlgorithm> DrTopK<A> {
                         let hi = (lo + sub_len).min(n);
                         // Total-order min (-0.0 < +0.0); the first of
                         // equal keys wins.
-                        let m = ctx
-                            .ld_tile(&input, lo, hi)
-                            .iter()
-                            .reduce(|m, v| {
-                                if topk_core::RadixKey::to_ordered(v)
-                                    < topk_core::RadixKey::to_ordered(m)
-                                {
-                                    v
-                                } else {
-                                    m
-                                }
-                            })
+                        let m = (ctx.ld_tile(&input, lo, hi).iter())
+                            .min_by_key(|&v| topk_core::RadixKey::to_ordered(v))
                             .expect("every subrange is non-empty");
                         ctx.ops((hi - lo) as u64 * 2);
                         ctx.st(&delegates, s, m);
