@@ -30,12 +30,12 @@
 //! every field is concrete — no symbolic algebra is needed, just
 //! interval arithmetic in the grid dimension.
 //!
-//! To keep contracts from rotting, the dynamic sanitizer has a
-//! *conformance* mode
-//! ([`SanitizerMode::contracts`](crate::SanitizerMode::contracts)):
-//! every observed access must fall inside some declared entry of the
-//! active contract, and accesses to undeclared buffers are findings.
-//! `topk-bench sanitize` sweeps all algorithms with conformance on.
+//! To keep contracts from rotting, an armed sanitizer
+//! ([`SanitizerMode::armed`](crate::SanitizerMode::armed)) checks
+//! *conformance*: every observed access must fall inside some declared
+//! entry of the active contract, and accesses to undeclared buffers are
+//! findings. `topk-bench sanitize` and `verify` sweep all algorithms
+//! with it armed.
 
 use crate::device::DeviceSpec;
 use crate::exec::LaunchConfig;
@@ -583,9 +583,7 @@ impl KernelContract {
 
     /// Dynamic conformance: is an observed access admitted by some
     /// declared entry? Returns the violation detail when it is not.
-    /// Used by the sanitizer when
-    /// [`SanitizerMode::contracts`](crate::SanitizerMode::contracts) is
-    /// armed.
+    /// Used by an armed sanitizer.
     pub(crate) fn conformance_violation(
         &self,
         label: &str,

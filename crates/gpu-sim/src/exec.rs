@@ -192,7 +192,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Validate one device access against the armed sanitizer; `false`
-    /// means "squash" (out-of-bounds under memcheck). Without a
+    /// means "squash" (out-of-bounds under memcheck). Without an armed
     /// sanitizer, out-of-bounds aborts the launch with a labeled
     /// [`SimError::OutOfBounds`] payload that
     /// [`Gpu::try_launch`](crate::Gpu::try_launch) surfaces as an `Err`.

@@ -167,24 +167,23 @@ impl Gpu {
 
     // ---- sanitizer ----------------------------------------------------
 
-    /// Arm the sanitizer: buffers allocated from now on get shadow
-    /// state, and every launch runs the enabled analyses. Buffers that
-    /// already exist stay unshadowed (bounds are still checked). The
-    /// sanitizer never touches [`KernelStats`] or the cost model, so
-    /// simulated timings are identical with it on or off.
+    /// Attach the sanitizer: buffers allocated from now on get shadow
+    /// state; when `mode.armed`, every launch runs every access
+    /// analysis. Buffers that already exist stay unshadowed (bounds
+    /// are still checked). The sanitizer never touches [`KernelStats`]
+    /// or the cost model, so simulated timings are identical with it on
+    /// or off.
     pub fn enable_sanitizer(&mut self, mode: SanitizerMode) {
-        self.sanitizer = mode.enabled().then(|| Sanitizer::new(mode));
+        self.sanitizer = (mode.armed || mode.leakcheck).then(|| Sanitizer::new(mode));
     }
 
-    /// The armed analyses (all-off when no sanitizer is attached).
-    pub fn sanitizer_mode(&self) -> SanitizerMode {
-        self.sanitizer
-            .as_ref()
-            .map_or(SanitizerMode::off(), |s| s.mode())
+    /// The attached sanitizer when its access analyses are armed.
+    fn armed(&self) -> Option<&Sanitizer> {
+        self.sanitizer.as_ref().filter(|s| s.mode().armed)
     }
 
     /// Snapshot of everything the sanitizer observed, or `None` when
-    /// no sanitizer is armed.
+    /// no sanitizer is attached.
     pub fn sanitizer_report(&self) -> Option<SanitizerReport> {
         self.sanitizer.as_ref().map(|s| s.report())
     }
@@ -195,9 +194,8 @@ impl Gpu {
     /// is flagged once. Runs automatically when the device drops (with
     /// a summary on stderr, since the report is unreadable after
     /// drop); call it explicitly to assert on the findings. No-op
-    /// unless a sanitizer with
-    /// [`SanitizerMode::leakcheck`] is armed — note leakcheck only
-    /// tracks buffers allocated *after* it was armed.
+    /// unless [`SanitizerMode::leakcheck`] is set — note leakcheck only
+    /// tracks buffers allocated *after* it was set.
     pub fn run_leakcheck(&mut self) {
         if let Some(san) = self.sanitizer.as_ref() {
             san.run_leakcheck(self.mem_allocated);
@@ -238,7 +236,7 @@ impl Gpu {
 
     /// Charge `len * elem_bytes` against device memory, or fail with an
     /// out-of-memory / injected-fault error. Returns the sanitizer
-    /// shadow to attach to the new buffer when one is armed (shadows
+    /// shadow to attach to the new buffer when one is attached (shadows
     /// are per element, hence the split arguments).
     fn grant_alloc(
         &mut self,
@@ -267,7 +265,7 @@ impl Gpu {
         }
         self.mem_allocated += bytes;
         self.mem_high_water = self.mem_high_water.max(self.mem_allocated);
-        Ok(self.sanitizer.as_ref().map(|san| san.shadow_for(len)))
+        Ok(self.sanitizer.is_some().then(|| BufferShadow::new(len)))
     }
 
     /// Track a freshly granted buffer for the sanitizer's leakcheck.
@@ -322,8 +320,8 @@ impl Gpu {
         let pieces = (0..parts)
             .map(|p| {
                 let shadow = (self.sanitizer.as_ref())
-                    .zip(buf.shadow())
-                    .map(|(san, sh)| san.shadow_piece(sh, p * width, width));
+                    .and(buf.shadow())
+                    .map(|sh| sh.piece(p * width, width));
                 let piece = buf.piece(label, p * width, width, shadow);
                 self.register(&piece);
                 piece
@@ -459,7 +457,7 @@ impl Gpu {
         len: usize,
         fallible: bool,
     ) -> Result<(), SimError> {
-        if let (Some(san), Some(tok)) = (self.sanitizer.as_ref(), buf.sanitizer_token()) {
+        if let (Some(san), Some(tok)) = (self.armed(), buf.sanitizer_token()) {
             if tok.shadow.is_freed() {
                 san.record_host_uaf(buf.label(), "device-to-host readback");
             }
@@ -537,10 +535,10 @@ impl Gpu {
 
     /// Launch a kernel under a [`KernelContract`]: the declared access
     /// footprints are verified statically before the kernel runs (see
-    /// [`KernelContract::verify`]), and under a sanitizer with contract
-    /// conformance armed every observed access is checked against the
-    /// declaration. The kernel name comes from the contract. Panics on
-    /// violation when no sanitizer is armed to absorb the finding.
+    /// [`KernelContract::verify`]), and under an armed sanitizer every
+    /// observed access is checked against the declaration. The kernel
+    /// name comes from the contract. Panics on violation when no
+    /// sanitizer is armed to absorb the finding.
     pub fn launch_checked<F>(
         &mut self,
         contract: &KernelContract,
@@ -556,9 +554,9 @@ impl Gpu {
 
     /// Fallible counterpart of [`Gpu::launch_checked`]: a contract that
     /// fails static verification surfaces as
-    /// [`SimError::ContractViolation`] when no sanitizer is armed with
-    /// [`SanitizerMode::contracts`]; with one armed, violations become
-    /// deduplicated `contract` findings and the launch proceeds.
+    /// [`SimError::ContractViolation`] unless the sanitizer is
+    /// [`SanitizerMode::armed`]; armed, violations become deduplicated
+    /// `contract` findings and the launch proceeds.
     pub fn try_launch_checked<F>(
         &mut self,
         contract: &KernelContract,
@@ -591,14 +589,14 @@ impl Gpu {
         let findings_before = self.sanitizer.as_ref().map_or(0, |s| s.counts().total());
         // Static contract verification: runs before the kernel executes,
         // so a bad footprint is caught even for shapes the dynamic
-        // sanitizer never observes. With a contract-armed sanitizer the
+        // sanitizer never observes. With an armed sanitizer the
         // issues become findings and the launch proceeds (the dynamic
         // analyses still watch it); without one they are hard errors,
         // like an invalid launch configuration.
         if let Some(c) = contract {
             let issues = c.verify(&self.spec, &cfg);
             if !issues.is_empty() {
-                match self.sanitizer.as_ref().filter(|s| s.mode().contracts) {
+                match self.armed() {
                     Some(san) => {
                         for issue in &issues {
                             san.record_static_violation(name, &issue.buffer, issue.detail.clone());
@@ -616,8 +614,7 @@ impl Gpu {
         }
         let stats = {
             let scope = self
-                .sanitizer
-                .as_ref()
+                .armed()
                 .map(|san| LaunchScope::new(san, name, contract.map(|c| (c, cfg.grid_dim))));
             let stats = self.pool.run(&self.spec, cfg, scope.as_ref(), kernel)?;
             if let Some(s) = scope.as_ref() {
@@ -914,10 +911,19 @@ mod tests {
 
     // ---- leakcheck -----------------------------------------------------
 
+    const ARMED: SanitizerMode = SanitizerMode {
+        armed: true,
+        leakcheck: false,
+    };
+    const ARMED_LEAKCHECK: SanitizerMode = SanitizerMode {
+        armed: true,
+        leakcheck: true,
+    };
+
     #[test]
     fn split_pieces_carry_the_registration_and_the_bytes() {
         let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
-        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        g.enable_sanitizer(ARMED_LEAKCHECK);
         let packed = g.htod("packed", &[1u32, 2, 3, 4, 5, 6]);
         let (allocated, htod) = (g.mem_allocated(), g.timeline().memcpy_us());
         let pieces = g.split(packed, 3, "row");
@@ -956,7 +962,7 @@ mod tests {
     #[test]
     fn leakcheck_flags_dropped_buffer_and_stays_quiet_on_freed() {
         let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
-        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        g.enable_sanitizer(ARMED_LEAKCHECK);
         {
             let leaked = g.alloc::<u32>("leaked", 64);
             let freed = g.alloc::<u32>("freed", 64);
@@ -981,7 +987,10 @@ mod tests {
     #[test]
     fn leakcheck_live_handles_are_not_leaks() {
         let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
-        g.enable_sanitizer(SanitizerMode::leakcheck_only());
+        g.enable_sanitizer(SanitizerMode {
+            armed: false,
+            leakcheck: true,
+        });
         let held = g.alloc::<u32>("held", 16);
         g.run_leakcheck();
         assert_eq!(g.sanitizer_report().expect("armed").counts.leakcheck, 0);
@@ -991,9 +1000,9 @@ mod tests {
     }
 
     #[test]
-    fn leakcheck_not_armed_by_full_mode() {
+    fn arming_leaves_leakcheck_off() {
         let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
-        g.enable_sanitizer(SanitizerMode::full());
+        g.enable_sanitizer(ARMED);
         {
             let _dropped = g.alloc::<u32>("dropped", 16);
         }
@@ -1122,7 +1131,7 @@ mod tests {
             g.sanitizer_report().expect("armed").counts.initcheck
         };
         let mut g = gpu();
-        g.enable_sanitizer(SanitizerMode::full());
+        g.enable_sanitizer(ARMED);
         let buf = g.try_htod_rows("rows", &[&a, &[], &b]).unwrap();
         assert_eq!(buf.to_vec(), (0..90).collect::<Vec<u32>>());
         assert_eq!(read_all(&mut g, &buf), 0);
@@ -1140,7 +1149,7 @@ mod tests {
             nth: 0,
         });
         let mut g = faulty_gpu(plan);
-        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        g.enable_sanitizer(ARMED_LEAKCHECK);
         let (a, b) = rows();
         assert_eq!(
             g.try_htod_rows("rows", &[&a, &b]).unwrap_err(),
@@ -1155,7 +1164,7 @@ mod tests {
     #[test]
     fn an_oom_grant_fails_try_htod_rows_without_charging_anything() {
         let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
-        g.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+        g.enable_sanitizer(ARMED_LEAKCHECK);
         let half = vec![0u32; g.spec().device_mem_bytes / 8 + 1];
         assert!(matches!(
             g.try_htod_rows("rows", &[&half, &half]),

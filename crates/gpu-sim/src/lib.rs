@@ -24,10 +24,12 @@
 //!   bandwidth for PCIe. The paper's speedups are all explained by
 //!   these counted quantities, which is what makes the reproduction's
 //!   *shapes* faithful even though absolute microseconds are not.
-//! * [`sanitizer`] is a compute-sanitizer analogue: racecheck,
-//!   initcheck and memcheck analyses run over every kernel via the
-//!   same metered accessors, behind a zero-cost-when-off
-//!   [`SanitizerMode`] (`gpu.enable_sanitizer(SanitizerMode::full())`).
+//! * [`sanitizer`] is a compute-sanitizer analogue. Arming it
+//!   ([`SanitizerMode::armed`]) runs racecheck, initcheck, memcheck,
+//!   contract checks and synccheck over every kernel via the same
+//!   metered accessors; leakcheck is a second, separate switch
+//!   ([`SanitizerMode::leakcheck`]). Both off costs one branch per
+//!   access.
 //!
 //! ## Quick example
 //!

@@ -1,8 +1,11 @@
 //! A compute-sanitizer-style correctness layer for the simulator.
 //!
 //! NVIDIA's `compute-sanitizer` ships four tools; this module
-//! reproduces the three that make sense for the simulator's execution
-//! model, behind a zero-cost-when-off [`SanitizerMode`]:
+//! reproduces the ones that make sense for the simulator's execution
+//! model. [`SanitizerMode`] has two switches: `armed` runs every access
+//! analysis below (racecheck, initcheck, memcheck, contracts,
+//! synccheck) and `leakcheck` runs the leak sweep. Both off costs one
+//! `Option` branch per access.
 //!
 //! * **racecheck** — every device word carries a shadow record of the
 //!   last access (launch id, block, access kinds). Two accesses to the
@@ -34,8 +37,20 @@
 //!   thread), and any access to a buffer whose bytes were returned to
 //!   the device allocator ([`Gpu::free`](crate::Gpu::free) or a
 //!   released scratch guard) is a use-after-free finding.
-//! * **leakcheck** (opt-in, not part of [`SanitizerMode::full`]) —
-//!   every allocation is tracked; a sweep
+//! * **contracts** — a contracted launch
+//!   ([`Gpu::launch_checked`](crate::Gpu::launch_checked)) whose static
+//!   verification fails is a finding instead of a hard error, and every
+//!   observed access is checked against the declared
+//!   [`KernelContract`](crate::contract::KernelContract) footprints
+//!   (conformance), so contracts cannot rot.
+//! * **synccheck** — with
+//!   [`BlockCtx::block_sync`](crate::exec::BlockCtx::block_sync)
+//!   modelling `__syncthreads`, two non-atomic writes of the same word
+//!   by one block within one barrier interval are flagged (distinct
+//!   threads of the block would race on real hardware), and so are
+//!   blocks of one launch reaching mismatched barrier counts.
+//! * **leakcheck** (its own switch, not part of `armed`) — every
+//!   allocation is tracked; a sweep
 //!   ([`Gpu::run_leakcheck`](crate::Gpu::run_leakcheck), run
 //!   automatically when the device drops) flags allocations whose last
 //!   handle dropped without the bytes being freed, and allocator
@@ -47,135 +62,40 @@
 //! touches [`KernelStats`](crate::cost::KernelStats) or the cost model:
 //! simulated timings are bit-identical with the sanitizer on or off.
 //!
-//! What it cannot catch (vs. the real tool): intra-block hazards
-//! (a block closure is sequential host code, so there is no
-//! `synccheck` analogue until intra-block interleaving exists), shared
-//! -memory races (same reason), and device-side alignment faults (the
-//! simulator has no pointer arithmetic).
+//! What it cannot catch (vs. the real tool): intra-block hazards other
+//! than synccheck's same-word write pairs (a block closure is
+//! sequential host code), shared-memory races (same reason), and
+//! device-side alignment faults (the simulator has no pointer
+//! arithmetic).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Which analyses are armed. The default is everything off, which
-/// costs one `Option` branch per device access.
+/// What the sanitizer runs: two independent switches. The default,
+/// both off, costs one `Option` branch per device access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SanitizerMode {
-    /// Flag conflicting cross-block accesses within one launch.
-    pub racecheck: bool,
-    /// Flag kernel reads of never-written device words.
-    pub initcheck: bool,
-    /// Flag out-of-bounds and use-after-free accesses.
-    pub memcheck: bool,
+    /// Run every access analysis on every launch: racecheck,
+    /// initcheck, memcheck, contract findings and conformance for
+    /// contracted launches
+    /// ([`Gpu::launch_checked`](crate::Gpu::launch_checked)), and the
+    /// barrier-aware synccheck. Unarmed, a contract that fails static
+    /// verification is a hard
+    /// [`SimError::ContractViolation`](crate::SimError::ContractViolation)
+    /// and an out-of-bounds access aborts the launch.
+    pub armed: bool,
     /// Flag device allocations whose last handle dropped without the
     /// bytes ever being returned to the allocator (plus allocator
     /// accounting drift). Runs on demand
     /// ([`Gpu::run_leakcheck`](crate::Gpu::run_leakcheck)) and
-    /// automatically when the device drops.
+    /// automatically when the device drops. Not part of `armed`:
+    /// selection outputs are device-resident
+    /// [`DeviceBuffer`](crate::DeviceBuffer)s whose lifetime belongs to
+    /// the caller, so sweeps that drop them without a free would flag
+    /// themselves.
     pub leakcheck: bool,
-    /// Contract enforcement for contracted launches
-    /// ([`Gpu::launch_checked`](crate::Gpu::launch_checked)): static
-    /// verification failures become findings instead of hard launch
-    /// errors, and every observed access is dynamically checked against
-    /// the declared [`KernelContract`](crate::contract::KernelContract)
-    /// footprints (conformance), so contracts cannot rot.
-    pub contracts: bool,
-    /// Barrier-aware intra-block analysis: with
-    /// [`BlockCtx::block_sync`](crate::exec::BlockCtx::block_sync)
-    /// modelling `__syncthreads`, two non-atomic *writes* of the same
-    /// word by the same block within one barrier interval are flagged
-    /// (different threads of the block would race on real hardware),
-    /// while barrier-separated pairs are exonerated. Also detects
-    /// barrier divergence: blocks of one launch reaching mismatched
-    /// barrier counts. Implies `racecheck` shadow state; arming this
-    /// arms racecheck too.
-    pub synccheck: bool,
-}
-
-impl SanitizerMode {
-    /// Every analysis disabled.
-    pub fn off() -> Self {
-        SanitizerMode::default()
-    }
-
-    /// Every *access* analysis armed — what `topk-bench sanitize` and
-    /// CI run. Leakcheck is deliberately not included: selection
-    /// outputs are device-resident [`DeviceBuffer`](crate::DeviceBuffer)s
-    /// whose lifetime belongs to the caller, so sweep harnesses that
-    /// drop them without an explicit free would self-flag. Opt in with
-    /// [`SanitizerMode::with_leakcheck`].
-    pub fn full() -> Self {
-        SanitizerMode {
-            racecheck: true,
-            initcheck: true,
-            memcheck: true,
-            ..Self::off()
-        }
-    }
-
-    /// Builder: arm leakcheck on top of the current mode.
-    pub fn with_leakcheck(mut self) -> Self {
-        self.leakcheck = true;
-        self
-    }
-
-    /// Builder: arm contract enforcement (static-violation findings +
-    /// dynamic footprint conformance) on top of the current mode.
-    pub fn with_contracts(mut self) -> Self {
-        self.contracts = true;
-        self
-    }
-
-    /// Builder: arm the barrier-aware synccheck analysis (implies
-    /// racecheck, whose shadow records it extends).
-    pub fn with_synccheck(mut self) -> Self {
-        self.synccheck = true;
-        self.racecheck = true;
-        self
-    }
-
-    /// Only the leak analysis.
-    pub fn leakcheck_only() -> Self {
-        SanitizerMode {
-            leakcheck: true,
-            ..Self::off()
-        }
-    }
-
-    /// Only the race analysis.
-    pub fn racecheck_only() -> Self {
-        SanitizerMode {
-            racecheck: true,
-            ..Self::off()
-        }
-    }
-
-    /// Only the initialisation analysis.
-    pub fn initcheck_only() -> Self {
-        SanitizerMode {
-            initcheck: true,
-            ..Self::off()
-        }
-    }
-
-    /// Only the memory analysis.
-    pub fn memcheck_only() -> Self {
-        SanitizerMode {
-            memcheck: true,
-            ..Self::off()
-        }
-    }
-
-    /// True when at least one analysis is armed.
-    pub fn enabled(&self) -> bool {
-        self.racecheck
-            || self.initcheck
-            || self.memcheck
-            || self.leakcheck
-            || self.contracts
-            || self.synccheck
-    }
 }
 
 /// Which analysis produced a finding.
@@ -492,26 +412,6 @@ impl Sanitizer {
         }
     }
 
-    /// Build the shadow for a fresh allocation of `len` elements.
-    pub(crate) fn shadow_for(&self, len: usize) -> BufferShadow {
-        BufferShadow::new(len, self.mode)
-    }
-
-    /// The shadow of words `offset..offset + len` of `src` as a buffer
-    /// of their own: initcheck state copied, no race history.
-    pub(crate) fn shadow_piece(
-        &self,
-        src: &BufferShadow,
-        offset: usize,
-        len: usize,
-    ) -> BufferShadow {
-        let piece = self.shadow_for(len);
-        for i in (0..len).filter(|&i| src.is_valid(offset + i)) {
-            piece.mark_valid(i);
-        }
-        piece
-    }
-
     pub(crate) fn next_launch(&self) -> u64 {
         self.launch_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -549,9 +449,6 @@ impl Sanitizer {
     /// Record a host-side (non-kernel) memcheck finding, e.g. a D2H
     /// readback of a freed buffer.
     pub(crate) fn record_host_uaf(&self, buffer: &str, what: &str) {
-        if !self.mode.memcheck {
-            return;
-        }
         self.record(SanitizerFinding {
             analysis: Analysis::MemcheckUseAfterFree,
             buffer: buffer.to_string(),
@@ -567,8 +464,8 @@ impl Sanitizer {
 
     /// Record a static contract-verification failure for a launch that
     /// is about to run (launch 0 = pre-launch, like host-side checks).
-    /// Only called when [`SanitizerMode::contracts`] is armed — without
-    /// a sanitizer the violation is a hard
+    /// Only called when [`SanitizerMode::armed`] is set — unarmed, the
+    /// violation is a hard
     /// [`SimError::ContractViolation`](crate::SimError::ContractViolation)
     /// instead.
     pub(crate) fn record_static_violation(&self, kernel: &str, buffer: &str, detail: String) {
@@ -745,13 +642,11 @@ pub(crate) enum RaceHit {
 }
 
 /// Shadow state attached to a [`DeviceBuffer`](crate::DeviceBuffer)
-/// allocated while a sanitizer is armed.
+/// allocated while a sanitizer is attached.
 pub struct BufferShadow {
     /// One bit per element: has this word ever been written?
-    /// Empty when initcheck is off.
     valid: Box<[AtomicU64]>,
-    /// One record per element for racecheck. Empty when racecheck is
-    /// off.
+    /// One record per element for racecheck and synccheck.
     race: Box<[AtomicU64]>,
     /// Nonzero once the buffer's bytes were returned to the allocator.
     freed: AtomicU64,
@@ -760,30 +655,31 @@ pub struct BufferShadow {
 impl fmt::Debug for BufferShadow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BufferShadow")
-            .field("tracks_valid", &!self.valid.is_empty())
-            .field("tracks_races", &!self.race.is_empty())
+            .field("len", &self.race.len())
             .field("freed", &self.is_freed())
             .finish()
     }
 }
 
 impl BufferShadow {
-    fn new(len: usize, mode: SanitizerMode) -> Self {
-        let valid: Box<[AtomicU64]> = if mode.initcheck {
-            (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
-        } else {
-            Box::new([])
-        };
-        let race: Box<[AtomicU64]> = if mode.racecheck || mode.synccheck {
-            (0..len).map(|_| AtomicU64::new(0)).collect()
-        } else {
-            Box::new([])
-        };
+    /// Fresh shadow for an allocation of `len` elements: nothing
+    /// written, no race history.
+    pub(crate) fn new(len: usize) -> Self {
         BufferShadow {
-            valid,
-            race,
+            valid: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            race: (0..len).map(|_| AtomicU64::new(0)).collect(),
             freed: AtomicU64::new(0),
         }
+    }
+
+    /// The shadow of words `offset..offset + len` as a buffer of their
+    /// own: initcheck state copied, no race history.
+    pub(crate) fn piece(&self, offset: usize, len: usize) -> BufferShadow {
+        let piece = BufferShadow::new(len);
+        for i in (0..len).filter(|&i| self.is_valid(offset + i)) {
+            piece.mark_valid(i);
+        }
+        piece
     }
 
     /// Mark one word as initialised.
@@ -814,11 +710,7 @@ impl BufferShadow {
     }
 
     fn is_valid(&self, idx: usize) -> bool {
-        match self.valid.get(idx / 64) {
-            Some(cell) => cell.load(Ordering::Relaxed) & (1 << (idx % 64)) != 0,
-            // initcheck off: everything counts as valid.
-            None => true,
-        }
+        self.valid[idx / 64].load(Ordering::Relaxed) & (1 << (idx % 64)) != 0
     }
 
     /// Record that the buffer's bytes were returned to the allocator.
@@ -847,7 +739,7 @@ impl BufferShadow {
     ///
     /// `bar_epoch` is the accessing block's barrier count
     /// ([`BlockCtx::block_sync`](crate::exec::BlockCtx::block_sync)).
-    /// With `synccheck` armed, a same-block non-atomic write over an
+    /// For synccheck, a same-block non-atomic write over an
     /// earlier write at the *same* barrier epoch is an intra-block
     /// hazard (distinct threads of the block on real hardware, with no
     /// `__syncthreads` between them); barrier-separated pairs are
@@ -862,8 +754,6 @@ impl BufferShadow {
         now_epoch: u64,
         sync_epoch: u64,
         bar_epoch: u64,
-        racecheck: bool,
-        synccheck: bool,
     ) -> Option<RaceHit> {
         let cell = self.race.get(idx)?;
         let kbit = kind.bit();
@@ -899,8 +789,7 @@ impl BufferShadow {
                 // except for the write-write shape synccheck looks for:
                 // two stores of one word by one block model distinct
                 // threads, racy unless a barrier separates them.
-                let intra = synccheck
-                    && kind == AccessKind::Write
+                let intra = kind == AccessKind::Write
                     && prev_kinds & 2 != 0
                     && prev_bsync == bar_sat
                     && bar_sat < BSYNC_SAT;
@@ -919,12 +808,11 @@ impl BufferShadow {
                 // epoch is the max over contributors, so a merged
                 // multi-block record stays conservative: suppression
                 // requires *every* contributor to predate the acquire.
-                let hazard = racecheck
-                    && match kind {
-                        AccessKind::Read => prev_kinds & (2 | 4) != 0,
-                        AccessKind::Write => prev_kinds != 0,
-                        AccessKind::Atomic => prev_kinds & (1 | 2) != 0,
-                    };
+                let hazard = match kind {
+                    AccessKind::Read => prev_kinds & (2 | 4) != 0,
+                    AccessKind::Write => prev_kinds != 0,
+                    AccessKind::Atomic => prev_kinds & (1 | 2) != 0,
+                };
                 let ordered = sync_epoch != 0 && prev_epoch < sync_epoch.min(EPOCH_MASK);
                 let next = pack(
                     launch22,
@@ -984,7 +872,7 @@ pub struct LaunchScope<'g> {
     epoch: AtomicU64,
     /// The launch's contract plus its grid size, when launched through
     /// [`Gpu::launch_checked`](crate::Gpu::launch_checked) — drives the
-    /// dynamic conformance analysis under [`SanitizerMode::contracts`].
+    /// dynamic conformance analysis.
     contract: Option<(&'g crate::contract::KernelContract, usize)>,
     /// Min/max final barrier count over completed blocks, for the
     /// barrier-divergence check (`u64::MAX` min = no block reported).
@@ -1012,9 +900,6 @@ impl<'g> LaunchScope<'g> {
     /// Record one completed block's final barrier count (called by the
     /// block pool after the block's closure returns).
     pub(crate) fn note_block_barriers(&self, count: u64) {
-        if !self.san.mode.synccheck {
-            return;
-        }
         self.bar_lo.fetch_min(count, Ordering::Relaxed);
         self.bar_hi.fetch_max(count, Ordering::Relaxed);
     }
@@ -1025,28 +910,23 @@ impl<'g> LaunchScope<'g> {
     /// divergent control flow around a barrier, a hang or UB). One
     /// deduplicated finding per (kernel, launch-name) pair.
     pub(crate) fn check_barrier_divergence(&self) {
-        if !self.san.mode.synccheck {
-            return;
-        }
         let lo = self.bar_lo.load(Ordering::Relaxed);
         let hi = self.bar_hi.load(Ordering::Relaxed);
         if lo == u64::MAX || lo == hi {
             return;
         }
-        self.san.record(SanitizerFinding {
-            analysis: Analysis::Synccheck,
-            buffer: "<barrier>".to_string(),
-            kernel: self.kernel.to_string(),
-            launch: self.launch,
-            block: 0,
-            index: 0,
-            access: AccessKind::Atomic,
-            count: 1,
-            detail: format!(
-                "barrier divergence: blocks reached between {lo} and {hi} block_sync() \
-                 barriers in one launch"
-            ),
-        });
+        let detail = format!(
+            "barrier divergence: blocks reached between {lo} and {hi} block_sync() barriers \
+             in one launch"
+        );
+        self.flag(
+            Analysis::Synccheck,
+            "<barrier>",
+            0,
+            0,
+            AccessKind::Atomic,
+            detail,
+        );
     }
 
     /// Bump the global epoch for an acquire grid sync and return the
@@ -1055,11 +935,33 @@ impl<'g> LaunchScope<'g> {
         self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// Record one occurrence of `analysis` at access `index` of the
+    /// buffer `label` in this launch.
+    fn flag(
+        &self,
+        analysis: Analysis,
+        label: &str,
+        block: usize,
+        index: usize,
+        access: AccessKind,
+        detail: String,
+    ) {
+        self.san.record(SanitizerFinding {
+            analysis,
+            buffer: label.to_string(),
+            kernel: self.kernel.to_string(),
+            launch: self.launch,
+            block,
+            index,
+            access,
+            count: 1,
+            detail,
+        });
+    }
+
     /// Validate one device-memory access. Returns `false` when the
-    /// access must be squashed (out of bounds under memcheck). When
-    /// memcheck is off, out-of-bounds panics with a labeled
-    /// [`SimError::OutOfBounds`](crate::SimError::OutOfBounds) payload
-    /// that the block pool converts into a launch error.
+    /// access must be squashed (out of bounds, reported as a memcheck
+    /// finding).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn check_access(
         &self,
@@ -1072,43 +974,15 @@ impl<'g> LaunchScope<'g> {
         sync_epoch: u64,
         bar_epoch: u64,
     ) -> bool {
+        let flag = |analysis, detail| self.flag(analysis, label, block, idx, kind, detail);
         if idx >= len {
-            if self.san.mode.memcheck {
-                self.san.record(SanitizerFinding {
-                    analysis: Analysis::MemcheckOob,
-                    buffer: label.to_string(),
-                    kernel: self.kernel.to_string(),
-                    launch: self.launch,
-                    block,
-                    index: idx,
-                    access: kind,
-                    count: 1,
-                    detail: format!("index {idx} outside length {len}; access squashed"),
-                });
-                return false;
-            }
-            std::panic::panic_any(crate::SimError::OutOfBounds {
-                buffer: label.to_string(),
-                idx,
-                len,
-            });
+            let detail = format!("index {idx} outside length {len}; access squashed");
+            flag(Analysis::MemcheckOob, detail);
+            return false;
         }
-        if self.san.mode.contracts {
-            if let Some((contract, grid)) = self.contract {
-                if let Some(detail) = contract.conformance_violation(label, idx, kind, block, grid)
-                {
-                    self.san.record(SanitizerFinding {
-                        analysis: Analysis::ContractConformance,
-                        buffer: label.to_string(),
-                        kernel: self.kernel.to_string(),
-                        launch: self.launch,
-                        block,
-                        index: idx,
-                        access: kind,
-                        count: 1,
-                        detail,
-                    });
-                }
+        if let Some((contract, grid)) = self.contract {
+            if let Some(detail) = contract.conformance_violation(label, idx, kind, block, grid) {
+                flag(Analysis::ContractConformance, detail);
             }
         }
         let Some(sh) = shadow else {
@@ -1116,114 +990,51 @@ impl<'g> LaunchScope<'g> {
             // constructed host-side): only bounds are checkable.
             return true;
         };
-        if self.san.mode.memcheck && sh.is_freed() {
-            self.san.record(SanitizerFinding {
-                analysis: Analysis::MemcheckUseAfterFree,
-                buffer: label.to_string(),
-                kernel: self.kernel.to_string(),
-                launch: self.launch,
-                block,
-                index: idx,
-                access: kind,
-                count: 1,
-                detail: "buffer bytes were returned to the allocator before this access".into(),
-            });
+        if sh.is_freed() {
+            let detail = "buffer bytes were returned to the allocator before this access";
+            flag(Analysis::MemcheckUseAfterFree, detail.into());
         }
-        if self.san.mode.initcheck {
-            match kind {
-                AccessKind::Read => {
-                    if !sh.is_valid(idx) {
-                        self.san.record(SanitizerFinding {
-                            analysis: Analysis::Initcheck,
-                            buffer: label.to_string(),
-                            kernel: self.kernel.to_string(),
-                            launch: self.launch,
-                            block,
-                            index: idx,
-                            access: kind,
-                            count: 1,
-                            detail: "read of a never-written device word".into(),
-                        });
-                    }
-                }
-                AccessKind::Write => sh.mark_valid(idx),
-                AccessKind::Atomic => {
-                    if !sh.is_valid(idx) {
-                        self.san.record(SanitizerFinding {
-                            analysis: Analysis::Initcheck,
-                            buffer: label.to_string(),
-                            kernel: self.kernel.to_string(),
-                            launch: self.launch,
-                            block,
-                            index: idx,
-                            access: kind,
-                            count: 1,
-                            detail: "atomic read-modify-write of a never-written device word"
-                                .into(),
-                        });
-                    }
-                    sh.mark_valid(idx);
-                }
-            }
+        if kind != AccessKind::Write && !sh.is_valid(idx) {
+            let what = match kind {
+                AccessKind::Read => "read",
+                _ => "atomic read-modify-write",
+            };
+            flag(
+                Analysis::Initcheck,
+                format!("{what} of a never-written device word"),
+            );
         }
-        if self.san.mode.racecheck || self.san.mode.synccheck {
-            let now = self.epoch.load(Ordering::Relaxed);
-            match sh.race_check(
-                idx,
-                self.launch,
-                block,
-                kind,
-                now,
-                sync_epoch,
-                bar_epoch,
-                self.san.mode.racecheck,
-                self.san.mode.synccheck,
-            ) {
-                Some(RaceHit::CrossBlock {
-                    prev_kinds,
-                    prev_block,
-                }) => {
-                    let who = if prev_block == BLOCK_MULTI {
-                        "several blocks".to_string()
-                    } else {
-                        format!("block {}", prev_block - 1)
-                    };
-                    self.san.record(SanitizerFinding {
-                        analysis: Analysis::Racecheck,
-                        buffer: label.to_string(),
-                        kernel: self.kernel.to_string(),
-                        launch: self.launch,
-                        block,
-                        index: idx,
-                        access: kind,
-                        count: 1,
-                        detail: format!(
-                            "{} conflicts with unsynchronised {} by {} in the same launch",
-                            kind.label(),
-                            kinds_label(prev_kinds),
-                            who
-                        ),
-                    });
-                }
-                Some(RaceHit::IntraBlockWrite) => {
-                    self.san.record(SanitizerFinding {
-                        analysis: Analysis::Synccheck,
-                        buffer: label.to_string(),
-                        kernel: self.kernel.to_string(),
-                        launch: self.launch,
-                        block,
-                        index: idx,
-                        access: kind,
-                        count: 1,
-                        detail: format!(
-                            "same-word writes by block {block} within one barrier \
-                             interval (no block_sync() between them): distinct threads \
-                             of the block would race on real hardware"
-                        ),
-                    });
-                }
-                None => {}
+        if kind != AccessKind::Read {
+            sh.mark_valid(idx);
+        }
+        let now = self.epoch.load(Ordering::Relaxed);
+        match sh.race_check(idx, self.launch, block, kind, now, sync_epoch, bar_epoch) {
+            Some(RaceHit::CrossBlock {
+                prev_kinds,
+                prev_block,
+            }) => {
+                let who = if prev_block == BLOCK_MULTI {
+                    "several blocks".to_string()
+                } else {
+                    format!("block {}", prev_block - 1)
+                };
+                let detail = format!(
+                    "{} conflicts with unsynchronised {} by {} in the same launch",
+                    kind.label(),
+                    kinds_label(prev_kinds),
+                    who
+                );
+                flag(Analysis::Racecheck, detail);
             }
+            Some(RaceHit::IntraBlockWrite) => {
+                let detail = format!(
+                    "same-word writes by block {block} within one barrier interval (no \
+                     block_sync() between them): distinct threads of the block would race \
+                     on real hardware"
+                );
+                flag(Analysis::Synccheck, detail);
+            }
+            None => {}
         }
         true
     }
@@ -1233,27 +1044,63 @@ impl<'g> LaunchScope<'g> {
 mod tests {
     use super::*;
 
+    const ARMED: SanitizerMode = SanitizerMode {
+        armed: true,
+        leakcheck: false,
+    };
+    const LEAKCHECK: SanitizerMode = SanitizerMode {
+        armed: false,
+        leakcheck: true,
+    };
+
+    /// One launch that trips every access analysis, plus a buffer
+    /// dropped without a free, on a device with `mode`.
+    fn every_analysis_counts(mode: SanitizerMode) -> SanitizerCounts {
+        use crate::{BlockPool, DeviceSpec, Footprint, Gpu, KernelContract, LaunchConfig};
+        let mut g = Gpu::with_pool(DeviceSpec::test_tiny(), BlockPool::new(1));
+        g.enable_sanitizer(mode);
+        drop(g.alloc::<u32>("dropped", 4));
+        let fresh = g.alloc::<u32>("fresh", 4);
+        let freed = g.alloc::<u32>("freed", 4);
+        let out = g.alloc::<u32>("out", 4);
+        g.free(&freed);
+        let contract =
+            KernelContract::new("every_analysis").writes_shared(&out, Footprint::fixed(0, 1));
+        g.launch_checked(&contract, LaunchConfig::grid_1d(2, 32), |ctx| {
+            if ctx.block_idx == 0 {
+                ctx.block_sync(); // barrier divergence
+                let _ = ctx.ld(&fresh, 0); // initcheck, undeclared buffer
+                let _ = ctx.ld(&freed, 0); // use after free
+            }
+            ctx.st(&out, 0, 1); // racecheck across blocks
+            ctx.st(&out, 2, 1); // outside the declared footprint...
+            ctx.st(&out, 2, 2); // ...and unsynchronised in the block
+        });
+        g.run_leakcheck();
+        g.sanitizer_report().expect("attached").counts
+    }
+
     #[test]
-    fn mode_flags() {
-        assert!(!SanitizerMode::off().enabled());
-        assert!(SanitizerMode::full().enabled());
-        assert!(SanitizerMode::racecheck_only().racecheck);
-        assert!(!SanitizerMode::racecheck_only().memcheck);
-        assert!(!SanitizerMode::full().leakcheck, "leakcheck is opt-in");
-        assert!(SanitizerMode::full().with_leakcheck().leakcheck);
-        assert!(SanitizerMode::leakcheck_only().enabled());
-        assert!(!SanitizerMode::leakcheck_only().racecheck);
-        assert!(!SanitizerMode::full().contracts, "contracts are opt-in");
-        assert!(SanitizerMode::full().with_contracts().contracts);
-        assert!(!SanitizerMode::full().synccheck, "synccheck is opt-in");
-        let sc = SanitizerMode::off().with_synccheck();
-        assert!(sc.synccheck && sc.racecheck, "synccheck implies racecheck");
-        assert!(sc.enabled());
+    fn arming_covers_every_access_analysis_but_not_leakcheck() {
+        let c = every_analysis_counts(ARMED);
+        for (analysis, n) in [
+            ("racecheck", c.racecheck),
+            ("initcheck", c.initcheck),
+            ("memcheck", c.memcheck),
+            ("contract", c.contract),
+            ("synccheck", c.synccheck),
+        ] {
+            assert!(n > 0, "{analysis} is not armed: {c:?}");
+        }
+        assert_eq!(c.leakcheck, 0, "leakcheck has its own switch");
+        let c = every_analysis_counts(LEAKCHECK);
+        assert_eq!(c.total(), c.leakcheck, "{c:?}");
+        assert_eq!(c.leakcheck, 1);
     }
 
     #[test]
     fn findings_dedup_by_buffer_and_kernel() {
-        let san = Sanitizer::new(SanitizerMode::full());
+        let san = Sanitizer::new(ARMED);
         for i in 0..5 {
             san.record(SanitizerFinding {
                 analysis: Analysis::Initcheck,
@@ -1275,7 +1122,7 @@ mod tests {
         assert!(!r.is_clean());
     }
 
-    /// Old-signature shim: racecheck only, no barriers.
+    /// Race-shadow shim with no barriers.
     fn rc(
         sh: &BufferShadow,
         idx: usize,
@@ -1285,12 +1132,12 @@ mod tests {
         now: u64,
         sync: u64,
     ) -> Option<RaceHit> {
-        sh.race_check(idx, launch, block, kind, now, sync, 0, true, false)
+        sh.race_check(idx, launch, block, kind, now, sync, 0)
     }
 
     #[test]
     fn race_shadow_flags_cross_block_write_write() {
-        let sh = BufferShadow::new(4, SanitizerMode::full());
+        let sh = BufferShadow::new(4);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Write, 1, 0).is_none());
         let c = rc(&sh, 0, 1, 1, AccessKind::Write, 1, 0);
         assert_eq!(
@@ -1310,7 +1157,7 @@ mod tests {
         // Blocks 0 and 1 update the word atomically, then block 2, the
         // last to arrive, acquires (epoch 5) and reads it twice: its
         // second read must not conflict with its own first.
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Atomic, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Atomic, 2, 0).is_none());
         assert!(rc(&sh, 0, 1, 2, AccessKind::Read, 5, 5).is_none());
@@ -1322,7 +1169,7 @@ mod tests {
             matches!(c, Some(RaceHit::CrossBlock { prev_block, .. }) if prev_block == BLOCK_MULTI)
         );
         // Without the acquire, the first read already conflicts.
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Atomic, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Atomic, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 2, AccessKind::Read, 1, 0).is_some());
@@ -1330,14 +1177,14 @@ mod tests {
 
     #[test]
     fn race_shadow_allows_read_read_and_atomic_atomic() {
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Read, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Read, 1, 0).is_none());
         // ... but a later write conflicts with the multi-block reads.
         let c = rc(&sh, 0, 1, 2, AccessKind::Write, 1, 0).unwrap();
         assert!(matches!(c, RaceHit::CrossBlock { prev_block, .. } if prev_block == BLOCK_MULTI));
 
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 3, 0, AccessKind::Atomic, 1, 0).is_none());
         assert!(rc(&sh, 0, 3, 1, AccessKind::Atomic, 1, 0).is_none());
         // Mixed atomic / non-atomic flags.
@@ -1346,7 +1193,7 @@ mod tests {
 
     #[test]
     fn race_shadow_same_block_is_silent() {
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 7, AccessKind::Write, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 7, AccessKind::Read, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 7, AccessKind::Atomic, 1, 0).is_none());
@@ -1354,7 +1201,7 @@ mod tests {
 
     #[test]
     fn sync_epoch_orders_only_earlier_accesses() {
-        let sh = BufferShadow::new(2, SanitizerMode::full());
+        let sh = BufferShadow::new(2);
         // Block 0 writes word 0 at epoch 1, then block 1 acquires
         // (sync epoch 2): its read of word 0 is ordered, not a race.
         assert!(rc(&sh, 0, 1, 0, AccessKind::Write, 1, 0).is_none());
@@ -1373,35 +1220,34 @@ mod tests {
         // Now: block 1 acquires at epoch 2, then block 0 writes the
         // word at epoch 2 (after the acquire), then block 1 reads it —
         // a real unordered conflict that must be flagged.
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Write, 2, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Read, 2, 2).is_some());
     }
 
     #[test]
     fn merged_multi_block_record_keeps_latest_epoch() {
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         // Reads at epochs 1 and 3 merge; an acquirer at sync epoch 2
         // must still conflict (one contributor postdates its acquire).
         assert!(rc(&sh, 0, 1, 0, AccessKind::Read, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Read, 3, 0).is_none());
         assert!(rc(&sh, 0, 1, 2, AccessKind::Write, 3, 2).is_some());
         // ... while an acquirer past every contributor is ordered.
-        let sh = BufferShadow::new(1, SanitizerMode::full());
+        let sh = BufferShadow::new(1);
         assert!(rc(&sh, 0, 1, 0, AccessKind::Read, 1, 0).is_none());
         assert!(rc(&sh, 0, 1, 1, AccessKind::Read, 2, 0).is_none());
         assert!(rc(&sh, 0, 1, 2, AccessKind::Write, 3, 3).is_none());
     }
 
-    /// Synccheck shim: racecheck + synccheck, explicit barrier epoch.
+    /// Synccheck shim: one word, explicit barrier epoch.
     fn sc(sh: &BufferShadow, block: usize, kind: AccessKind, bar: u64) -> Option<RaceHit> {
-        sh.race_check(0, 1, block, kind, 1, 0, bar, true, true)
+        sh.race_check(0, 1, block, kind, 1, 0, bar)
     }
 
     #[test]
     fn synccheck_flags_same_block_write_write_in_one_interval() {
-        let mode = SanitizerMode::full().with_synccheck();
-        let sh = BufferShadow::new(1, mode);
+        let sh = BufferShadow::new(1);
         assert!(sc(&sh, 3, AccessKind::Write, 0).is_none());
         assert_eq!(
             sc(&sh, 3, AccessKind::Write, 0),
@@ -1414,8 +1260,7 @@ mod tests {
 
     #[test]
     fn synccheck_barrier_separated_writes_are_exonerated() {
-        let mode = SanitizerMode::full().with_synccheck();
-        let sh = BufferShadow::new(1, mode);
+        let sh = BufferShadow::new(1);
         assert!(sc(&sh, 3, AccessKind::Write, 0).is_none());
         // A block_sync() between the writes bumps the barrier epoch.
         assert!(sc(&sh, 3, AccessKind::Write, 1).is_none());
@@ -1428,8 +1273,7 @@ mod tests {
 
     #[test]
     fn synccheck_saturated_barrier_epochs_are_suppressed() {
-        let mode = SanitizerMode::full().with_synccheck();
-        let sh = BufferShadow::new(1, mode);
+        let sh = BufferShadow::new(1);
         assert!(sc(&sh, 3, AccessKind::Write, BSYNC_SAT + 5).is_none());
         assert!(
             sc(&sh, 3, AccessKind::Write, BSYNC_SAT + 9).is_none(),
@@ -1438,16 +1282,9 @@ mod tests {
     }
 
     #[test]
-    fn synccheck_off_same_block_writes_stay_silent() {
-        let sh = BufferShadow::new(1, SanitizerMode::full());
-        assert!(rc(&sh, 0, 1, 3, AccessKind::Write, 1, 0).is_none());
-        assert!(rc(&sh, 0, 1, 3, AccessKind::Write, 1, 0).is_none());
-    }
-
-    #[test]
     fn leakcheck_flags_dropped_unfreed_allocations() {
-        let san = Sanitizer::new(SanitizerMode::leakcheck_only());
-        let sh = std::sync::Arc::new(BufferShadow::new(4, san.mode()));
+        let san = Sanitizer::new(LEAKCHECK);
+        let sh = std::sync::Arc::new(BufferShadow::new(4));
         san.register_alloc("lost", 16, sh.clone());
         // Handle still alive: not a leak.
         san.run_leakcheck(16);
@@ -1467,8 +1304,8 @@ mod tests {
 
     #[test]
     fn leakcheck_freed_buffers_are_clean() {
-        let san = Sanitizer::new(SanitizerMode::leakcheck_only());
-        let sh = std::sync::Arc::new(BufferShadow::new(4, san.mode()));
+        let san = Sanitizer::new(LEAKCHECK);
+        let sh = std::sync::Arc::new(BufferShadow::new(4));
         san.register_alloc("ok", 16, sh.clone());
         sh.mark_freed();
         drop(sh);
@@ -1478,7 +1315,7 @@ mod tests {
 
     #[test]
     fn leakcheck_reports_accounting_drift_once() {
-        let san = Sanitizer::new(SanitizerMode::leakcheck_only());
+        let san = Sanitizer::new(LEAKCHECK);
         // 64 bytes outstanding in the allocator, nothing tracked.
         san.run_leakcheck(64);
         assert_eq!(san.counts().leakcheck, 1);
@@ -1489,7 +1326,7 @@ mod tests {
 
     #[test]
     fn valid_bitmap_tracks_words() {
-        let sh = BufferShadow::new(130, SanitizerMode::full());
+        let sh = BufferShadow::new(130);
         assert!(!sh.is_valid(0));
         assert!(!sh.is_valid(129));
         sh.mark_valid(129);
@@ -1502,7 +1339,7 @@ mod tests {
     #[test]
     fn valid_prefix_marks_exactly_the_prefix() {
         for len in [0, 1, 63, 64, 65, 129, 130] {
-            let sh = BufferShadow::new(130, SanitizerMode::initcheck_only());
+            let sh = BufferShadow::new(130);
             sh.mark_valid_prefix(len);
             for idx in 0..130 {
                 assert_eq!(sh.is_valid(idx), idx < len, "len={len} idx={idx}");

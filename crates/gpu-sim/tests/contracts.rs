@@ -13,9 +13,13 @@ use gpu_sim::{
     SimError,
 };
 
-fn gpu_with(mode: SanitizerMode) -> Gpu {
+/// A one-worker A100 with every access analysis armed.
+fn armed_gpu() -> Gpu {
     let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
-    g.enable_sanitizer(mode);
+    g.enable_sanitizer(SanitizerMode {
+        armed: true,
+        leakcheck: false,
+    });
     g
 }
 
@@ -23,7 +27,7 @@ fn gpu_with(mode: SanitizerMode) -> Gpu {
 
 #[test]
 fn overlapping_write_footprint_is_one_finding() {
-    let mut g = gpu_with(SanitizerMode::full().with_contracts());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("overlap_out", 64);
     // An exclusive `.writes` claim with an `all` footprint cannot be
     // cross-block disjoint at grid 4: flagged statically, before the
@@ -55,7 +59,7 @@ fn overlapping_write_footprint_is_one_finding() {
 
 #[test]
 fn oob_footprint_is_one_finding() {
-    let mut g = gpu_with(SanitizerMode::full().with_contracts());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("short_out", 8);
     // per_block(8) reaches index 15 at grid 2 — past the 8-element
     // buffer. Static OOB, no execution needed; block 1 never actually
@@ -88,7 +92,7 @@ fn oob_footprint_is_one_finding() {
 
 #[test]
 fn contract_narrower_than_observed_is_one_conformance_finding() {
-    let mut g = gpu_with(SanitizerMode::full().with_contracts());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("narrow_out", 8);
     // The contract only admits writes to [0, 4); the kernel writes
     // index 5 repeatedly. Every occurrence is a conformance violation,
@@ -120,7 +124,7 @@ fn contract_narrower_than_observed_is_one_conformance_finding() {
 
 #[test]
 fn undeclared_buffer_access_is_a_conformance_finding() {
-    let mut g = gpu_with(SanitizerMode::full().with_contracts());
+    let mut g = armed_gpu();
     let declared = g.alloc::<u32>("declared", 8);
     let stowaway = g.alloc::<u32>("stowaway", 8);
     stowaway.fill(1);
@@ -141,7 +145,7 @@ fn undeclared_buffer_access_is_a_conformance_finding() {
 
 #[test]
 fn barrier_divergent_kernel_is_one_finding() {
-    let mut g = gpu_with(SanitizerMode::full().with_synccheck());
+    let mut g = armed_gpu();
     // Block 0 reaches one barrier, every other block reaches none — the
     // classic conditional-__syncthreads deadlock shape.
     g.launch("divergent_kernel", LaunchConfig::grid_1d(4, 32), |ctx| {
@@ -170,7 +174,7 @@ fn same_block_write_pair_flagged_without_sync_and_exonerated_with_it() {
     // Without a barrier between them, two writes of the same word by
     // one block would race across that block's threads on real
     // hardware: exactly one deduplicated synccheck finding.
-    let mut g = gpu_with(SanitizerMode::full().with_synccheck());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("unsynced", 4);
     g.launch("unsynced_kernel", LaunchConfig::grid_1d(2, 32), |ctx| {
         ctx.st(&out, ctx.block_idx, 1);
@@ -192,7 +196,7 @@ fn same_block_write_pair_flagged_without_sync_and_exonerated_with_it() {
 
     // The same pair separated by block_sync() is the legitimate
     // multi-pass shape (bitonic stages): must stay clean.
-    let mut g = gpu_with(SanitizerMode::full().with_synccheck());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("synced", 4);
     g.launch("synced_kernel", LaunchConfig::grid_1d(2, 32), |ctx| {
         ctx.st(&out, ctx.block_idx, 1);
@@ -227,7 +231,7 @@ fn contract_violation_without_sanitizer_is_a_hard_error() {
 
 #[test]
 fn valid_contract_passes_and_conformance_stays_silent() {
-    let mut g = gpu_with(SanitizerMode::full().with_contracts().with_synccheck());
+    let mut g = armed_gpu();
     let input = g.htod("vals", &(0..128u32).collect::<Vec<_>>());
     let out = g.alloc::<u32>("out", 4);
     let c = KernelContract::new("tile_sum")
@@ -247,10 +251,11 @@ fn valid_contract_passes_and_conformance_stays_silent() {
 
 /// Run an annotated pipeline and digest every cost-model quantity.
 fn contract_digest(contracts: bool) -> Vec<u64> {
-    let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
-    if contracts {
-        g.enable_sanitizer(SanitizerMode::full().with_contracts().with_synccheck());
-    }
+    let mut g = if contracts {
+        armed_gpu()
+    } else {
+        Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1))
+    };
     let data: Vec<u32> = (0..4096).collect();
     let input = g.htod("in", &data);
     let out = g.alloc::<u32>("out", 16);

@@ -10,17 +10,32 @@ use gpu_sim::{
     LaunchConfig, SanitizerMode, SanitizerReport, SimError,
 };
 
-fn gpu_with(mode: SanitizerMode) -> Gpu {
+/// A one-worker A100 with every access analysis armed.
+fn armed_gpu() -> Gpu {
     let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
-    g.enable_sanitizer(mode);
+    g.enable_sanitizer(SanitizerMode {
+        armed: true,
+        leakcheck: false,
+    });
     g
+}
+
+/// Occurrences of `analysis` in `report`, over its deduplicated
+/// findings.
+fn count(report: &SanitizerReport, analysis: Analysis) -> u64 {
+    report
+        .findings
+        .iter()
+        .filter(|f| f.analysis == analysis)
+        .map(|f| f.count)
+        .sum()
 }
 
 // ---- negative controls: these MUST be detected ------------------------
 
 #[test]
 fn racecheck_flags_unsynchronised_cross_block_writes() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("racy_out", 4);
     // Every block writes the same word non-atomically — the canonical
     // lost-update race. Detection must not depend on the schedule: the
@@ -47,7 +62,7 @@ fn racecheck_flags_unsynchronised_cross_block_writes() {
 
 #[test]
 fn racecheck_flags_mixed_atomic_and_plain_access() {
-    let mut g = gpu_with(SanitizerMode::racecheck_only());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("counter", 1);
     g.launch("mixed_kernel", LaunchConfig::grid_1d(4, 32), |ctx| {
         if ctx.block_idx == 0 {
@@ -57,12 +72,12 @@ fn racecheck_flags_mixed_atomic_and_plain_access() {
         }
     });
     let report = g.sanitizer_report().unwrap();
-    assert!(report.counts.racecheck > 0);
+    assert!(count(&report, Analysis::Racecheck) > 0, "{report:?}");
 }
 
 #[test]
 fn initcheck_flags_stale_scratch_read() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     // The stale-scratch shape: a kernel consumes a freshly allocated
     // workspace word that nothing ever wrote, silently relying on the
     // allocator zeroing (real cudaMalloc returns garbage).
@@ -92,7 +107,7 @@ fn initcheck_flags_stale_scratch_read() {
 
 #[test]
 fn memcheck_flags_use_after_free() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let buf = g.alloc::<u32>("recycled", 16);
     buf.fill(7);
     g.free(&buf); // bytes returned; the handle still aliases them
@@ -114,7 +129,7 @@ fn memcheck_flags_use_after_free() {
 
 #[test]
 fn memcheck_flags_host_readback_of_freed_buffer() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let buf = g.alloc::<u32>("freed_for_dtoh", 8);
     buf.fill(1);
     g.free(&buf);
@@ -128,7 +143,7 @@ fn memcheck_flags_host_readback_of_freed_buffer() {
 
 #[test]
 fn memcheck_squashes_out_of_bounds_instead_of_panicking() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let small = g.alloc::<u32>("small", 4);
     small.fill(9);
     let sink = g.alloc::<u32>("sink", 1);
@@ -195,7 +210,7 @@ fn grid_sync_last_block_pattern_is_not_a_race() {
     // AIR's fused-kernel shape: every block bumps a histogram with
     // atomics, the last block (after an AcqRel grid sync) reads the
     // whole histogram with plain loads. Racecheck must stay silent.
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let hist = g.alloc::<u32>("hist", 16);
     hist.fill(0);
     let total = g.alloc::<u32>("total", 1);
@@ -223,7 +238,7 @@ fn grid_sync_last_block_pattern_is_not_a_race() {
 fn atomic_add_sync_exempts_subsequent_reads() {
     // The per-problem done-counter variant (AIR's batched kernel):
     // whoever observes the final count reads everyone's plain stores.
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let partials = g.alloc::<u32>("partials", 8);
     partials.fill(0);
     let done = g.alloc::<u32>("done", 1);
@@ -252,7 +267,7 @@ fn atomic_add_sync_exempts_subsequent_reads() {
 
 #[test]
 fn initialised_reads_are_clean_via_htod_fill_and_stores() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let a = g.htod("uploaded", &[1u32, 2, 3, 4]); // H2D marks valid
     let b = g.alloc::<u32>("filled", 4);
     b.fill(0); // fill marks valid
@@ -272,8 +287,8 @@ fn initialised_reads_are_clean_via_htod_fill_and_stores() {
 // ---- bulk transfer paths: one-pass staging keeps the shadow exact ----
 
 #[test]
-fn htod_buffer_reads_clean_under_initcheck() {
-    let mut g = gpu_with(SanitizerMode::initcheck_only());
+fn htod_buffer_reads_clean_under_the_armed_sanitizer() {
+    let mut g = armed_gpu();
     // 200 words: three full valid-bitmap words plus a partial one.
     let data: Vec<u32> = (0..200).collect();
     let up = g.htod("bulk_upload", &data);
@@ -293,7 +308,7 @@ fn htod_buffer_reads_clean_under_initcheck() {
 
 #[test]
 fn htod_into_prefix_leaves_the_tail_uninitialised() {
-    let mut g = gpu_with(SanitizerMode::initcheck_only());
+    let mut g = armed_gpu();
     let buf = g.alloc::<u32>("params", 130);
     g.htod_into(&buf, &[7u32; 70]);
     let sink = g.alloc::<u32>("sink", 1);
@@ -305,7 +320,7 @@ fn htod_into_prefix_leaves_the_tail_uninitialised() {
         ctx.st(&sink, 0, acc);
     });
     let report = g.sanitizer_report().unwrap();
-    assert_eq!(report.counts.initcheck, 1, "{:?}", report.findings);
+    assert_eq!(count(&report, Analysis::Initcheck), 1, "{report:?}");
     let f = report
         .findings
         .iter()
@@ -316,7 +331,7 @@ fn htod_into_prefix_leaves_the_tail_uninitialised() {
 
 #[test]
 fn dtoh_of_a_freed_upload_records_the_host_use_after_free() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let buf = g.htod("freed_upload", &[1u32, 2, 3, 4]);
     g.free(&buf);
     assert_eq!(g.dtoh(&buf), vec![1, 2, 3, 4], "the readback still copies");
@@ -338,7 +353,7 @@ fn dtoh_range_past_the_end_is_a_labeled_out_of_bounds_panic() {
 
 #[test]
 fn disjoint_block_writes_are_not_a_race() {
-    let mut g = gpu_with(SanitizerMode::full());
+    let mut g = armed_gpu();
     let out = g.alloc::<u32>("partitioned", 64);
     g.launch("disjoint_kernel", LaunchConfig::grid_1d(8, 32), |ctx| {
         for i in 0..8 {
@@ -417,7 +432,7 @@ fn two_block_read(
 #[test]
 fn tile_memcheck_squash_matches_the_ld_loop() {
     let (report, values, _) = tile_matches_ld_loop(|read| {
-        let mut g = gpu_with(SanitizerMode::full());
+        let mut g = armed_gpu();
         let buf = g.htod("short", &[1u32, 2, 3, 4]);
         two_block_read(&mut g, None, &buf, (2, 8), read, |_, _| {})
     });
@@ -432,21 +447,23 @@ fn tile_memcheck_squash_matches_the_ld_loop() {
 #[test]
 fn tile_initcheck_of_unwritten_words_matches_the_ld_loop() {
     let (report, _, _) = tile_matches_ld_loop(|read| {
-        let mut g = gpu_with(SanitizerMode::initcheck_only());
+        let mut g = armed_gpu();
         let buf = g.alloc::<u32>("half_written", 16);
         for i in 0..6 {
             buf.set(i, 1);
         }
         two_block_read(&mut g, None, &buf, (0, 16), read, |_, _| {})
     });
-    let f = &report.findings[0];
-    assert_eq!((f.analysis, f.index, f.count), (Analysis::Initcheck, 6, 10));
+    let f = (report.findings.iter())
+        .find(|f| f.analysis == Analysis::Initcheck)
+        .expect("initcheck finding");
+    assert_eq!((f.index, f.count), (6, 10));
 }
 
 #[test]
 fn tile_cross_block_race_matches_the_ld_loop() {
     let (report, _, _) = tile_matches_ld_loop(|read| {
-        let mut g = gpu_with(SanitizerMode::racecheck_only());
+        let mut g = armed_gpu();
         let buf = g.htod("shared_row", &[0u32; 16]);
         two_block_read(&mut g, None, &buf, (0, 16), read, |ctx, buf| {
             for i in 8..12 {
@@ -454,17 +471,16 @@ fn tile_cross_block_race_matches_the_ld_loop() {
             }
         })
     });
-    let f = &report.findings[0];
-    assert_eq!(
-        (f.analysis, f.block, f.index, f.count),
-        (Analysis::Racecheck, 1, 8, 4)
-    );
+    let f = (report.findings.iter())
+        .find(|f| f.analysis == Analysis::Racecheck)
+        .expect("racecheck finding");
+    assert_eq!((f.block, f.index, f.count), (1, 8, 4));
 }
 
 #[test]
 fn tile_read_outside_the_contract_matches_the_ld_loop() {
     let (report, _, _) = tile_matches_ld_loop(|read| {
-        let mut g = gpu_with(SanitizerMode::full().with_contracts());
+        let mut g = armed_gpu();
         let buf = g.htod("declared_head", &[5u32; 8]);
         let c = KernelContract::new("tile_kernel").reads(&buf, Footprint::fixed(0, 4));
         two_block_read(&mut g, Some(&c), &buf, (2, 8), read, |_, _| {})
@@ -480,10 +496,11 @@ fn tile_read_outside_the_contract_matches_the_ld_loop() {
 
 /// Run the same little pipeline and digest every cost-model quantity.
 fn cost_digest(sanitize: bool) -> Vec<u64> {
-    let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
-    if sanitize {
-        g.enable_sanitizer(SanitizerMode::full());
-    }
+    let mut g = if sanitize {
+        armed_gpu()
+    } else {
+        Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1))
+    };
     let data: Vec<u32> = (0..4096).collect();
     let input = g.htod("in", &data);
     let hist = g.alloc::<u32>("hist", 256);

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use topk_bench::serving::{drain, mixed_workload, EngineBenchOpts};
+use topk_bench::serving::{drain, engine_config, mixed_workload, EngineBenchOpts};
 
 const WINDOWS: [usize; 3] = [1, 8, 32];
 const QUERIES: usize = 96;
@@ -20,7 +20,7 @@ fn bench_engine_windows(c: &mut Criterion) {
     };
     let workload = mixed_workload(QUERIES, false);
     for window in WINDOWS {
-        let (_, report) = drain(&opts, &workload, window);
+        let (_, report) = drain(engine_config(&opts, window), &workload);
         eprintln!(
             "[bench_engine] window {:>2}: {:>9.0} simulated queries/sec \
              ({} fused batches, makespan {:.1} us)",
@@ -36,7 +36,7 @@ fn bench_engine_windows(c: &mut Criterion) {
     for window in WINDOWS {
         group.bench_with_input(BenchmarkId::new("window", window), &window, |b, &window| {
             b.iter(|| {
-                let (_, report) = drain(&opts, &workload, window);
+                let (_, report) = drain(engine_config(&opts, window), &workload);
                 black_box(report.queries_per_sec())
             });
         });

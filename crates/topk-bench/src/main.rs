@@ -110,8 +110,10 @@ const COMMANDS: &[Command] = &[
     tool("compare", "chosen algorithms on one shape", "--algos=A,B,.. --n=N --k=K --batch=B \
                      --dist=uniform|normal|adversarialM|zipfT --no-verify", compare),
     tool("tune-alpha", "the §3.2 alpha calibration", "--n=N --k=K", tune_alpha),
-    tool("verify", "the correctness gate over every algorithm", "--quick", verify),
-    tool("sanitize", "every algorithm under the gpu-sim sanitizer", "--matrix=smoke|full", sanitize),
+    tool("verify", "every algorithm on awkward shapes, answers verified and sanitized",
+         "--quick", verify),
+    tool("sanitize", "every algorithm, the engine and a window sweep, sanitized and verified",
+         "--matrix=smoke|full", sanitize),
     tool("baseline", "write BENCH_10.json (--out FILE), or check it (--check [--file FILE])",
          "--out=FILE --check --file=FILE", baseline),
     tool("report", "DIR/report.html (inline-SVG charts) from the CSVs", "--out=DIR", report),
@@ -434,16 +436,17 @@ fn tune_alpha(args: &Args) -> u8 {
 }
 
 fn verify(args: &Args) -> u8 {
-    u8::from(tools::verify_matrix(args.has("--quick")) != 0)
+    let matrix = sanitize::GateMatrix::verify(args.has("--quick"));
+    u8::from(!sanitize::run(&matrix).passed())
 }
 
 fn sanitize(args: &Args) -> u8 {
     let matrix = match args.raw("--matrix") {
-        Some("smoke") => sanitize::SanitizeMatrix::smoke(),
-        None | Some("full") => sanitize::SanitizeMatrix::full(),
+        Some("smoke") => sanitize::GateMatrix::smoke(),
+        None | Some("full") => sanitize::GateMatrix::full(),
         Some(_) => usage(),
     };
-    u8::from(sanitize::run(&matrix).findings != 0)
+    u8::from(!sanitize::run(&matrix).passed())
 }
 
 /// `baseline [--out FILE]` writes the digest; `baseline --check [--file

@@ -1,8 +1,9 @@
 //! `topk-bench profile` — the continuous-profiler report.
 //!
 //! Drains the standard mixed serving workload through one instrumented
-//! [`TopKEngine`] and folds what the engine already collected into the
-//! operator-facing artefacts of the profiling subsystem:
+//! [`TopKEngine`](topk_engine::TopKEngine) and folds what the engine
+//! already collected into the operator-facing artefacts of the
+//! profiling subsystem:
 //!
 //! * a per-device **roofline table** ([`gpu_sim::roofline`]): every
 //!   kernel's achieved bandwidth/throughput against the
@@ -23,7 +24,7 @@
 //! document instead of an empty placeholder. `topk-bench engine` writes
 //! its observability artifacts from this same drain.
 
-use crate::serving::{drain, mixed_workload, EngineBenchOpts};
+use crate::serving::{drain, engine_config, mixed_workload, EngineBenchOpts};
 use gpu_sim::{render_roofline, roofline, Bound, RooflineRow};
 use topk_engine::{chrome_trace, StageBreakdown};
 
@@ -53,7 +54,7 @@ pub fn profile_report(opts: &EngineBenchOpts) -> ProfileArtifacts {
     // The induced anomaly: a query no device can serve.
     workload.push((vec![1.0, 2.0], 0));
     let window = opts.widest_window();
-    let (mut engine, report) = drain(opts, &workload, window);
+    let (mut engine, report) = drain(engine_config(opts, window), &workload);
 
     let rooflines: Vec<(usize, Vec<RooflineRow>)> = report
         .devices

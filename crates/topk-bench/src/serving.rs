@@ -97,18 +97,10 @@ pub fn mixed_workload(queries: usize, full: bool) -> Vec<(Vec<f32>, usize)> {
         .collect()
 }
 
-/// Drain `workload` through a fresh engine that `opts` describe — its
-/// pool, fault plan, deadline and recall target — at coalescing window
-/// `window`. Returns the drained engine, which still holds the drain's
-/// metrics, profiles and post-mortems, and the drain's report.
-pub fn drain(
-    opts: &EngineBenchOpts,
-    workload: &[(Vec<f32>, usize)],
-    window: usize,
-) -> (TopKEngine, DrainReport) {
-    let mut cfg = EngineConfig::a100_pool(opts.devices)
-        .with_window(window)
-        .with_queue_capacity(workload.len().max(1));
+/// The engine configuration `opts` describe — pool, fault plan,
+/// deadline and recall target — at coalescing window `window`.
+pub fn engine_config(opts: &EngineBenchOpts, window: usize) -> EngineConfig {
+    let mut cfg = EngineConfig::a100_pool(opts.devices).with_window(window);
     if let Some(seed) = opts.fault_seed {
         cfg = cfg.with_faults(FaultPlan::chaos(seed, opts.fault_rate));
     }
@@ -118,7 +110,15 @@ pub fn drain(
     if let Some(t) = opts.recall_target {
         cfg = cfg.with_recall_target(t);
     }
-    let mut engine = TopKEngine::new(cfg);
+    cfg
+}
+
+/// Submit `workload` to a fresh engine on `cfg`, its queue sized to
+/// the workload, and drain it. Returns the drained engine, which still
+/// holds the drain's metrics, profiles, post-mortems and sanitizer
+/// findings, and the drain's report.
+pub fn drain(cfg: EngineConfig, workload: &[(Vec<f32>, usize)]) -> (TopKEngine, DrainReport) {
+    let mut engine = TopKEngine::new(cfg.with_queue_capacity(workload.len().max(1)));
     for (data, k) in workload {
         engine
             .submit(data.clone(), *k)
@@ -128,35 +128,49 @@ pub fn drain(
     (engine, report)
 }
 
+/// Re-check every answer a drain of `workload` landed against the host
+/// reference: exact answers with `verify_topk`, approximate ones as
+/// measured recall, since they do not promise the exact multiset.
+/// Returns the recall of each success (1.0 for an exact one), or the
+/// first rejected answer. Failed queries are skipped: under faults or
+/// deadlines they are expected terminal outcomes.
+pub fn measured_recalls(
+    report: &DrainReport,
+    workload: &[(Vec<f32>, usize)],
+) -> Result<Vec<f64>, String> {
+    let mut measured = Vec::new();
+    for (r, (data, k)) in report.results.iter().zip(workload) {
+        match &r.outcome {
+            Ok(out) if r.served.label().starts_with("approx") => {
+                measured.push(measured_recall(data, *k, &out.values));
+            }
+            Ok(out) => {
+                verify_topk(data, *k, &out.values, &out.indices)
+                    .map_err(|e| format!("query {}: {e}", r.id))?;
+                measured.push(1.0);
+            }
+            Err(_) => {}
+        }
+    }
+    Ok(measured)
+}
+
 /// Run the sweep: same workload, one drain per window.
 pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
     let workload = mixed_workload(opts.queries, opts.full);
     opts.windows
         .iter()
         .map(|&window| {
-            let (_, report) = drain(opts, &workload, window);
+            let (_, report) = drain(engine_config(opts, window), &workload);
             let mut measured: Vec<f64> = Vec::new();
             if opts.verify {
-                for (r, (data, k)) in report.results.iter().zip(&workload) {
-                    // Under injected faults or deadlines, errors are
-                    // expected terminal outcomes; verify the answers
-                    // that did land.
-                    let strict = opts.fault_seed.is_none() && opts.deadline_us.is_none();
-                    let approx = r.served.label().starts_with("approx");
-                    match &r.outcome {
-                        // Approximate rungs do not promise the exact
-                        // multiset; re-check them as measured recall
-                        // against the host reference instead.
-                        Ok(out) if approx => measured.push(measured_recall(data, *k, &out.values)),
-                        Ok(out) => {
-                            verify_topk(data, *k, &out.values, &out.indices)
-                                .unwrap_or_else(|e| panic!("query {}: {e}", r.id));
-                            measured.push(1.0);
-                        }
-                        Err(e) if strict => panic!("query {}: {e}", r.id),
-                        Err(_) => {}
+                // Without faults or deadlines every query must land.
+                if opts.fault_seed.is_none() && opts.deadline_us.is_none() {
+                    if let Some(r) = report.results.iter().find(|r| r.outcome.is_err()) {
+                        panic!("query {}: {}", r.id, r.outcome.as_ref().unwrap_err());
                     }
                 }
+                measured = measured_recalls(&report, &workload).unwrap_or_else(|e| panic!("{e}"));
             }
             EnginePoint {
                 window,

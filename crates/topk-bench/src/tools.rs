@@ -159,80 +159,6 @@ pub fn tune_alpha(n: usize, k: usize, alphas: &[usize], verbose: bool) -> Vec<Al
     points
 }
 
-/// The §5.1 correctness gate as a standalone artifact: run every
-/// algorithm over a matrix of distributions and awkward problem
-/// shapes, verify each output strictly, and print a pass/fail grid.
-/// Returns the number of failures (0 on a healthy build).
-pub fn verify_matrix(quick: bool) -> usize {
-    use gpu_sim::{DeviceSpec, Gpu};
-    use topk_core::verify_topk;
-
-    let shapes: Vec<(usize, usize)> = if quick {
-        vec![(1, 1), (1000, 7), (8192, 2048), (20_000, 19_999)]
-    } else {
-        vec![
-            (1, 1),
-            (2, 1),
-            (33, 32),
-            (1000, 7),
-            (4097, 4096),
-            (8192, 2048),
-            (20_000, 1),
-            (20_000, 19_999),
-            (65_536, 65_536),
-            (100_000, 256),
-        ]
-    };
-    let mut algs: Vec<Box<dyn TopKAlgorithm>> = topk_baselines::all_baselines();
-    algs.push(Box::new(AirTopK::default()));
-    algs.push(Box::new(topk_core::GridSelect::default()));
-    algs.push(Box::new(topk_core::UnfusedRadix::default()));
-    algs.push(Box::new(topk_core::SelectK::default()));
-    algs.push(Box::new(topk_hybrid::DrTopK::new(AirTopK::default())));
-
-    let mut failures = 0usize;
-    println!(
-        "{:<16} {:>9} {:>9} {:>15}  result",
-        "algorithm", "n", "k", "distribution"
-    );
-    for dist in Distribution::benchmark_set() {
-        for &(n, k) in &shapes {
-            let data = datagen::generate(dist, n, (n + k) as u64);
-            for alg in &algs {
-                if k > n || alg.max_k().is_some_and(|mk| k > mk) {
-                    continue;
-                }
-                let mut gpu = Gpu::new(DeviceSpec::a100());
-                let input = gpu.htod("in", &data);
-                let out = alg.select(&mut gpu, &input, k);
-                let res = verify_topk(&data, k, &out.values.to_vec(), &out.indices.to_vec());
-                if let Err(e) = res {
-                    failures += 1;
-                    println!(
-                        "{:<16} {:>9} {:>9} {:>15}  FAIL: {e}",
-                        alg.name(),
-                        n,
-                        k,
-                        dist.name()
-                    );
-                }
-            }
-        }
-    }
-    let total = algs.len();
-    if failures == 0 {
-        println!(
-            "all {} algorithms passed on {} shapes x {} distributions",
-            total,
-            shapes.len(),
-            3
-        );
-    } else {
-        println!("{failures} verification failures");
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

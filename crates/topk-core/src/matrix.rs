@@ -412,7 +412,10 @@ mod tests {
         ];
         for alg in &algs {
             let mut gpu = Gpu::new(DeviceSpec::a100());
-            gpu.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+            gpu.enable_sanitizer(SanitizerMode {
+                armed: true,
+                leakcheck: true,
+            });
             let inputs: Vec<_> = (0..2)
                 .map(|r| {
                     gpu.htod(

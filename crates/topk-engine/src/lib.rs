@@ -192,7 +192,7 @@ pub struct EngineConfig {
     /// the retry budget or the device pool is exhausted (default
     /// `true`); when `false` they fail with a typed error instead.
     pub cpu_fallback: bool,
-    /// Sanitizer analyses armed on every pool device (default all-off).
+    /// Sanitizer switches set on every pool device (default both off).
     /// The sanitizer never perturbs simulated costs, so serving
     /// latencies and [`DrainReport::chaos_digest`] are unchanged;
     /// findings surface in [`DeviceReport::sanitizer`] and
@@ -227,7 +227,7 @@ impl EngineConfig {
             breaker: BreakerConfig::default(),
             deadline_us: None,
             cpu_fallback: true,
-            sanitizer: SanitizerMode::off(),
+            sanitizer: SanitizerMode::default(),
             flight_capacity: 256,
             default_recall_target: 1.0,
         }
@@ -288,7 +288,7 @@ impl EngineConfig {
         self
     }
 
-    /// Arm sanitizer analyses on every pool device.
+    /// Set the sanitizer switches on every pool device.
     #[must_use]
     pub fn with_sanitizer(mut self, mode: SanitizerMode) -> Self {
         self.sanitizer = mode;
@@ -984,10 +984,8 @@ impl TopKEngine {
                 gpu.set_fault_injector(plan.injector_for(dev));
             }
         }
-        if config.sanitizer.enabled() {
-            for gpu in &mut gpus {
-                gpu.enable_sanitizer(config.sanitizer);
-            }
+        for gpu in &mut gpus {
+            gpu.enable_sanitizer(config.sanitizer);
         }
         TopKEngine {
             pending: Vec::new(),

@@ -678,7 +678,10 @@ fn sanitized_drain_is_clean_and_digest_matches_unsanitized() {
     let run = |sanitize: bool| {
         let mut cfg = EngineConfig::a100_pool(2).with_window(4);
         if sanitize {
-            cfg = cfg.with_sanitizer(SanitizerMode::full());
+            cfg = cfg.with_sanitizer(SanitizerMode {
+                armed: true,
+                leakcheck: false,
+            });
         }
         let mut engine = TopKEngine::new(cfg);
         for q in 0..12 {
@@ -1014,8 +1017,10 @@ fn coalesce_merges_recall_targets_to_the_strictest_member() {
 
 #[test]
 fn sanitizer_counts_are_drain_relative() {
-    let mut engine =
-        TopKEngine::new(EngineConfig::a100_pool(1).with_sanitizer(SanitizerMode::full()));
+    let mut engine = TopKEngine::new(EngineConfig::a100_pool(1).with_sanitizer(SanitizerMode {
+        armed: true,
+        leakcheck: false,
+    }));
     let data = generate(Distribution::Uniform, 1024, 7);
     engine.submit(data.clone(), 16).unwrap();
     let first = engine.drain();

@@ -169,10 +169,10 @@ fn injected_oom_mid_selection_leaks_no_scratch() {
     // surface the fault AND release everything it allocated before
     // the failure — the engine's retry path re-runs selections on the
     // same device, so a single leaked block per fault would
-    // accumulate into a real OOM. Contract enforcement stays armed for
-    // the whole sweep: the `catch_unwind` recovery inside `try_select`
-    // must not let a contracted launch slip through with a static
-    // violation or a conformance finding either.
+    // accumulate into a real OOM. The sanitizer stays armed for the
+    // whole sweep: the `catch_unwind` recovery inside `try_select`
+    // must not let a launch slip through with any finding either (a
+    // contract violation, a race, a read of unwritten scratch).
     let data = datagen::generate(Distribution::Uniform, 30_000, 77);
     let k = 100;
     for alg in everything() {
@@ -182,7 +182,10 @@ fn injected_oom_mid_selection_leaks_no_scratch() {
         let mut fired = 0u32;
         for nth in 0..24u64 {
             let mut gpu = Gpu::new(DeviceSpec::a100());
-            gpu.enable_sanitizer(SanitizerMode::off().with_contracts());
+            gpu.enable_sanitizer(SanitizerMode {
+                armed: true,
+                leakcheck: false,
+            });
             let input = gpu.htod("in", &data);
             // Install the injector after the upload so the scripted
             // OOM targets the selection's allocations, not the input.
@@ -197,7 +200,7 @@ fn injected_oom_mid_selection_leaks_no_scratch() {
             let report = gpu.sanitizer_report().expect("sanitizer was armed");
             assert!(
                 report.is_clean(),
-                "{} contract findings leaked through recovery at allocation #{nth}:\n{}",
+                "{} sanitizer findings leaked through recovery at allocation #{nth}:\n{}",
                 alg.name(),
                 report
                     .findings

@@ -89,18 +89,21 @@ fn same_seed_replays_bitwise_identically() {
 
 #[test]
 fn chaos_digest_is_bit_identical_with_contracts_on_vs_off() {
-    // Contract verification (static checks before every launch plus
-    // dynamic footprint conformance) must never touch KernelStats or
-    // the cost model: the same seeded fault schedule has to replay to
-    // the same digest whether the sanitizer enforces contracts or is
-    // off entirely.
+    // The armed sanitizer (contract verification before every launch,
+    // footprint conformance and every other access analysis) must
+    // never touch KernelStats or the cost model: the same seeded fault
+    // schedule has to replay to the same digest whether the sanitizer
+    // is armed or off entirely.
     let run = |contracts: bool| {
         let mut cfg = EngineConfig::a100_pool(3)
             .with_window(4)
             .with_queue_capacity(64)
             .with_faults(FaultPlan::chaos(42, 0.08));
         if contracts {
-            cfg = cfg.with_sanitizer(SanitizerMode::full().with_contracts());
+            cfg = cfg.with_sanitizer(SanitizerMode {
+                armed: true,
+                leakcheck: false,
+            });
         }
         let mut engine = TopKEngine::new(cfg);
         submit_workload(&mut engine, 36);
