@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the simulator substrate itself: metered loads
 //! (element-wise and as coalesced tiles), host↔device staging, kernel
 //! launch machinery (including the block pool's multi-block path), the
-//! tuner's distribution sketch, warp primitives and bitonic networks.
+//! tuner's distribution sketch, warp primitives, bitonic networks and
+//! the radix pass machine on a grid the fill rule sizes.
 //! These guard the host-side performance of the simulation (the
 //! functional work per element) against regressions.
 
@@ -11,6 +12,7 @@ use gpu_sim::{BlockPool, DeviceSpec, Gpu, LaunchConfig};
 use std::hint::black_box;
 use topk_core::bitonic::{bitonic_sort, merge_into_topk, sort_queue};
 use topk_core::tuner::DistSketch;
+use topk_core::{AirTopK, TopKAlgorithm};
 
 fn bench_metered_stream(c: &mut Criterion) {
     let n = 1 << 20;
@@ -187,6 +189,31 @@ fn bench_bitonic(c: &mut Criterion) {
     group.finish();
 }
 
+/// AIR at b = 11 on one uniform 2^23 row, K = 2048: the pass machine
+/// on a filled grid (108 blocks of 512 threads on the A100 model, each
+/// sweeping nine or ten 8,192-element chunks and flushing one histogram
+/// a round). Host time per selection.
+fn bench_radix(c: &mut Criterion) {
+    let n = 1 << 23;
+    let data = datagen::generate(datagen::Distribution::Uniform, n, 42);
+    let mut group = c.benchmark_group("radix_pass_machine");
+    group.throughput(Throughput::Elements(n as u64));
+    group.sample_size(10);
+    group.bench_function("air_b11_2^23_k2048", |b| {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let input = gpu.htod("in", &data);
+        let air = AirTopK::default();
+        b.iter(|| {
+            gpu.reset_profile();
+            let out = air.select(&mut gpu, &input, 2048);
+            gpu.free(&out.values);
+            gpu.free(&out.indices);
+            black_box(gpu.elapsed_us())
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_metered_stream,
@@ -194,6 +221,7 @@ criterion_group!(
     bench_launch_overhead,
     bench_sketch,
     bench_warp_primitives,
-    bench_bitonic
+    bench_bitonic,
+    bench_radix
 );
 criterion_main!(benches);

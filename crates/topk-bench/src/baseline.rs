@@ -171,7 +171,9 @@ pub fn run() -> BaselineReport {
             .into_iter()
             .filter_map(|a| tuner.predict_us(&spec, &shape, a).map(|c| (a.encode(), c)))
             .collect();
-        let plan = tuner.plan(&spec, &shape);
+        let plan = tuner
+            .plan(&spec, &shape)
+            .expect("a configuration fits every canonical cell");
 
         let static_us = measure(&SelectK::static_prior(), &cell, sketch);
         let tuned_us = measure(&SelectK::default(), &cell, sketch);

@@ -36,12 +36,12 @@
 
 use crate::bitonic::{merge_into_topk, sort_queue};
 use crate::error::TopKError;
+use crate::fill::fill_blocks;
 use crate::keys::{OrderedBits, RadixKey};
 use crate::matrix::{select_batch, select_one, split_rows, RowSelect, Rows};
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
-use gpu_sim::cost::kernel_cost;
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::warp::{ballot, Lanes};
 use gpu_sim::{
@@ -597,32 +597,6 @@ pub(crate) fn queue_slots(queue: QueueKind) -> usize {
         QueueKind::Shared { len } => len,
         QueueKind::PerThread { len } => len * WARP_SIZE,
     }
-}
-
-/// The fewest blocks per problem at which the main kernel's modelled
-/// occupancy ([`gpu_sim::cost::kernel_cost`]) stops rising: every
-/// further block would only queue behind the resident ones.
-fn fill_blocks(spec: &DeviceSpec, batch: usize, block_dim: usize, shared: u64) -> usize {
-    let occupancy = |bpp: usize| {
-        let stats = KernelStats {
-            shared_mem_bytes: shared,
-            ..KernelStats::default()
-        };
-        kernel_cost(spec, batch * bpp, block_dim, &stats).occupancy
-    };
-    // At this many blocks every SM holds as many warps as it can.
-    let warps = block_dim.div_ceil(WARP_SIZE);
-    let (mut lo, mut hi) = (1, spec.max_resident_warps().div_ceil(batch * warps).max(1));
-    let top = occupancy(hi);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if occupancy(mid) >= top {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// Price and choose the merge rounds that fold `lists` sorted lists

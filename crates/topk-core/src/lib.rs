@@ -31,6 +31,7 @@ pub mod bitonic;
 pub mod bucketed;
 pub mod dispatch;
 pub mod error;
+mod fill;
 mod filter;
 pub mod gridselect;
 pub mod keys;

@@ -32,7 +32,7 @@ fn plan_cache_counters_are_exact() {
     let before = counters().snapshot();
     // Cold table: peek neither plans nor counts.
     assert!(tuner.peek(&shape).is_none());
-    let plan = tuner.plan(&a100, &shape);
+    let plan = tuner.plan(&a100, &shape).unwrap();
     let after_plan = counters().snapshot();
     // Warm table: peek returns exactly the cached plan, still without
     // touching the hit/miss counters.
