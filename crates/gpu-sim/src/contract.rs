@@ -21,9 +21,9 @@
 //!   reservations, "last block" publishes) are declared
 //!   `.writes_shared(..)` instead: bounds-checked statically,
 //!   race-checked dynamically.
-//! * **launch shape and shared memory** — optional grid/block-dim
-//!   requirements and a declared per-block shared-memory budget checked
-//!   against the device's limit.
+//! * **launch shape and shared memory** — an optional grid limit and a
+//!   declared per-block shared-memory budget checked against the
+//!   device's limit.
 //!
 //! Contracts are *values built at the launch site* from the live
 //! buffers (label and length are captured from the `&DeviceBuffer`), so
@@ -34,8 +34,9 @@
 //! ([`SanitizerMode::armed`](crate::SanitizerMode::armed)) checks
 //! *conformance*: every observed access must fall inside some declared
 //! entry of the active contract, and accesses to undeclared buffers are
-//! findings. `topk-bench sanitize` and `verify` sweep all algorithms
-//! with it armed.
+//! findings, and so is a launch whose blocks allocate more shared
+//! memory than the contract declares. `topk-bench sanitize` and
+//! `verify` sweep all algorithms with it armed.
 
 use crate::device::DeviceSpec;
 use crate::exec::LaunchConfig;
@@ -78,10 +79,6 @@ pub enum Footprint {
     /// short. Cross-block disjoint by construction; carries no OOB
     /// claim (the explicit clamp *is* the bound).
     Tiles { stride: usize },
-    /// Round-robin chunk ownership: block `b` touches index `i` iff
-    /// `(i / chunk) % grid_dim == b`. Disjoint across blocks by
-    /// construction, at every grid size.
-    Interleaved { chunk: usize },
 }
 
 impl Footprint {
@@ -155,20 +152,12 @@ impl Footprint {
         }
     }
 
-    /// Round-robin ownership of `chunk`-element runs.
-    pub fn interleaved(chunk: usize) -> Self {
-        Footprint::Interleaved {
-            chunk: chunk.max(1),
-        }
-    }
-
     /// Highest index any block of a `grid`-block launch may touch, or
     /// `None` when the footprint makes no claim tighter than the buffer
-    /// bounds ([`Footprint::All`], [`Footprint::Interleaved`], empty
-    /// ranges).
+    /// bounds ([`Footprint::All`], [`Footprint::Tiles`], empty ranges).
     pub fn max_index(&self, grid: usize) -> Option<usize> {
         match *self {
-            Footprint::All | Footprint::Tiles { .. } | Footprint::Interleaved { .. } => None,
+            Footprint::All | Footprint::Tiles { .. } => None,
             Footprint::Fixed { start, len } => len.checked_sub(1).map(|l| start + l),
             Footprint::BlockSlice {
                 base,
@@ -194,7 +183,7 @@ impl Footprint {
     /// Lowest index any block may touch.
     fn min_index(&self) -> usize {
         match *self {
-            Footprint::All | Footprint::Tiles { .. } | Footprint::Interleaved { .. } => 0,
+            Footprint::All | Footprint::Tiles { .. } => 0,
             Footprint::Fixed { start, .. } => start,
             Footprint::BlockSlice { base, .. } | Footprint::GroupSlice { base, .. } => base,
         }
@@ -218,13 +207,13 @@ impl Footprint {
                 len_each,
                 ..
             } => len_each == 0 || (blocks_per_group <= 1 && len_each <= stride),
-            Footprint::Tiles { .. } | Footprint::Interleaved { .. } => true,
+            Footprint::Tiles { .. } => true,
         }
     }
 
-    /// Does the footprint admit block `block` touching index `idx` in a
-    /// `grid`-block launch? The dynamic conformance predicate.
-    pub fn admits(&self, idx: usize, block: usize, grid: usize) -> bool {
+    /// Does the footprint admit block `block` touching index `idx`? The
+    /// dynamic conformance predicate.
+    pub fn admits(&self, idx: usize, block: usize) -> bool {
         match *self {
             Footprint::All => true,
             Footprint::Fixed { start, len } => idx >= start && idx < start + len,
@@ -250,7 +239,6 @@ impl Footprint {
                 let s = stride.max(1);
                 idx >= s * block && idx < s * (block + 1)
             }
-            Footprint::Interleaved { chunk } => grid > 0 && (idx / chunk.max(1)) % grid == block,
         }
     }
 }
@@ -272,7 +260,6 @@ impl fmt::Display for Footprint {
                 len_each,
             } => write!(f, "[{base} + {stride}*(b/{blocks_per_group}), +{len_each})"),
             Footprint::Tiles { stride } => write!(f, "tiles({stride})"),
-            Footprint::Interleaved { chunk } => write!(f, "interleaved({chunk})"),
         }
     }
 }
@@ -368,7 +355,6 @@ pub struct KernelContract {
     accesses: Vec<BufferAccess>,
     shared_mem_bytes: usize,
     max_grid: Option<usize>,
-    exact_block_dim: Option<usize>,
 }
 
 impl KernelContract {
@@ -379,7 +365,6 @@ impl KernelContract {
             accesses: Vec::new(),
             shared_mem_bytes: 0,
             max_grid: None,
-            exact_block_dim: None,
         }
     }
 
@@ -435,20 +420,6 @@ impl KernelContract {
         self.push(buf, false, true, false, true, fp)
     }
 
-    /// Declare exclusive per-block reads *and* writes within `fp`.
-    pub fn reads_writes<T: DeviceScalar>(self, buf: &DeviceBuffer<T>, fp: Footprint) -> Self {
-        self.push(buf, true, true, false, false, fp)
-    }
-
-    /// Declare reads plus dynamically-coordinated writes within `fp`.
-    pub fn reads_writes_shared<T: DeviceScalar>(
-        self,
-        buf: &DeviceBuffer<T>,
-        fp: Footprint,
-    ) -> Self {
-        self.push(buf, true, true, false, true, fp)
-    }
-
     /// Declare atomic read-modify-writes within `fp` (atomics never
     /// race with each other, so no disjointness is required).
     pub fn atomics<T: DeviceScalar>(self, buf: &DeviceBuffer<T>, fp: Footprint) -> Self {
@@ -464,7 +435,9 @@ impl KernelContract {
 
     /// Declare the kernel's peak per-block shared-memory footprint,
     /// checked against
-    /// [`DeviceSpec::shared_mem_per_block`](crate::DeviceSpec).
+    /// [`DeviceSpec::shared_mem_per_block`](crate::DeviceSpec) before
+    /// launch and, under an armed sanitizer, against what the blocks
+    /// allocate.
     pub fn uses_shared_mem(mut self, bytes: usize) -> Self {
         self.shared_mem_bytes = bytes;
         self
@@ -473,12 +446,6 @@ impl KernelContract {
     /// Require `grid_dim <= n` at launch.
     pub fn requires_grid_at_most(mut self, n: usize) -> Self {
         self.max_grid = Some(n);
-        self
-    }
-
-    /// Require an exact `block_dim` at launch.
-    pub fn requires_block_dim(mut self, n: usize) -> Self {
-        self.exact_block_dim = Some(n);
         self
     }
 
@@ -493,14 +460,6 @@ impl KernelContract {
                 issues.push(ContractIssue {
                     buffer: "<launch>".into(),
                     detail: format!("grid_dim {grid} exceeds the contract's limit of {max}"),
-                });
-            }
-        }
-        if let Some(bd) = self.exact_block_dim {
-            if cfg.block_dim != bd {
-                issues.push(ContractIssue {
-                    buffer: "<launch>".into(),
-                    detail: format!("block_dim {} but the contract requires {bd}", cfg.block_dim),
                 });
             }
         }
@@ -590,7 +549,6 @@ impl KernelContract {
         idx: usize,
         kind: AccessKind,
         block: usize,
-        grid: usize,
     ) -> Option<String> {
         let mut saw_buffer = false;
         let mut kinds = Vec::new();
@@ -599,7 +557,7 @@ impl KernelContract {
                 continue;
             }
             saw_buffer = true;
-            if a.admits_kind(kind) && a.footprint.admits(idx, block, grid) {
+            if a.admits_kind(kind) && a.footprint.admits(idx, block) {
                 return None;
             }
             kinds.push(format!("{} {}", a.kinds_label(), a.footprint));
@@ -613,6 +571,18 @@ impl KernelContract {
             kind.label(),
             kinds.join("; ")
         ))
+    }
+
+    /// Dynamic shared-memory conformance: the violation detail when the
+    /// launch's most demanding block allocated more than the declared
+    /// bytes. Used by an armed sanitizer.
+    pub(crate) fn shared_mem_violation(&self, observed: u64) -> Option<String> {
+        (observed > self.shared_mem_bytes as u64).then(|| {
+            format!(
+                "a block allocated {observed} shared bytes, the contract declares {}",
+                self.shared_mem_bytes
+            )
+        })
     }
 }
 
@@ -635,7 +605,6 @@ mod tests {
         assert_eq!(Footprint::block_slice(8, 16, 4).max_index(2), Some(27));
         // 6 blocks, 2 per group -> 3 groups, stride 10, len 10.
         assert_eq!(Footprint::per_group(2, 10).max_index(6), Some(29));
-        assert_eq!(Footprint::interleaved(8).max_index(100), None);
     }
 
     #[test]
@@ -646,7 +615,6 @@ mod tests {
         assert!(!Footprint::fixed(0, 4).cross_block_disjoint(2));
         assert!(Footprint::per_block(64).cross_block_disjoint(64));
         assert!(!Footprint::block_slice(0, 4, 8).cross_block_disjoint(2));
-        assert!(Footprint::interleaved(4).cross_block_disjoint(1000));
         // Grouped slices are shared within the group.
         assert!(!Footprint::per_group(4, 64).cross_block_disjoint(8));
         assert!(Footprint::per_group(1, 64).cross_block_disjoint(8));
@@ -654,19 +622,16 @@ mod tests {
 
     #[test]
     fn footprint_admits() {
-        assert!(Footprint::all().admits(123, 0, 4));
-        assert!(Footprint::fixed(4, 4).admits(7, 3, 4));
-        assert!(!Footprint::fixed(4, 4).admits(8, 3, 4));
+        assert!(Footprint::all().admits(123, 0));
+        assert!(Footprint::fixed(4, 4).admits(7, 3));
+        assert!(!Footprint::fixed(4, 4).admits(8, 3));
         let fp = Footprint::per_block(64);
-        assert!(fp.admits(64, 1, 4));
-        assert!(!fp.admits(64, 0, 4));
+        assert!(fp.admits(64, 1));
+        assert!(!fp.admits(64, 0));
         let fp = Footprint::per_group(2, 100);
-        assert!(fp.admits(105, 2, 8), "block 2 is group 1");
-        assert!(fp.admits(105, 3, 8), "block 3 shares group 1");
-        assert!(!fp.admits(105, 4, 8), "block 4 is group 2");
-        let fp = Footprint::interleaved(4);
-        assert!(fp.admits(0, 0, 2) && fp.admits(4, 1, 2) && fp.admits(8, 0, 2));
-        assert!(!fp.admits(4, 0, 2));
+        assert!(fp.admits(105, 2), "block 2 is group 1");
+        assert!(fp.admits(105, 3), "block 3 shares group 1");
+        assert!(!fp.admits(105, 4), "block 4 is group 2");
     }
 
     #[test]
@@ -674,8 +639,8 @@ mod tests {
         let fp = Footprint::tiles(256);
         assert_eq!(fp.max_index(100), None, "the clamp is the bound");
         assert!(fp.cross_block_disjoint(100));
-        assert!(fp.admits(255, 0, 2) && fp.admits(256, 1, 2));
-        assert!(!fp.admits(256, 0, 2) && !fp.admits(255, 1, 2));
+        assert!(fp.admits(255, 0) && fp.admits(256, 1));
+        assert!(!fp.admits(256, 0) && !fp.admits(255, 1));
         // A short last tile is admitted: the footprint claims up to
         // stride, the kernel's explicit clamp writes less.
         let spec = DeviceSpec::test_tiny();
@@ -729,14 +694,12 @@ mod tests {
         let spec = DeviceSpec::test_tiny();
         let c = KernelContract::new("k")
             .requires_grid_at_most(4)
-            .requires_block_dim(64)
             .uses_shared_mem(spec.shared_mem_per_block + 1);
         let issues = c.verify(&spec, &LaunchConfig::grid_1d(8, 32));
-        assert_eq!(issues.len(), 3);
+        assert_eq!(issues.len(), 2);
         assert!(issues.iter().all(|i| i.buffer == "<launch>"));
         let c = KernelContract::new("k")
             .requires_grid_at_most(8)
-            .requires_block_dim(32)
             .uses_shared_mem(16);
         assert!(c.verify(&spec, &LaunchConfig::grid_1d(8, 32)).is_empty());
     }
@@ -748,20 +711,20 @@ mod tests {
             .reads(&vals, Footprint::fixed(0, 32))
             .writes_shared(&vals, Footprint::fixed(32, 32));
         assert!(c
-            .conformance_violation("vals", 10, AccessKind::Read, 0, 4)
+            .conformance_violation("vals", 10, AccessKind::Read, 0)
             .is_none());
         assert!(c
-            .conformance_violation("vals", 40, AccessKind::Write, 3, 4)
+            .conformance_violation("vals", 40, AccessKind::Write, 3)
             .is_none());
         // Read outside the read entry (even though a write entry covers
         // the index).
         let v = c
-            .conformance_violation("vals", 40, AccessKind::Read, 0, 4)
+            .conformance_violation("vals", 40, AccessKind::Read, 0)
             .expect("read of the write-only half");
         assert!(v.contains("outside every declared entry"), "{v}");
         // Undeclared buffer.
         let v = c
-            .conformance_violation("other", 0, AccessKind::Read, 0, 4)
+            .conformance_violation("other", 0, AccessKind::Read, 0)
             .expect("undeclared");
         assert!(v.contains("not declared"), "{v}");
     }

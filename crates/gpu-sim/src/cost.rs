@@ -19,6 +19,7 @@
 //! pays a fixed CPU-side overhead. See `DESIGN.md §5`.
 
 use crate::device::{DeviceSpec, WARP_SIZE};
+use crate::exec::LaunchConfig;
 
 /// Metered activity of one kernel launch, accumulated across all of its
 /// thread blocks.
@@ -171,6 +172,24 @@ impl PlannedLaunch {
     /// Price this launch alone (no inter-launch gap).
     pub fn cost(&self, spec: &DeviceSpec) -> CostBreakdown {
         kernel_cost(spec, self.grid_dim, self.block_dim, &self.stats)
+    }
+
+    /// The launch shape a kernel takes to run this plan.
+    pub fn config(&self) -> LaunchConfig {
+        LaunchConfig::grid_1d(self.grid_dim, self.block_dim)
+    }
+
+    /// Shared bytes one block allocates: what a launch's
+    /// [`KernelContract::uses_shared_mem`](crate::KernelContract::uses_shared_mem)
+    /// declares.
+    pub fn shared_bytes(&self) -> usize {
+        self.stats.shared_mem_bytes as usize
+    }
+
+    /// True when one block's shared bytes fit the device's per-block
+    /// shared memory.
+    pub fn fits(&self, spec: &DeviceSpec) -> bool {
+        self.shared_bytes() <= spec.shared_mem_per_block
     }
 }
 
@@ -356,6 +375,24 @@ mod tests {
             stats: st,
         };
         assert_eq!(planned.cost(&s), kernel_cost(&s, 256, 128, &st));
+        assert_eq!(planned.config(), LaunchConfig::grid_1d(256, 128));
+        assert_eq!(planned.shared_bytes(), 4096);
+    }
+
+    #[test]
+    fn a_planned_launch_fits_up_to_the_block_limit() {
+        let s = spec();
+        let with_shared = |bytes: usize| PlannedLaunch {
+            grid_dim: 1,
+            block_dim: 32,
+            stats: KernelStats {
+                shared_mem_bytes: bytes as u64,
+                ..KernelStats::default()
+            },
+        };
+        assert!(with_shared(0).fits(&s));
+        assert!(with_shared(s.shared_mem_per_block).fits(&s));
+        assert!(!with_shared(s.shared_mem_per_block + 1).fits(&s));
     }
 
     #[test]

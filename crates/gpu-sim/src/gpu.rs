@@ -615,10 +615,11 @@ impl Gpu {
         let stats = {
             let scope = self
                 .armed()
-                .map(|san| LaunchScope::new(san, name, contract.map(|c| (c, cfg.grid_dim))));
+                .map(|san| LaunchScope::new(san, name, contract));
             let stats = self.pool.run(&self.spec, cfg, scope.as_ref(), kernel)?;
             if let Some(s) = scope.as_ref() {
                 s.check_barrier_divergence();
+                s.check_shared_mem(stats.shared_mem_bytes);
             }
             stats
         };

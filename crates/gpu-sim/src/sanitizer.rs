@@ -117,7 +117,8 @@ pub enum Analysis {
     /// requirement). Found before the kernel ran.
     ContractViolation,
     /// An observed access fell outside the launch's declared contract
-    /// footprints (or touched an undeclared buffer).
+    /// footprints (or touched an undeclared buffer), or a block
+    /// allocated more shared memory than the contract declares.
     ContractConformance,
     /// Barrier-aware intra-block hazard: same-word writes by one block
     /// not separated by [`BlockCtx::block_sync`](crate::exec::BlockCtx::block_sync),
@@ -870,10 +871,10 @@ pub struct LaunchScope<'g> {
     /// Accesses are stamped with it so racecheck can order them against
     /// acquires per word instead of exempting whole blocks.
     epoch: AtomicU64,
-    /// The launch's contract plus its grid size, when launched through
+    /// The launch's contract, when launched through
     /// [`Gpu::launch_checked`](crate::Gpu::launch_checked) — drives the
     /// dynamic conformance analysis.
-    contract: Option<(&'g crate::contract::KernelContract, usize)>,
+    contract: Option<&'g crate::contract::KernelContract>,
     /// Min/max final barrier count over completed blocks, for the
     /// barrier-divergence check (`u64::MAX` min = no block reported).
     bar_lo: AtomicU64,
@@ -884,7 +885,7 @@ impl<'g> LaunchScope<'g> {
     pub(crate) fn new(
         san: &'g Sanitizer,
         kernel: &'g str,
-        contract: Option<(&'g crate::contract::KernelContract, usize)>,
+        contract: Option<&'g crate::contract::KernelContract>,
     ) -> Self {
         LaunchScope {
             san,
@@ -927,6 +928,16 @@ impl<'g> LaunchScope<'g> {
             AccessKind::Atomic,
             detail,
         );
+    }
+
+    /// After every block completed: flag a contracted launch whose most
+    /// demanding block allocated more shared memory than the contract
+    /// declares. One deduplicated finding per kernel name.
+    pub(crate) fn check_shared_mem(&self, observed: u64) {
+        if let Some(detail) = self.contract.and_then(|c| c.shared_mem_violation(observed)) {
+            let (analysis, access) = (Analysis::ContractConformance, AccessKind::Write);
+            self.flag(analysis, "<shared>", 0, 0, access, detail);
+        }
     }
 
     /// Bump the global epoch for an acquire grid sync and return the
@@ -980,8 +991,8 @@ impl<'g> LaunchScope<'g> {
             flag(Analysis::MemcheckOob, detail);
             return false;
         }
-        if let Some((contract, grid)) = self.contract {
-            if let Some(detail) = contract.conformance_violation(label, idx, kind, block, grid) {
+        if let Some(contract) = self.contract {
+            if let Some(detail) = contract.conformance_violation(label, idx, kind, block) {
                 flag(Analysis::ContractConformance, detail);
             }
         }

@@ -2,7 +2,8 @@
 //! synccheck: negative controls that MUST each produce exactly one
 //! deduplicated finding (overlapping exclusive write footprints, an
 //! out-of-bounds footprint, a contract narrower than the observed
-//! accesses, a barrier-divergent kernel, an unsynchronised same-block
+//! accesses, blocks allocating more shared memory than declared, a
+//! barrier-divergent kernel, an unsynchronised same-block
 //! write pair) plus the positive controls (the same pair exonerated by
 //! `block_sync()`, hard errors without a sanitizer, bit-identical cost
 //! digests with contracts on vs off).
@@ -120,6 +121,44 @@ fn contract_narrower_than_observed_is_one_conformance_finding() {
         "{}",
         findings[0].detail
     );
+}
+
+#[test]
+fn shared_memory_beyond_the_declaration_is_one_conformance_finding() {
+    // Every block allocates 4 shared bytes more than the contract
+    // declares. Armed, each launch folds into one finding on the
+    // `<shared>` pseudo-buffer; unarmed, the launch is a plain one.
+    let overrun = |g: &mut Gpu| {
+        let out = g.alloc::<u32>("smem_out", 4);
+        let c = KernelContract::new("smem_kernel")
+            .writes(&out, Footprint::per_block(1))
+            .uses_shared_mem(64);
+        let report = g
+            .try_launch_checked(&c, LaunchConfig::grid_1d(4, 32), |ctx| {
+                let words = ctx.shared_alloc::<u32>(17);
+                ctx.st(&out, ctx.block_idx, words.len() as u32);
+            })
+            .map(|r| r.stats.shared_mem_bytes);
+        g.free(&out);
+        report
+    };
+    let mut g = armed_gpu();
+    assert_eq!(overrun(&mut g), Ok(68));
+    assert_eq!(overrun(&mut g), Ok(68));
+    let report = g.sanitizer_report().unwrap();
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let f = &report.findings[0];
+    assert_eq!(f.analysis, Analysis::ContractConformance);
+    assert_eq!(
+        (f.buffer.as_str(), f.kernel.as_str()),
+        ("<shared>", "smem_kernel")
+    );
+    assert_eq!(f.count, 2, "occurrences fold into one finding");
+    assert!(f.detail.contains("68 shared bytes"), "{}", f.detail);
+
+    let mut plain = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+    assert_eq!(overrun(&mut plain), Ok(68));
+    assert!(plain.sanitizer_report().is_none());
 }
 
 #[test]
