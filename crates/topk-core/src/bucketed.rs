@@ -126,8 +126,8 @@ impl<T: RadixKey> RowSelect<T> for BucketedTopK {
                 .declare_reads(KernelContract::new("bucketed_topk_kernel"))
                 .writes_shared(&ov, Footprint::per_group(buckets, k))
                 .writes_shared(&oi, Footprint::per_group(buckets, k))
-                .uses_shared_mem(stage.shared_bytes());
-            gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
+                .uses_shared_mem(stage.launch.shared_bytes());
+            gpu.try_launch_checked(&contract, stage.launch.config(), move |ctx| {
                 let row = ctx.block_idx / buckets;
                 let bucket = ctx.block_idx % buckets;
                 // Contiguous even split; the last bucket keeps the

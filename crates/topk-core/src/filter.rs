@@ -20,7 +20,7 @@
 
 use crate::keys::{OrderedBits, RadixKey};
 use crate::recall::{BucketedPlan, TwoStagePlan};
-use gpu_sim::{BlockCtx, DeviceBuffer, DeviceSpec, KernelStats, LaunchConfig, PlannedLaunch};
+use gpu_sim::{BlockCtx, DeviceBuffer, DeviceSpec, KernelStats, PlannedLaunch};
 
 /// Threads per block of every filter kernel.
 pub(crate) const FILTER_BLOCK: usize = 256;
@@ -168,16 +168,6 @@ impl FilterStage {
             },
         }
     }
-
-    /// The launch configuration.
-    pub(crate) fn config(&self) -> LaunchConfig {
-        LaunchConfig::grid_1d(self.launch.grid_dim, self.launch.block_dim)
-    }
-
-    /// Shared bytes one block allocates.
-    pub(crate) fn shared_bytes(&self) -> usize {
-        self.launch.stats.shared_mem_bytes as usize
-    }
 }
 
 /// A filter family's launch plan: its stages in launch order. A pure
@@ -268,13 +258,13 @@ impl FilterPlan {
     /// The plan, if every stage's buffer fits the device's shared
     /// memory per block.
     fn fits(spec: &DeviceSpec, stages: Vec<FilterStage>) -> Result<Self, String> {
-        let shared = stages.iter().map(FilterStage::shared_bytes).max();
-        match shared {
-            Some(bytes) if bytes > spec.shared_mem_per_block => Err(format!(
-                "candidate buffer needs {bytes} shared bytes, device offers {}",
-                spec.shared_mem_per_block
+        match stages.iter().find(|s| !s.launch.fits(spec)) {
+            Some(s) => Err(format!(
+                "candidate buffer needs {} shared bytes, more than one {} block holds",
+                s.launch.shared_bytes(),
+                spec.name
             )),
-            _ => Ok(FilterPlan { stages }),
+            None => Ok(FilterPlan { stages }),
         }
     }
 
@@ -289,7 +279,7 @@ mod tests {
     use super::*;
     use crate::matrix::{RowSelect, Rows};
     use crate::{BucketedTopK, RowWiseTopK, TwoStageTopK};
-    use gpu_sim::Gpu;
+    use gpu_sim::{Gpu, LaunchConfig, SanitizerMode};
     use proptest::prelude::*;
     use std::sync::Mutex;
 
@@ -392,7 +382,8 @@ mod tests {
     }
 
     /// Every launch's grid, block, bytes and shared bytes are the
-    /// plan's, for 4- and 8-byte keys.
+    /// plan's, for 4- and 8-byte keys, and under an armed sanitizer no
+    /// block allocates more shared memory than its contract declares.
     #[test]
     fn plan_is_the_launches_the_kernels_make() {
         fn observe<T: RadixKey>(
@@ -402,9 +393,15 @@ mod tests {
             run: impl Fn(&mut Gpu, Rows<'_, T>),
         ) -> Vec<PlannedLaunch> {
             let mut gpu = Gpu::new(spec.clone());
+            gpu.enable_sanitizer(SanitizerMode {
+                armed: true,
+                leakcheck: false,
+            });
             let rows: Vec<_> = (0..batch).map(|_| gpu.htod("in", data)).collect();
             gpu.reset_profile();
             run(&mut gpu, Rows::Slices(&rows));
+            let report = gpu.sanitizer_report().expect("armed");
+            assert!(report.is_clean(), "{:?}", report.findings);
             gpu.reports()
                 .iter()
                 .map(|r| PlannedLaunch {

@@ -45,8 +45,7 @@ use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput
 use gpu_sim::device::WARP_SIZE;
 use gpu_sim::warp::{ballot, Lanes};
 use gpu_sim::{
-    BlockCtx, DeviceBuffer, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats, LaunchConfig,
-    PlannedLaunch,
+    BlockCtx, DeviceBuffer, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats, PlannedLaunch,
 };
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -702,9 +701,8 @@ where
         .writes(&scratch_idx, Footprint::per_block(klen))
         .writes_shared(&out_val, Footprint::per_group(bpp, k))
         .writes_shared(&out_idx, Footprint::per_group(bpp, k))
-        .uses_shared_mem(main.stats.shared_mem_bytes as usize);
-    let grid = LaunchConfig::grid_1d(main.grid_dim, main.block_dim);
-    gpu.try_launch_checked(&contract, grid, |ctx| {
+        .uses_shared_mem(main.shared_bytes());
+    gpu.try_launch_checked(&contract, main.config(), |ctx| {
         let prob = ctx.block_idx / bpp;
         let blk = ctx.block_idx % bpp;
 
@@ -796,50 +794,45 @@ where
             .coordinates(&scratch_idx, Footprint::per_group(groups, bpp * klen))
             .writes_shared(&out_val, Footprint::per_group(groups, k))
             .writes_shared(&out_idx, Footprint::per_group(groups, k));
-        gpu.try_launch_checked(
-            &contract,
-            LaunchConfig::grid_1d(round.grid_dim, round.block_dim),
-            |ctx| {
-                let prob = ctx.block_idx / groups;
-                let gidx = ctx.block_idx % groups;
-                let first = gidx * fanin;
-                let last = (first + fanin).min(cur);
-                let base0 = (prob * bpp + first * step) * klen;
-                let mut keys: Vec<T::Ordered> = ctx
-                    .ld_tile(&scratch_keys, base0, base0 + klen)
-                    .iter()
-                    .collect();
-                let mut idx: Vec<u32> = ctx
-                    .ld_tile(&scratch_idx, base0, base0 + klen)
-                    .iter()
-                    .collect();
-                for l in first + 1..last {
-                    let b = (prob * bpp + l * step) * klen;
-                    let qk: Vec<T::Ordered> =
-                        ctx.ld_tile(&scratch_keys, b, b + klen).iter().collect();
-                    let qi: Vec<u32> = ctx.ld_tile(&scratch_idx, b, b + klen).iter().collect();
-                    let ops = merge_into_topk(&mut keys, &mut idx, &qk, &qi);
-                    ctx.ops(ops);
-                    obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
+        gpu.try_launch_checked(&contract, round.config(), |ctx| {
+            let prob = ctx.block_idx / groups;
+            let gidx = ctx.block_idx % groups;
+            let first = gidx * fanin;
+            let last = (first + fanin).min(cur);
+            let base0 = (prob * bpp + first * step) * klen;
+            let mut keys: Vec<T::Ordered> = ctx
+                .ld_tile(&scratch_keys, base0, base0 + klen)
+                .iter()
+                .collect();
+            let mut idx: Vec<u32> = ctx
+                .ld_tile(&scratch_idx, base0, base0 + klen)
+                .iter()
+                .collect();
+            for l in first + 1..last {
+                let b = (prob * bpp + l * step) * klen;
+                let qk: Vec<T::Ordered> = ctx.ld_tile(&scratch_keys, b, b + klen).iter().collect();
+                let qi: Vec<u32> = ctx.ld_tile(&scratch_idx, b, b + klen).iter().collect();
+                let ops = merge_into_topk(&mut keys, &mut idx, &qk, &qi);
+                ctx.ops(ops);
+                obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
+            }
+            if groups == 1 {
+                // Final round: emit the K results (the list is
+                // sorted ascending; slots beyond k are sentinels).
+                for i in 0..k {
+                    ctx.st(&out_val, prob * k + i, T::from_ordered(keys[i]));
+                    ctx.st(&out_idx, prob * k + i, idx[i]);
                 }
-                if groups == 1 {
-                    // Final round: emit the K results (the list is
-                    // sorted ascending; slots beyond k are sentinels).
-                    for i in 0..k {
-                        ctx.st(&out_val, prob * k + i, T::from_ordered(keys[i]));
-                        ctx.st(&out_idx, prob * k + i, idx[i]);
-                    }
-                } else {
-                    // Write back to this group's own first slot (the
-                    // list was fully read above, and no other block
-                    // touches it this launch).
-                    for i in 0..klen {
-                        ctx.st(&scratch_keys, base0 + i, keys[i]);
-                        ctx.st(&scratch_idx, base0 + i, idx[i]);
-                    }
+            } else {
+                // Write back to this group's own first slot (the
+                // list was fully read above, and no other block
+                // touches it this launch).
+                for i in 0..klen {
+                    ctx.st(&scratch_keys, base0 + i, keys[i]);
+                    ctx.st(&scratch_idx, base0 + i, idx[i]);
                 }
-            },
-        )?;
+            }
+        })?;
         lists = groups;
         stride *= fanin;
     }

@@ -40,7 +40,7 @@ use crate::traits::{Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use crate::tuner::DistSketch;
 use gpu_sim::{
     BlockCtx, DeviceBuffer, DeviceScalar, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats,
-    LaunchConfig, PlannedLaunch,
+    PlannedLaunch,
 };
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::Relaxed;
@@ -129,11 +129,12 @@ pub(crate) struct RadixPlan {
     pub(crate) lay: Layout,
     /// Prefix slots per problem.
     pub(crate) pfx_len: usize,
-    /// Every launch of the path takes this shape.
-    pub(crate) launch: LaunchConfig,
-    /// Shared bytes per block of the copy or one-block kernel, or of
-    /// each round kernel (the sketch and the last filter use none).
-    pub(crate) shared: usize,
+    /// The copy or one-block kernel, or each round kernel: its grid,
+    /// block and shared bytes.
+    pub(crate) main: PlannedLaunch,
+    /// The sketch and the last filter: the same grid and block, no
+    /// shared memory.
+    pub(crate) sweep: PlannedLaunch,
 }
 
 impl RadixPlan {
@@ -154,14 +155,22 @@ impl RadixPlan {
         // pass count bounds the rounds any schedule needs.
         let rounds = key_bits.div_ceil(b) as usize;
         let radix = 1usize << b;
+        let launch = |grid_dim, block_dim, shared: usize| PlannedLaunch {
+            grid_dim,
+            block_dim,
+            stats: KernelStats {
+                shared_mem_bytes: shared as u64,
+                ..KernelStats::default()
+            },
+        };
         // Each one-block candidate keeps its ordered key and index in
         // shared memory; a device whose blocks cannot hold them all takes
         // the multi-pass path.
-        let one_block_shared = n * (key_bits as usize / 8 + 4);
+        let one_block = launch(batch, 256, n * (key_bits as usize / 8 + 4));
         let (path, chunk, block_dim, shared) = if k == n {
             (Path::CopyAll, 256 * 16, 256, 0)
-        } else if n <= ONE_BLOCK_THRESHOLD && one_block_shared <= spec.shared_mem_per_block {
-            (Path::OneBlock, n, 256, one_block_shared)
+        } else if n <= ONE_BLOCK_THRESHOLD && one_block.fits(spec) {
+            (Path::OneBlock, n, 256, one_block.shared_bytes())
         } else {
             // Blocks no larger than the device allows.
             let block_dim = cfg.block_dim.min(spec.max_threads_per_block);
@@ -200,8 +209,8 @@ impl RadixPlan {
             lay: Layout::new(rounds, sketched),
             // MSB-first's round-0 prefix is empty, so it keeps no slot.
             pfx_len: rounds + sketched as usize,
-            launch: LaunchConfig::grid_1d(batch * bpp, block_dim),
-            shared,
+            main: launch(batch * bpp, block_dim, shared),
+            sweep: launch(batch * bpp, block_dim, 0),
         }
     }
 
@@ -220,23 +229,22 @@ impl RadixPlan {
     /// are the plan's, and what each launch does is modelled from
     /// `sketch`, the prefix every key shares ([`Self::activity`]).
     pub(crate) fn launches(&self, spec: &DeviceSpec, sketch: DistSketch) -> Vec<PlannedLaunch> {
-        let rounds = self.sketched as usize..self.sketched as usize + self.rounds;
-        self.activity(spec, sketch)
+        let kernels = match self.path {
+            Path::MultiPass => (self.sketched.then_some(self.sweep).into_iter())
+                .chain(std::iter::repeat_n(self.main, self.rounds))
+                .chain([self.sweep])
+                .collect(),
+            _ => vec![self.main],
+        };
+        kernels
             .into_iter()
-            .enumerate()
-            .map(|(i, stats)| {
-                let shared = match self.path {
-                    Path::MultiPass if !rounds.contains(&i) => 0,
-                    _ => self.shared as u64,
-                };
-                PlannedLaunch {
-                    grid_dim: self.launch.grid_dim,
-                    block_dim: self.launch.block_dim,
-                    stats: KernelStats {
-                        shared_mem_bytes: shared,
-                        ..stats
-                    },
-                }
+            .zip(self.activity(spec, sketch))
+            .map(|(kernel, stats)| PlannedLaunch {
+                stats: KernelStats {
+                    shared_mem_bytes: kernel.stats.shared_mem_bytes,
+                    ..stats
+                },
+                ..kernel
             })
             .collect()
     }
@@ -517,7 +525,7 @@ impl<S: Schedule> RadixTopK<S> {
             .declare_reads(KernelContract::new("trivial_copy_kernel"))
             .writes_shared(&out_val, Footprint::per_group(bpp, n))
             .writes_shared(&out_idx, Footprint::per_group(bpp, n));
-        gpu.try_launch_checked(&contract, plan.launch, |ctx| {
+        gpu.try_launch_checked(&contract, plan.main.config(), |ctx| {
             let (prob, blk) = (ctx.block_idx / bpp, ctx.block_idx % bpp);
             let (start, end) = plan.span(blk);
             let end = end.min(n);
@@ -553,8 +561,8 @@ impl<S: Schedule> RadixTopK<S> {
             .declare_reads(KernelContract::new("radix_topk_one_block_kernel"))
             .writes(&out_val, Footprint::per_block(k))
             .writes(&out_idx, Footprint::per_block(k))
-            .uses_shared_mem(plan.shared);
-        gpu.try_launch_checked(&contract, plan.launch, |ctx| {
+            .uses_shared_mem(plan.main.shared_bytes());
+        gpu.try_launch_checked(&contract, plan.main.config(), |ctx| {
             let prob = ctx.block_idx;
             obs::counters()
                 .air_one_block_selections
@@ -920,7 +928,7 @@ impl<'a, S: Schedule, T: RadixKey> Passes<'a, S, T> {
             .atomics(sketch_done, Footprint::per_group(bpp, 1))
             .writes_shared(&self.ctrl, Footprint::per_group(bpp, self.plan.lay.stride))
             .writes_shared(&self.prefixes, Footprint::per_group(bpp, self.plan.pfx_len));
-        gpu.try_launch_checked(&contract, self.plan.launch, |ctx| {
+        gpu.try_launch_checked(&contract, self.plan.sweep.config(), |ctx| {
             let prob = ctx.block_idx / bpp;
             let (start, end) = self.plan.span(ctx.block_idx % bpp);
             let tile = self.inputs.tile(ctx, prob, start, end.min(self.inputs.n()));
@@ -980,8 +988,9 @@ impl<'a, S: Schedule, T: RadixKey> Passes<'a, S, T> {
             .writes_shared(&self.buf_idx[write], Footprint::per_group(bpp, cap))
             .writes_shared(&self.out_val, Footprint::per_group(bpp, self.k))
             .writes_shared(&self.out_idx, Footprint::per_group(bpp, self.k))
-            .uses_shared_mem(self.plan.radix * 4);
-        gpu.try_launch_checked(&contract, self.plan.launch, |ctx| self.round(ctx, round))?;
+            .uses_shared_mem(self.plan.main.shared_bytes());
+        let cfg = self.plan.main.config();
+        gpu.try_launch_checked(&contract, cfg, |ctx| self.round(ctx, round))?;
         Ok(())
     }
 
@@ -1212,7 +1221,7 @@ impl<'a, S: Schedule, T: RadixKey> Passes<'a, S, T> {
             )
             .writes_shared(&self.out_val, Footprint::per_group(bpp, self.k))
             .writes_shared(&self.out_idx, Footprint::per_group(bpp, self.k));
-        gpu.try_launch_checked(&contract, self.plan.launch, |ctx| {
+        gpu.try_launch_checked(&contract, self.plan.sweep.config(), |ctx| {
             let (prob, blk) = (ctx.block_idx / self.plan.bpp, ctx.block_idx % self.plan.bpp);
             let cb = prob * self.plan.lay.stride;
             if ctx.ld(&self.ctrl, cb + FINISHED) != 0 {
@@ -1433,6 +1442,7 @@ mod tests {
     use super::*;
     use crate::verify::verify_topk_typed;
     use crate::{AirTopK, RadiK};
+    use gpu_sim::SanitizerMode;
 
     /// `n` keys whose ordered bits vary only at the first bit of each
     /// `b`-bit round window, one bit per window from `i`'s low bits;
@@ -1466,7 +1476,10 @@ mod tests {
     }
 
     /// Grid, block and shared bytes of each launch the kernels make on
-    /// `batch` copies of `data`, after checking every row's answer.
+    /// `batch` copies of `data` under an armed sanitizer, after checking
+    /// every row's answer and that the sanitizer found nothing: in
+    /// particular, no block allocated more shared memory than its
+    /// contract declares.
     fn observed<T: RadixKey, S: Schedule>(
         spec: &DeviceSpec,
         alg: &RadixTopK<S>,
@@ -1475,9 +1488,15 @@ mod tests {
         batch: usize,
     ) -> Vec<(usize, usize, u64)> {
         let mut gpu = Gpu::new(spec.clone());
+        gpu.enable_sanitizer(SanitizerMode {
+            armed: true,
+            leakcheck: false,
+        });
         let rows: Vec<_> = (0..batch).map(|_| gpu.htod("in", data)).collect();
         gpu.reset_profile();
         let (vals, idxs) = alg.run_rows(&mut gpu, Rows::Slices(&rows), k).unwrap();
+        let report = gpu.sanitizer_report().expect("armed");
+        assert!(report.is_clean(), "{:?}", report.findings);
         let (vals, idxs) = (vals.to_vec(), idxs.to_vec());
         for (row, (v, i)) in vals.chunks(k).zip(idxs.chunks(k)).enumerate() {
             verify_topk_typed(data, k, v, i).unwrap_or_else(|e| panic!("row {row}: {e}"));
@@ -1608,7 +1627,7 @@ mod tests {
                                 let cell = format!("{} b={b} n={n} k={k} batch={batch}", spec.name);
                                 assert_eq!(plan.chunk, chunk, "{cell}");
                                 assert_eq!(plan.bpp, bpp, "{cell}");
-                                assert_eq!(plan.launch.grid_dim, batch * bpp, "{cell}");
+                                assert_eq!(plan.main.grid_dim, batch * bpp, "{cell}");
                                 for blk in 0..bpp {
                                     assert_eq!(plan.span(blk), (blk * chunk, (blk + 1) * chunk));
                                 }

@@ -88,8 +88,8 @@ impl<T: RadixKey> RowSelect<T> for RowWiseTopK {
                 .declare_reads(KernelContract::new("rowwise_fused_kernel"))
                 .writes(&ov, Footprint::per_block(k))
                 .writes(&oi, Footprint::per_block(k))
-                .uses_shared_mem(stage.shared_bytes());
-            gpu.try_launch_checked(&contract, stage.config(), move |ctx| {
+                .uses_shared_mem(stage.launch.shared_bytes());
+            gpu.try_launch_checked(&contract, stage.launch.config(), move |ctx| {
                 let row = ctx.block_idx;
                 let items = inputs.tile(ctx, row, 0, n).into_iter().map(T::to_ordered);
                 let kept = filter_block(ctx, items.zip(0..), k, stage.cap);

@@ -50,6 +50,12 @@ impl WarpSelector {
         Self::with_queue(ctx, k, QueueKind::Shared { len: WARP_SIZE })
     }
 
+    /// Shared bytes one selector allocates: its K-list (rounded up to a
+    /// power of two) and its queue, 8 bytes per (value, payload) slot.
+    pub(crate) fn shared_bytes(k: usize, queue: QueueKind) -> usize {
+        (k.next_power_of_two() + queue_slots(queue)) * 8
+    }
+
     /// Create with an explicit queueing strategy (per-thread queues
     /// reproduce plain WarpSelect).
     pub fn with_queue(ctx: &mut BlockCtx<'_>, k: usize, queue: QueueKind) -> Self {
@@ -175,7 +181,8 @@ impl StreamingSelect {
             .reads(&src_val, Footprint::all())
             .writes(&out_val, Footprint::per_block(k))
             .writes(&out_idx, Footprint::per_block(k))
-            .writes(&out_len, Footprint::per_block(1));
+            .writes(&out_len, Footprint::per_block(1))
+            .uses_shared_mem(WarpSelector::shared_bytes(k, queue));
         gpu.try_launch_checked(
             &contract,
             LaunchConfig::grid_1d(blocks, WARP_SIZE),
@@ -272,6 +279,7 @@ impl StreamingSelect {
             .writes(&ovc, Footprint::fixed(0, k))
             .writes(&oic, Footprint::fixed(0, k))
             .writes(&occ, Footprint::elem(0))
+            .uses_shared_mem(WarpSelector::shared_bytes(k, queue))
             .requires_grid_at_most(1);
         gpu.try_launch_checked(&contract, LaunchConfig::grid_1d(1, WARP_SIZE), move |ctx| {
             let mut sel = WarpSelector::with_queue(ctx, k, queue);

@@ -569,7 +569,7 @@ fn radix_plan(spec: &DeviceSpec, shape: &ProblemShape, algo: TunedAlgo) -> Optio
     let ProblemShape { n, k, batch, .. } = *shape;
     let plan = RadixPlan::new(spec, &cfg, n, k, batch, KEY_BITS, sketched);
     let distinct = !sketched || plan.path == radix::Path::MultiPass;
-    (distinct && plan.shared <= spec.shared_mem_per_block).then_some(plan)
+    (distinct && plan.main.fits(spec)).then_some(plan)
 }
 
 /// GridSelect's own launch plan ([`GridPlan`]) for the default
@@ -581,8 +581,7 @@ fn predict_grid(spec: &DeviceSpec, shape: &ProblemShape) -> Option<Vec<PlannedLa
     }
     let cfg = GridSelectConfig::default();
     let plan = GridPlan::new(spec, n, k, batch, &cfg, KEY_BYTES, true);
-    (plan.launches[0].stats.shared_mem_bytes <= spec.shared_mem_per_block as u64)
-        .then_some(plan.launches)
+    plan.launches[0].fits(spec).then_some(plan.launches)
 }
 
 /// The filter family's own launch plan ([`FilterPlan`]), the plan its
@@ -701,7 +700,9 @@ mod tests {
     fn grid_prediction_is_the_launches_gridselect_makes() {
         // Launch count, grid and block dims and every byte counter equal
         // the observed reports; so do the merge rounds' compute ops.
-        // Only the main kernel's ops (its flushes) are modelled.
+        // Only the main kernel's ops (its flushes) are modelled. Under an
+        // armed sanitizer no block allocates more shared memory than its
+        // contract declares.
         use crate::{GridSelect, TopKAlgorithm};
         use datagen::{generate, Distribution};
         let spec = a100();
@@ -719,11 +720,17 @@ mod tests {
             for (n, k, batch) in [(1 << 18, 32, 1), (1 << 18, 256, 1), (20_001, 64, 8)] {
                 let planned = predict_grid(&spec, &ProblemShape::new(n, k, batch)).unwrap();
                 let mut gpu = gpu_sim::Gpu::new(spec.clone());
+                gpu.enable_sanitizer(gpu_sim::SanitizerMode {
+                    armed: true,
+                    leakcheck: false,
+                });
                 let inputs: Vec<_> = (0..batch)
                     .map(|b| gpu.htod("in", &generate(dist, n, b as u64)))
                     .collect();
                 gpu.reset_profile();
                 GridSelect::default().select_batch(&mut gpu, &inputs, k);
+                let report = gpu.sanitizer_report().expect("armed");
+                assert!(report.is_clean(), "{:?}", report.findings);
                 let observed: Vec<PlannedLaunch> = gpu
                     .reports()
                     .iter()

@@ -133,8 +133,8 @@ impl<T: RadixKey> RowSelect<T> for TwoStageTopK {
                 .declare_reads(KernelContract::new("twostage_partition_kernel"))
                 .writes(&cv, Footprint::per_block(kp))
                 .writes(&ci, Footprint::per_block(kp))
-                .uses_shared_mem(partition.shared_bytes());
-            gpu.try_launch_checked(&contract, partition.config(), move |ctx| {
+                .uses_shared_mem(partition.launch.shared_bytes());
+            gpu.try_launch_checked(&contract, partition.launch.config(), move |ctx| {
                 let row = ctx.block_idx / parts;
                 let part = ctx.block_idx % parts;
                 let lo = part * n / parts;
@@ -152,8 +152,8 @@ impl<T: RadixKey> RowSelect<T> for TwoStageTopK {
                 .reads(&cand_idx, Footprint::per_block(m))
                 .writes(&ov, Footprint::per_block(k))
                 .writes(&oi, Footprint::per_block(k))
-                .uses_shared_mem(reduce.shared_bytes());
-            gpu.try_launch_checked(&contract, reduce.config(), move |ctx| {
+                .uses_shared_mem(reduce.launch.shared_bytes());
+            gpu.try_launch_checked(&contract, reduce.launch.config(), move |ctx| {
                 let row = ctx.block_idx;
                 let vals = ctx.ld_tile(&cand_val, row * m, (row + 1) * m);
                 let poss = ctx.ld_tile(&cand_idx, row * m, (row + 1) * m);
