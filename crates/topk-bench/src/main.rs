@@ -107,8 +107,9 @@ const COMMANDS: &[Command] = &[
     tool("profile", "continuous-profiler report: rooflines, stage attribution, \
                      cost-model drift, post-mortems", PROFILE, profile),
     tool("all", "every command above but profile", ENGINE, all),
-    tool("compare", "chosen algorithms on one shape", "--algos=A,B,.. --n=N --k=K --batch=B \
-                     --dist=uniform|normal|adversarialM|zipfT --no-verify", compare),
+    tool("compare", "chosen algorithms on one shape; exits 1 on a wrong exact answer",
+         "--algos=A,B,.. --n=N --k=K --batch=B --dist=uniform|normal|adversarialM|zipfT \
+          --no-verify", compare),
     tool("tune-alpha", "the §3.2 alpha calibration", "--n=N --k=K", tune_alpha),
     tool("verify", "every algorithm on awkward shapes, answers verified and sanitized",
          "--quick", verify),
@@ -150,9 +151,11 @@ impl Command {
 
     fn run(&self, args: &Args) -> u8 {
         match self.run {
+            // With `--verify`, a wrong answer in any row exits 1.
             Run::Grid(grid) => {
-                save_rows(&args.out_dir(), self.name, &grid(&args.fig_opts()));
-                0
+                let rows = grid(&args.fig_opts());
+                save_rows(&args.out_dir(), self.name, &rows);
+                u8::from(rows.iter().any(|r| !r.verified))
             }
             Run::Custom(run) => run(args),
         }
@@ -405,8 +408,7 @@ fn compare(args: &Args) -> u8 {
         dist: args.raw("--dist").map_or(defaults.dist, parse_dist),
         verify: !args.has("--no-verify"),
     };
-    tools::compare(&opts);
-    0
+    u8::from(tools::compare(&opts).wrong_exact > 0)
 }
 
 fn parse_dist(s: &str) -> Distribution {
@@ -500,5 +502,39 @@ fn report(args: &Args) -> u8 {
             eprintln!("cannot render report: {e}");
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(verified: bool) -> Row {
+        Row {
+            algo: "t".into(),
+            device: "A100".into(),
+            workload: "uniform".into(),
+            n: 1,
+            k: 1,
+            batch: 1,
+            time_us: 0.0,
+            mem_bytes: 0,
+            kernels: 0,
+            pcie_us: 0.0,
+            idle_us: 0.0,
+            verified,
+        }
+    }
+
+    #[test]
+    fn a_figure_grid_exits_1_on_an_unverified_row() {
+        let dir = std::env::temp_dir().join(format!("topk-bench-grid-{}", std::process::id()));
+        let args = Args(BTreeMap::from([("--out", dir.display().to_string())]));
+        assert_eq!(grid("ok", "", |_| vec![row(true), row(true)]).run(&args), 0);
+        assert_eq!(
+            grid("bad", "", |_| vec![row(true), row(false)]).run(&args),
+            1
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,7 +2,7 @@
 
 use datagen::{AnnDataset, AnnKind, Distribution};
 use gpu_sim::{DeviceSpec, Gpu};
-use topk_core::{verify_topk, TopKAlgorithm};
+use topk_core::{measured_recall, verify_topk, TopKAlgorithm};
 
 use crate::report::Row;
 
@@ -82,6 +82,18 @@ pub fn supports(alg: &dyn TopKAlgorithm, cfg: &BenchConfig) -> bool {
 /// missing curves: "there are constraints for some algorithms hence no
 /// result").
 pub fn run_config(alg: &dyn TopKAlgorithm, cfg: &BenchConfig) -> Option<Row> {
+    run_scored(alg, cfg, None)
+}
+
+/// [`run_config`] for an algorithm that may be approximate: with a
+/// `recall_target`, `cfg.verify` scores each answer by its measured
+/// recall against the target instead of checking it exactly. A failed
+/// answer clears the row's `verified`.
+pub fn run_scored(
+    alg: &dyn TopKAlgorithm,
+    cfg: &BenchConfig,
+    recall_target: Option<f64>,
+) -> Option<Row> {
     if !supports(alg, cfg) {
         return None;
     }
@@ -100,9 +112,19 @@ pub fn run_config(alg: &dyn TopKAlgorithm, cfg: &BenchConfig) -> Option<Row> {
     let mut verified = true;
     if cfg.verify {
         for (d, o) in data.iter().zip(&outs) {
-            if let Err(e) = verify_topk(d, cfg.k, &o.values.to_vec(), &o.indices.to_vec()) {
+            let values = o.values.to_vec();
+            let failure = match recall_target {
+                None => (verify_topk(d, cfg.k, &values, &o.indices.to_vec()).err())
+                    .map(|e| ("VERIFICATION FAILED", e.to_string())),
+                Some(target) => {
+                    let recall = measured_recall(d, cfg.k, &values);
+                    (recall < target)
+                        .then(|| ("RECALL BELOW TARGET", format!("{recall:.4} < {target}")))
+                }
+            };
+            if let Some((what, e)) = failure {
                 eprintln!(
-                    "VERIFICATION FAILED: {} n={} k={} batch={}: {e}",
+                    "{what}: {} n={} k={} batch={}: {e}",
                     alg.name(),
                     cfg.n,
                     cfg.k,
@@ -152,6 +174,25 @@ mod tests {
         assert!(row.verified);
         assert_eq!(row.batch, 2);
         assert!(row.mem_bytes > 0);
+    }
+
+    #[test]
+    fn a_wrong_answer_clears_verified_under_either_score() {
+        let cfg = BenchConfig {
+            verify: true,
+            ..BenchConfig::new(Workload::Synthetic(Distribution::Uniform), 5000, 32, 2)
+        };
+        // The largest K: wrong as an exact answer, recall 0 as an
+        // approximate one.
+        let largest = topk_core::SelectLargest::new(AirTopK::default());
+        assert!(!run_scored(&largest, &cfg, None).unwrap().verified);
+        assert!(!run_scored(&largest, &cfg, Some(0.5)).unwrap().verified);
+        // The exact answer meets any target.
+        assert!(
+            run_scored(&AirTopK::default(), &cfg, Some(1.0))
+                .unwrap()
+                .verified
+        );
     }
 
     #[test]

@@ -13,7 +13,11 @@ use datagen::Distribution;
 use topk_core::{AirConfig, AirTopK, TopKAlgorithm};
 
 use crate::report::Row;
-use crate::runner::{run_config, BenchConfig, Workload};
+use crate::runner::{run_config, run_scored, BenchConfig, Workload};
+
+/// The recall the approximate rungs are planned for, and scored
+/// against.
+const RECALL_TARGET: f64 = 0.95;
 
 /// Options for one ad-hoc comparison.
 #[derive(Debug, Clone)]
@@ -53,23 +57,38 @@ fn norm(s: &str) -> String {
         .collect()
 }
 
-/// Run the comparison; returns the measured rows and prints a table.
-pub fn compare(opts: &CompareOpts) -> Vec<Row> {
-    let mut algs: Vec<Box<dyn TopKAlgorithm>> = topk_baselines::all_baselines();
-    algs.push(Box::new(AirTopK::default()));
-    algs.push(Box::new(topk_core::GridSelect::default()));
-    // The approximate rungs, planned for a 0.95 expected recall on the
-    // requested shape. Exact verification is expected to flag them —
-    // pair with `--no-verify` when comparing their speed.
-    algs.push(Box::new(topk_core::BucketedTopK::for_recall(
-        opts.n, opts.k, 0.95,
-    )));
-    algs.push(Box::new(topk_core::TwoStageTopK::for_recall(
-        opts.n, opts.k, 0.95,
-    )));
+/// What one comparison measured.
+#[derive(Debug, Clone)]
+pub struct Comparison {
+    /// One row per algorithm that ran. With verification, an exact
+    /// algorithm's row is `verified` when every answer is exact, an
+    /// approximate rung's when every answer reaches the recall it was
+    /// planned for.
+    pub rows: Vec<Row>,
+    /// Rows of exact algorithms with a wrong answer. An approximate
+    /// rung below its target is not counted: the target is an expected
+    /// recall, which one row can miss.
+    pub wrong_exact: usize,
+}
+
+/// Run the comparison, printing a table.
+pub fn compare(opts: &CompareOpts) -> Comparison {
+    let mut algs: Vec<(Box<dyn TopKAlgorithm>, Option<f64>)> = topk_baselines::all_baselines()
+        .into_iter()
+        .map(|alg| (alg, None))
+        .collect();
+    algs.push((Box::new(AirTopK::default()), None));
+    algs.push((Box::new(topk_core::GridSelect::default()), None));
+    // The approximate rungs, planned for the target recall on the
+    // requested shape.
+    let (n, k, target) = (opts.n, opts.k, RECALL_TARGET);
+    let bucketed = topk_core::BucketedTopK::for_recall(n, k, target);
+    algs.push((Box::new(bucketed), Some(target)));
+    let two_stage = topk_core::TwoStageTopK::for_recall(n, k, target);
+    algs.push((Box::new(two_stage), Some(target)));
     if !opts.algos.is_empty() {
         let wanted: Vec<String> = opts.algos.iter().map(|a| norm(a)).collect();
-        algs.retain(|a| wanted.contains(&norm(a.name())));
+        algs.retain(|(a, _)| wanted.contains(&norm(a.name())));
     }
 
     let mut cfg = BenchConfig::new(Workload::Synthetic(opts.dist), opts.n, opts.k, opts.batch);
@@ -86,10 +105,11 @@ pub fn compare(opts: &CompareOpts) -> Vec<Row> {
         "{:<16} {:>12} {:>9} {:>12} {:>12} {:>10}",
         "algorithm", "time us", "kernels", "pcie us", "idle us", "MiB moved"
     );
-    let mut rows = Vec::new();
-    for alg in &algs {
-        match run_config(alg.as_ref(), &cfg) {
+    let (mut rows, mut wrong_exact) = (Vec::new(), 0);
+    for (alg, recall_target) in &algs {
+        match run_scored(alg.as_ref(), &cfg, *recall_target) {
             Some(row) => {
+                wrong_exact += usize::from(!row.verified && recall_target.is_none());
                 println!(
                     "{:<16} {:>12.1} {:>9} {:>12.1} {:>12.1} {:>10.1}",
                     row.algo,
@@ -104,7 +124,7 @@ pub fn compare(opts: &CompareOpts) -> Vec<Row> {
             None => println!("{:<16} {:>12}", alg.name(), "unsupported"),
         }
     }
-    rows
+    Comparison { rows, wrong_exact }
 }
 
 /// One α sweep point.
@@ -173,7 +193,7 @@ mod tests {
             dist: Distribution::Uniform,
             verify: true,
         };
-        let rows = compare(&opts);
+        let rows = compare(&opts).rows;
         let names: Vec<_> = rows.iter().map(|r| r.algo.as_str()).collect();
         assert_eq!(names, vec!["RadixSelect", "AIR Top-K"]);
         assert!(rows.iter().all(|r| r.verified));
@@ -187,7 +207,7 @@ mod tests {
             verify: false,
             ..CompareOpts::default()
         };
-        let rows = compare(&opts);
+        let rows = compare(&opts).rows;
         // 8 baselines + AIR + GridSelect + the two approximate rungs.
         assert_eq!(rows.len(), 12);
         assert!(rows.iter().any(|r| r.algo.contains("approx")));

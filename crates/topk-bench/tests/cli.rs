@@ -1,6 +1,7 @@
 //! The command-line contract: every subcommand rejects flags it does
 //! not accept, with usage on stderr and exit code 2, before any work
-//! starts.
+//! starts; and `compare` scores exact and approximate rows each by
+//! their own standard.
 
 use std::process::{Command, Output};
 
@@ -80,5 +81,31 @@ fn flags_are_checked_against_their_subcommand() {
     }
     for args in [&["sanitize", "--help"][..], &["nonsense"], &[]] {
         assert_usage_error(args);
+    }
+}
+
+#[test]
+fn compare_verifies_exact_rows_and_scores_the_approximate_ones_by_recall() {
+    let out = run(&["compare", "--n", "65536", "--k", "128", "--dist", "uniform"]);
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    for algo in [
+        "AIR Top-K",
+        "Bucketed Top-K (approx)",
+        "Two-Stage Top-K (approx)",
+    ] {
+        assert!(stdout.contains(algo), "{algo} did not run: {stdout}");
+    }
+    // No approximate row goes through the exact checker; one below its
+    // planned recall is reported as such.
+    assert!(!stderr.contains("VERIFICATION FAILED"), "{stderr}");
+    for line in stderr
+        .lines()
+        .filter(|l| l.starts_with("RECALL BELOW TARGET"))
+    {
+        assert!(line.contains("(approx)"), "{line}");
     }
 }

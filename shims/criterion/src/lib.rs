@@ -10,7 +10,10 @@
 //! batch moves the median far less than it moves a single mean. That
 //! is enough to compare runs by eye and to keep
 //! `cargo bench`/`--all-targets` building in an offline environment.
-//! `CRITERION_SHIM_SAMPLES=1` (the CI smoke run) times one batch.
+//! `CRITERION_SHIM_SAMPLES=1` (the CI smoke run) times one batch. As in
+//! criterion, the first argument that is not a flag filters the
+//! benchmarks: only those whose `group/id` contains it run
+//! (`cargo bench --bench bench_kernels -- radix`).
 
 use std::time::{Duration, Instant};
 
@@ -117,7 +120,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -139,17 +142,11 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let mut b = Bencher {
-            iters: samples(self.sample_size),
-            elapsed: Duration::ZERO,
-        };
-        f(&mut b);
-        self.report(&id, &b);
-        self
+        self.bench_with_input(id, &(), |b, _| f(b))
     }
 
-    /// Run one benchmark parameterised by `input`.
+    /// Run one benchmark parameterised by `input`, unless the filter
+    /// excludes it.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
         id: impl Into<BenchmarkId>,
@@ -159,7 +156,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let id = id.into();
+        let id = format!("{}/{}", self.name, id.into().id);
+        if !self.criterion.selects(&id) {
+            return self;
+        }
         let mut b = Bencher {
             iters: samples(self.sample_size),
             elapsed: Duration::ZERO,
@@ -173,16 +173,14 @@ impl BenchmarkGroup<'_> {
     /// kept for API compatibility).
     pub fn finish(&mut self) {}
 
-    fn report(&self, id: &BenchmarkId, b: &Bencher) {
+    fn report(&self, id: &str, b: &Bencher) {
         let per_iter = b.elapsed.as_secs_f64();
         let rate = self.throughput.map(|t| match t {
             Throughput::Elements(n) => format!(" ({:.3e} elem/s)", n as f64 / per_iter.max(1e-12)),
             Throughput::Bytes(n) => format!(" ({:.3e} B/s)", n as f64 / per_iter.max(1e-12)),
         });
         println!(
-            "{}/{}: {:>12.3} us/iter{}",
-            self.name,
-            id.id,
+            "{id}: {:>12.3} us/iter{}",
             per_iter * 1e6,
             rate.unwrap_or_default()
         );
@@ -190,17 +188,33 @@ impl BenchmarkGroup<'_> {
 }
 
 /// The benchmark manager, mirroring `criterion::Criterion`.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Run only the benchmarks whose `group/id` contains this.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Filter by the command line's first argument that is not a flag
+    /// (`cargo bench` itself passes `--bench`).
+    fn default() -> Self {
+        Criterion {
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        }
+    }
+}
 
 impl Criterion {
+    fn selects(&self, id: &str) -> bool {
+        self.filter.as_ref().is_none_or(|f| id.contains(f.as_str()))
+    }
+
     /// Open a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
             throughput: None,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -275,7 +289,7 @@ mod tests {
 
     #[test]
     fn group_runs_and_reports() {
-        let mut c = Criterion::default();
+        let mut c = Criterion { filter: None };
         let mut ran = 0;
         {
             let mut g = c.benchmark_group("t");
@@ -287,5 +301,28 @@ mod tests {
             g.finish();
         }
         assert!(ran >= 3);
+    }
+
+    #[test]
+    fn the_filter_selects_by_substring_of_group_and_id() {
+        let mut c = Criterion {
+            filter: Some("radix/b11".into()),
+        };
+        let mut ran = Vec::new();
+        {
+            let mut g = c.benchmark_group("radix");
+            g.sample_size(1);
+            for id in ["b8", "b11_2^23"] {
+                g.bench_function(id, |b| b.iter(|| ran.push(id)));
+            }
+            g.bench_with_input(BenchmarkId::new("b11", 7), &7, |b, &p| {
+                b.iter(|| ran.push(if p == 7 { "b11/7" } else { "?" }))
+            });
+        }
+        c.benchmark_group("sort").bench_function("b11", |b| {
+            b.iter(|| ran.push("sort"));
+        });
+        ran.dedup();
+        assert_eq!(ran, ["b11_2^23", "b11/7"]);
     }
 }
