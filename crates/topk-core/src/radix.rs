@@ -1386,39 +1386,56 @@ impl<S: Schedule, T: RadixKey> RoundSweep<'_, S, T> {
             min: <T::Ordered as OrderedBits>::MAX,
             max: <T::Ordered as OrderedBits>::ZERO,
         };
+        let (mut len, mut skipped) = (0, 0);
         for (v, idx) in items {
-            sw.len += 1;
+            len += 1;
             let key = v.to_ordered();
             if SETTLED && prefix_of(key, prev.offset) != self.prefix {
-                sw.skipped += 1;
+                skipped += 1;
                 continue;
             }
+            // Most elements lie above the target digit; the rest go out of
+            // line, so this loop stays short whatever its code alignment.
             let d_prev = prev.digit(key) as u32;
-            if d_prev < target {
-                // Guaranteed result (Algorithm 1 line 22).
-                self.sink.emit(ctx, v, idx);
-            } else if d_prev == target {
-                if KIND == Sweep::Early as u8 {
-                    self.sink.emit(ctx, v, idx);
-                } else if KIND == Sweep::Ties as u8 {
-                    self.sink.admit_tie(ctx, self.k_rem, v, idx);
-                } else {
-                    // Candidate: optionally buffer (lines 17-18),
-                    // histogram this round's digit (lines 19-20).
-                    if KIND == Sweep::FilterStore as u8 {
-                        self.store(ctx, v, idx);
-                    }
-                    hist[self.next.digit(key)] += 1;
-                    if S::SKETCHED {
-                        // The raw material for adaptive digit ordering.
-                        sw.min = sw.min.min(key);
-                        sw.max = sw.max.max(key);
-                    }
-                    sw.candidates += 1;
-                }
+            if d_prev <= target {
+                self.admit::<KIND>(ctx, v, idx, d_prev < target, hist, &mut sw);
             }
         }
+        sw.len = len;
+        sw.skipped = skipped;
         sw
+    }
+
+    /// An element at or below the target digit: a result (Algorithm 1
+    /// line 22) when `below`, else one that `KIND` emits, ties or keeps.
+    #[inline(never)]
+    fn admit<const KIND: u8>(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        v: T,
+        idx: u32,
+        below: bool,
+        hist: &mut [u32],
+        sw: &mut Swept<T::Ordered>,
+    ) {
+        if below || KIND == Sweep::Early as u8 {
+            self.sink.emit(ctx, v, idx);
+        } else if KIND == Sweep::Ties as u8 {
+            self.sink.admit_tie(ctx, self.k_rem, v, idx);
+        } else {
+            // Candidate: buffer (lines 17-18), histogram (lines 19-20).
+            if KIND == Sweep::FilterStore as u8 {
+                self.store(ctx, v, idx);
+            }
+            let key = v.to_ordered();
+            hist[self.next.digit(key)] += 1;
+            if S::SKETCHED {
+                // The raw material for adaptive digit ordering.
+                sw.min = sw.min.min(key);
+                sw.max = sw.max.max(key);
+            }
+            sw.candidates += 1;
+        }
     }
 
     /// Buffer one candidate for the next round.
