@@ -306,6 +306,49 @@ fn gridselect_is_bit_identical() {
     check(&GridSelect::default(), GRIDSELECT);
 }
 
+/// GridSelect's producer path: the kernel calls a producer per element
+/// index, here one metered load from a device copy of the input.
+#[test]
+fn gridselect_on_the_fly_is_bit_identical() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let alg = GridSelect::default();
+    let mut cells = Vec::new();
+    for (dist, data) in inputs().into_iter().take(2) {
+        for k in KS {
+            let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+            let input = gpu.htod("in", &data);
+            gpu.reset_profile();
+            let before = obs::counters().snapshot();
+            let out = alg
+                .select_on_the_fly(
+                    &mut gpu,
+                    data.len(),
+                    k,
+                    |ctx, i| {
+                        ctx.ops(1);
+                        ctx.ld(&input, i)
+                    },
+                    |c| c.reads(&input, Footprint::all()),
+                )
+                .unwrap_or_else(|e| panic!("{dist} k={k}: {e}"));
+            let delta = obs::counters().snapshot().delta_since(&before);
+            let (values, indices) = (out.values.to_vec(), out.indices.to_vec());
+            verify_topk(&data, k, &values, &indices)
+                .unwrap_or_else(|e| panic!("{dist} k={k}: {e}"));
+            let mut outputs = Fnv::new();
+            for (v, i) in values.iter().zip(&indices) {
+                outputs.u64(v.to_bits() as u64);
+                outputs.u64(*i as u64);
+            }
+            cells.push((
+                format!("{dist} k={k}"),
+                [outputs.0, meters_digest(&gpu), snapshot_digest(&delta)],
+            ));
+        }
+    }
+    compare("GridSelect on the fly", &cells, GRIDSELECT_ON_THE_FLY);
+}
+
 #[test]
 fn warpselect_is_bit_identical() {
     check(&WarpSelect, WARPSELECT);
@@ -719,6 +762,49 @@ const GRIDSELECT: &[(&str, [u64; 3])] = &[
         [0xb892dccab84c3ed2, 0xd21ec1c0abc4c6dc, 0x8b6bc4bf0b278b29],
     ),
 ];
+const GRIDSELECT_ON_THE_FLY: &[(&str, [u64; 3])] = &[
+    (
+        "uniform k=1",
+        [0x4bc5e1d89b146cf0, 0x85378920359399e6, 0xe4b7af247e6be6ce],
+    ),
+    (
+        "uniform k=32",
+        [0x54cb03cd145e85f3, 0x24f823287a0da3fd, 0x8b1234c4723d6359],
+    ),
+    (
+        "uniform k=100",
+        [0x2bb4d0a875c17118, 0x1b3900a53fb9b6a9, 0x566fafc7fd0262ca],
+    ),
+    (
+        "uniform k=256",
+        [0xd60a0747a71adb1a, 0x6dcd641a6e55787b, 0x334af1eb004cc1cb],
+    ),
+    (
+        "uniform k=2048",
+        [0x59b1e51c5c7582dc, 0xfd4b4c3ec2ddecdf, 0x75ecd52f58cda72e],
+    ),
+    (
+        "ties16 k=1",
+        [0xfbd826abf9ffdee2, 0xc6f784d80da3d507, 0x1a9e0b42b2182a4d],
+    ),
+    (
+        "ties16 k=32",
+        [0xf0351c78ae1214c8, 0x475e4166e48c36b1, 0x8a0e68696e5ec59a],
+    ),
+    (
+        "ties16 k=100",
+        [0xa0389087c13a7e0d, 0x07ae142c6e9caa71, 0x6b986cad069240a1],
+    ),
+    (
+        "ties16 k=256",
+        [0x2e6ad3743fb75929, 0x7939369623916cf7, 0x6b58a01b590c110e],
+    ),
+    (
+        "ties16 k=2048",
+        [0xc9a8225049d2c84e, 0x503b0badde7eb689, 0x901832b18a0fcc82],
+    ),
+];
+
 const WARPSELECT: &[(&str, [u64; 3])] = &[
     (
         "uniform k=1",
