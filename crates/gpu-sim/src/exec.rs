@@ -17,11 +17,12 @@
 //! `bytes_read`) and bounds-checked once, then lends the buffer's
 //! cells: each element is still a relaxed atomic load, taken when the
 //! tile is iterated, so a tile sees exactly what the element-wise loads
-//! would have seen and nothing is copied. With a sanitizer armed, the
-//! tile runs the same per-word check the element-wise loop would, in
-//! index order, so findings do not change; words it squashes (out of
-//! bounds under memcheck) read zero. `ld` remains the accessor for
-//! scalar and control-word loads.
+//! would have seen and nothing is copied; [`Tile::read_into`] copies a
+//! whole tile into a kernel-local buffer in one pass. With a sanitizer
+//! armed, the tile runs the same per-word check the element-wise loop
+//! would, in index order, so findings do not change; words it squashes
+//! (out of bounds under memcheck) read zero. `ld` remains the accessor
+//! for scalar and control-word loads.
 
 use crate::cost::KernelStats;
 use crate::device::{DeviceSpec, WARP_SIZE};
@@ -597,6 +598,21 @@ impl<'a, T: DeviceScalar> Tile<'a, T> {
             squashed: self.squashed,
         }
     }
+
+    /// Read the whole tile into `out`, converting each element with
+    /// `f`: the same values [`Tile::iter`] yields, squashed tail
+    /// included, in one pass. Panics unless `out.len() == self.len()`.
+    #[inline]
+    pub fn read_into<U>(&self, out: &mut [U], mut f: impl FnMut(T) -> U) {
+        assert_eq!(out.len(), self.len(), "tile read into a wrong-sized buffer");
+        let (head, tail) = out.split_at_mut(self.cells.len());
+        for (slot, cell) in head.iter_mut().zip(self.cells) {
+            *slot = f(T::from_raw(cell.load()));
+        }
+        for slot in tail {
+            *slot = f(BlockCtx::squashed());
+        }
+    }
 }
 
 impl<'a, T: DeviceScalar> IntoIterator for Tile<'a, T> {
@@ -782,6 +798,65 @@ mod tests {
         check(&[1.5f32, -2.0, 3.25, 0.0, 7.0, -0.0]);
         check(&[u64::MAX, 1, 2, 3, 4]);
         check(&[-1i32, 5, -9, 12]);
+    }
+
+    #[test]
+    fn read_into_equals_the_tile_iterator() {
+        // `(read_into, iter)` of `start..end` of `buf`, read in a one-block
+        // launch; the bits are compared, so a squashed zero is not a NaN.
+        fn both(
+            gpu: &mut crate::Gpu,
+            buf: &DeviceBuffer<f32>,
+            start: usize,
+            end: usize,
+        ) -> Vec<u32> {
+            let got = std::sync::Mutex::new(Vec::new());
+            gpu.launch("read_into", LaunchConfig::grid_1d(1, 32), |ctx| {
+                let tile = ctx.ld_tile(buf, start, end);
+                let mut bulk = vec![u32::MAX; tile.len()];
+                tile.read_into(&mut bulk, f32::to_bits);
+                let iterated: Vec<u32> = tile.iter().map(f32::to_bits).collect();
+                assert_eq!(bulk, iterated, "{start}..{end}");
+                *got.lock().unwrap() = bulk;
+            });
+            got.into_inner().unwrap()
+        }
+        let data: Vec<f32> = (0..40).map(|i| i as f32 - 7.5).collect();
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut plain = crate::Gpu::with_pool(DeviceSpec::a100(), crate::BlockPool::new(1));
+        let buf = plain.htod("t", &data);
+        for (start, end) in [(0, 40), (3, 35), (39, 40), (5, 5)] {
+            assert_eq!(both(&mut plain, &buf, start, end), bits(&data[start..end]));
+        }
+
+        // Armed, memcheck squashes the words past the end: they read zero.
+        let mut armed = crate::Gpu::with_pool(DeviceSpec::a100(), crate::BlockPool::new(1));
+        armed.enable_sanitizer(crate::SanitizerMode {
+            armed: true,
+            leakcheck: false,
+        });
+        let armed_buf = armed.htod("t", &data);
+        let got = both(&mut armed, &armed_buf, 36, 44);
+        assert_eq!(got, bits(&[28.5, 29.5, 30.5, 31.5, 0.0, 0.0, 0.0, 0.0]));
+        let report = armed.sanitizer_report().unwrap();
+        assert_eq!(report.counts.memcheck, 4, "{:?}", report.findings);
+
+        // Unarmed, an overrun still aborts the launch before any read.
+        let err = plain
+            .try_launch("overrun", LaunchConfig::grid_1d(1, 32), |ctx| {
+                let mut out = [0u32; 8];
+                ctx.ld_tile(&buf, 36, 44).read_into(&mut out, f32::to_bits);
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::OutOfBounds {
+                buffer: "t".into(),
+                idx: 40,
+                len: 40,
+            }
+        );
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! (element-wise and as coalesced tiles), host↔device staging, kernel
 //! launch machinery (including the block pool's multi-block path), the
 //! tuner's distribution sketch, warp primitives, bitonic networks and
-//! the radix pass machine on a grid the fill rule sizes.
+//! the radix pass machine on a grid the fill rule sizes, GridSelect's
+//! lane loop, and one tile sweep through each simulator layer.
 //! These guard the host-side performance of the simulation (the
 //! functional work per element) against regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::warp::{ballot, exclusive_scan, Lanes};
-use gpu_sim::{BlockPool, DeviceSpec, Gpu, LaunchConfig};
+use gpu_sim::{BlockPool, DeviceSpec, Gpu, LaunchConfig, SanitizerMode};
 use std::hint::black_box;
 use topk_core::bitonic::{bitonic_sort, merge_into_topk, sort_queue};
 use topk_core::tuner::DistSketch;
-use topk_core::{AirTopK, TopKAlgorithm};
+use topk_core::{AirTopK, GridSelect, TopKAlgorithm};
 
 fn bench_metered_stream(c: &mut Criterion) {
     let n = 1 << 20;
@@ -214,6 +215,82 @@ fn bench_radix(c: &mut Criterion) {
     group.finish();
 }
 
+/// GridSelect on one uniform 2^22 row at K = 32 and K = 256, on a
+/// one-worker device: host time per selection, most of it the main
+/// kernel's lane loop (and, at K = 256, the list merges).
+fn bench_gridselect(c: &mut Criterion) {
+    let n = 1 << 22;
+    let data = datagen::generate(datagen::Distribution::Uniform, n, 42);
+    let mut group = c.benchmark_group("gridselect_lane_loop");
+    group.throughput(Throughput::Elements(n as u64));
+    group.sample_size(10);
+    for k in [32usize, 256] {
+        group.bench_function(format!("2^22_k{k}"), |b| {
+            let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
+            let input = gpu.htod("in", &data);
+            let grid = GridSelect::default();
+            b.iter(|| {
+                gpu.reset_profile();
+                let out = grid.select(&mut gpu, &input, k);
+                gpu.free(&out.values);
+                gpu.free(&out.indices);
+                black_box(gpu.elapsed_us())
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One 2^20-element sweep (a sum of the bits) through each simulator
+/// layer in turn: a bare loop over the host slice; one block reading it
+/// as one `ld_tile`; the same with the sanitizer armed; and eight blocks
+/// reading a 2^17-element tile each, on a one-worker and on a
+/// two-worker block pool. The differences name the layer's cost.
+fn bench_sim_layers(c: &mut Criterion) {
+    let n = 1 << 20;
+    let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let mut group = c.benchmark_group("sim_layers");
+    group.throughput(Throughput::Elements(n as u64));
+    group.sample_size(10);
+    group.bench_function("bare_loop_2^20", |b| {
+        b.iter(|| {
+            black_box(&data)
+                .iter()
+                .fold(0u32, |a, v| a.wrapping_add(v.to_bits()))
+        })
+    });
+    let cases: [(&str, usize, usize, bool); 4] = [
+        ("ld_tile_2^20", 1, 1, false),
+        ("ld_tile_armed_2^20", 1, 1, true),
+        ("ld_tile_8_blocks_1_worker_2^20", 8, 1, false),
+        ("ld_tile_8_blocks_2_workers_2^20", 8, 2, false),
+    ];
+    for (id, blocks, workers, armed) in cases {
+        group.bench_function(id, |b| {
+            let mut gpu = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(workers));
+            if armed {
+                gpu.enable_sanitizer(SanitizerMode {
+                    armed: true,
+                    leakcheck: false,
+                });
+            }
+            let buf = gpu.htod("in", &data);
+            let out = gpu.alloc::<u32>("out", 1);
+            let chunk = n / blocks;
+            b.iter(|| {
+                gpu.launch("sweep", LaunchConfig::grid_1d(blocks, 256), |ctx| {
+                    let start = ctx.block_idx * chunk;
+                    let tile = ctx.ld_tile(&buf, start, start + chunk);
+                    let acc = tile.iter().fold(0u32, |a, v| a.wrapping_add(v.to_bits()));
+                    ctx.atomic_add(&out, 0, acc);
+                });
+                black_box(out.get(0))
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_metered_stream,
@@ -222,6 +299,8 @@ criterion_group!(
     bench_sketch,
     bench_warp_primitives,
     bench_bitonic,
-    bench_radix
+    bench_radix,
+    bench_gridselect,
+    bench_sim_layers
 );
 criterion_main!(benches);

@@ -265,21 +265,60 @@ pub fn table2(rows: &[Row]) -> String {
     out
 }
 
+/// One selection of the `k` smallest of `data` by `alg` on a fresh
+/// A100, profiled from the selection on. Under `opts.verify` the answer
+/// is checked, and a wrong one is reported and returns `false`.
+fn profiled_select(opts: &FigOpts, alg: &dyn TopKAlgorithm, data: &[f32], k: usize) -> (Gpu, bool) {
+    let mut gpu = Gpu::new(DeviceSpec::a100());
+    let input = gpu.htod("in", data);
+    gpu.reset_profile();
+    let out = alg.select(&mut gpu, &input, k);
+    let verified = !opts.verify
+        || topk_core::verify_topk(data, k, &out.values.to_vec(), &out.indices.to_vec())
+            .map_err(|e| {
+                eprintln!(
+                    "VERIFICATION FAILED: {} n={} k={k}: {e}",
+                    alg.name(),
+                    data.len()
+                )
+            })
+            .is_ok();
+    (gpu, verified)
+}
+
+/// Fig. 8's rendering, its Chrome traces and its verdict.
+pub struct Fig8 {
+    /// The timeline of each algorithm, as text.
+    pub text: String,
+    /// `(name, Chrome-trace JSON)` per algorithm (open in
+    /// chrome://tracing or Perfetto).
+    pub traces: Vec<(String, String)>,
+    /// Every answer verified (always `true` without `--verify`).
+    pub verified: bool,
+}
+
 /// Fig. 8: timeline breakdown of RadixSelect vs AIR Top-K
 /// (N = 2²³, K = 2048, uniform).
-pub fn fig8(opts: &FigOpts) -> String {
+pub fn fig8(opts: &FigOpts) -> Fig8 {
     let n = if opts.full { 1 << 23 } else { 1 << 21 };
     let k = 2048;
     let data = datagen::generate(Distribution::Uniform, n, 7);
-    let mut out = String::new();
-
-    let mut render = |name: &str, alg: &dyn TopKAlgorithm| {
-        let mut gpu = Gpu::new(DeviceSpec::a100());
-        let input = gpu.htod("in", &data);
-        gpu.reset_profile();
-        let _ = alg.select(&mut gpu, &input, k);
+    let mut fig = Fig8 {
+        text: String::new(),
+        traces: Vec::new(),
+        verified: true,
+    };
+    let algs: [(&str, &dyn TopKAlgorithm); 2] = [
+        ("radixselect", &topk_baselines::RadixSelect),
+        ("air_topk", &AirTopK::default()),
+    ];
+    for (trace_name, alg) in algs {
+        let (gpu, verified) = profiled_select(opts, alg, &data, k);
+        fig.verified &= verified;
+        let out = &mut fig.text;
         out.push_str(&format!(
-            "\n--- {name} (N=2^{:.0}, K={k}) ---\n",
+            "\n--- {} (N=2^{:.0}, K={k}) ---\n",
+            alg.name(),
             (n as f64).log2()
         ));
         out.push_str(&format!("{}\n", gpu.timeline().render_ascii(100)));
@@ -291,57 +330,34 @@ pub fn fig8(opts: &FigOpts) -> String {
             gpu.timeline().memcpy_us(),
             gpu.timeline().idle_us()
         ));
-    };
-
-    render("RadixSelect", &topk_baselines::RadixSelect);
-    render("AIR Top-K", &AirTopK::default());
-    out.push_str("\nLegend: # kernel, > HtoD, < DtoH, . host sync, ~ host compute, | launch\n");
-    out
-}
-
-/// Fig. 8 as Chrome-trace JSON (open in chrome://tracing or Perfetto),
-/// one document per algorithm. Returns (name, json) pairs.
-pub fn fig8_traces(opts: &FigOpts) -> Vec<(String, String)> {
-    let n = if opts.full { 1 << 23 } else { 1 << 21 };
-    let k = 2048;
-    let data = datagen::generate(Distribution::Uniform, n, 7);
-    let mut traces = Vec::new();
-    let algs: Vec<Box<dyn TopKAlgorithm>> = vec![
-        Box::new(topk_baselines::RadixSelect),
-        Box::new(AirTopK::default()),
-    ];
-    for (name, alg) in ["radixselect", "air_topk"].iter().zip(algs) {
-        let mut gpu = Gpu::new(DeviceSpec::a100());
-        let input = gpu.htod("in", &data);
-        gpu.reset_profile();
-        let _ = alg.select(&mut gpu, &input, k);
-        traces.push((
-            name.to_string(),
+        fig.traces.push((
+            trace_name.to_string(),
             gpu_sim::to_chrome_trace(
                 gpu.timeline(),
                 &format!("{} N=2^{:.0} K={k}", alg.name(), (n as f64).log2()),
             ),
         ));
     }
-    traces
+    fig.text
+        .push_str("\nLegend: # kernel, > HtoD, < DtoH, . host sync, ~ host compute, | launch\n");
+    fig
 }
 
 /// Table 3: per-kernel Memory/Compute SOL for AIR Top-K
-/// (paper: N = 2³⁰, K = 2048; default here N = 2²⁴).
-pub fn table3(opts: &FigOpts) -> String {
+/// (paper: N = 2³⁰, K = 2048; default here N = 2²⁴), and whether its
+/// answer verified (always `true` without `--verify`).
+pub fn table3(opts: &FigOpts) -> (String, bool) {
     let n = if opts.full { 1 << 28 } else { 1 << 24 };
     let k = 2048;
     let data = datagen::generate(Distribution::Uniform, n, 9);
-    let mut gpu = Gpu::new(DeviceSpec::a100());
-    let input = gpu.htod("in", &data);
-    gpu.reset_profile();
-    let _ = AirTopK::default().select(&mut gpu, &input, k);
+    let (gpu, verified) = profiled_select(opts, &AirTopK::default(), &data, k);
     let rows = sol_table(gpu.reports());
-    format!(
+    let text = format!(
         "=== Table 3: Kernel Performance Analysis for AIR Top-K (N=2^{:.0}, K={k}) ===\n{}",
         (n as f64).log2(),
         render_sol_table(&rows)
-    )
+    );
+    (text, verified)
 }
 
 /// Fig. 9: AIR Top-K with/without the adaptive strategy on
@@ -663,6 +679,18 @@ mod tests {
             verify: false,
             progress: false,
         }
+    }
+
+    #[test]
+    fn a_figure_selection_is_checked_only_under_verify() {
+        let data = datagen::generate(Distribution::Uniform, 4096, 3);
+        // The largest K: a wrong answer for the smallest K.
+        let largest = topk_core::SelectLargest::new(AirTopK::default());
+        let mut opts = quick_opts();
+        assert!(profiled_select(&opts, &largest, &data, 16).1);
+        opts.verify = true;
+        assert!(!profiled_select(&opts, &largest, &data, 16).1);
+        assert!(profiled_select(&opts, &AirTopK::default(), &data, 16).1);
     }
 
     #[test]

@@ -289,26 +289,39 @@ fn table2(args: &Args) -> u8 {
         figures::table2_csv(&rows),
         "speedups",
     );
-    0
+    // A summarized row whose answer was wrong fails the table.
+    u8::from(rows.iter().any(|r| !r.verified))
 }
 
 fn fig8(args: &Args) -> u8 {
-    let (out, opts) = (args.out_dir(), args.fig_opts());
-    let t = figures::fig8(&opts);
-    println!("{t}");
-    write(&out.join("fig8.txt"), &t, "Fig. 8");
-    for (name, json) in figures::fig8_traces(&opts) {
+    fig8_of(args, figures::fig8)
+}
+
+/// Write and print the Fig. 8 that `figure` makes; under `--verify` a
+/// wrong answer exits 1.
+fn fig8_of(args: &Args, figure: fn(&FigOpts) -> figures::Fig8) -> u8 {
+    let out = args.out_dir();
+    let fig = figure(&args.fig_opts());
+    println!("{}", fig.text);
+    write(&out.join("fig8.txt"), &fig.text, "Fig. 8");
+    for (name, json) in &fig.traces {
         let path = out.join(format!("fig8_{name}.trace.json"));
         write(&path, json, "Chrome trace (open in chrome://tracing)");
     }
-    0
+    u8::from(!fig.verified)
 }
 
 fn table3(args: &Args) -> u8 {
-    let t = figures::table3(&args.fig_opts());
+    table3_of(args, figures::table3)
+}
+
+/// Write and print the Table 3 that `table` makes; under `--verify` a
+/// wrong answer exits 1.
+fn table3_of(args: &Args, table: fn(&FigOpts) -> (String, bool)) -> u8 {
+    let (t, verified) = table(&args.fig_opts());
     println!("{t}");
     write(&args.out_dir().join("table3.txt"), &t, "Table 3");
-    0
+    u8::from(!verified)
 }
 
 /// The coalescing-window sweep, the chaos digest of its widest drain,
@@ -535,6 +548,36 @@ mod tests {
             grid("bad", "", |_| vec![row(true), row(false)]).run(&args),
             1
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn table2_exits_1_when_a_summarized_row_is_unverified() {
+        let dir = std::env::temp_dir().join(format!("topk-bench-table2-{}", std::process::id()));
+        let args = Args(BTreeMap::from([("--out", dir.display().to_string())]));
+        for (fig7_verified, code) in [(true, 0), (false, 1)] {
+            write_csv(&dir.join("fig6.csv"), &[row(true)]).unwrap();
+            write_csv(&dir.join("fig7.csv"), &[row(true), row(fig7_verified)]).unwrap();
+            assert_eq!(table2(&args), code);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fig8_and_table3_exit_1_on_a_wrong_answer() {
+        let dir = std::env::temp_dir().join(format!("topk-bench-fig8-{}", std::process::id()));
+        let args = Args(BTreeMap::from([("--out", dir.display().to_string())]));
+        fn fig8(verified: bool) -> figures::Fig8 {
+            figures::Fig8 {
+                text: String::new(),
+                traces: vec![("t".into(), "{}".into())],
+                verified,
+            }
+        }
+        assert_eq!(fig8_of(&args, |_| fig8(true)), 0);
+        assert_eq!(fig8_of(&args, |_| fig8(false)), 1);
+        assert_eq!(table3_of(&args, |_| (String::new(), true)), 0);
+        assert_eq!(table3_of(&args, |_| (String::new(), false)), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -43,7 +43,6 @@ use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput, TypedOutput};
 use gpu_sim::device::WARP_SIZE;
-use gpu_sim::warp::{ballot, Lanes};
 use gpu_sim::{
     BlockCtx, DeviceBuffer, DeviceSpec, Footprint, Gpu, KernelContract, KernelStats, PlannedLaunch,
 };
@@ -379,8 +378,8 @@ pub fn select_partial_core(
         .collect())
 }
 
-/// The core over buffer-backed rows: each warp loads its 32-lane
-/// groups as coalesced tiles. Outputs are packed `rows × k`.
+/// The core over buffer-backed rows: each warp loads its segment as one
+/// coalesced tile. Outputs are packed `rows × k`.
 fn select_rows_core<T>(
     gpu: &mut Gpu,
     name: &str,
@@ -401,10 +400,8 @@ where
         cfg,
         shared_bound,
         |ctx, prob, start, keys: &mut [T::Ordered]| {
-            let tile = rows.tile(ctx, prob, start, start + keys.len());
-            for (key, v) in keys.iter_mut().zip(tile) {
-                *key = v.to_ordered();
-            }
+            rows.tile(ctx, prob, start, start + keys.len())
+                .read_into(keys, T::to_ordered);
         },
         |c| rows.declare_reads(c),
     )
@@ -445,12 +442,13 @@ where
     Ok(split_rows(gpu, packed, batch, OUT_LABELS))
 }
 
-/// The core behind every entry point. The lane-group producer
+/// The core behind every entry point. The segment producer
 /// `fill(ctx, prob, start, keys)` writes the ordered keys of problem
-/// `prob`'s elements `start..start + keys.len()`, one lockstep group
-/// of at most 32 lanes at a time. `shared_bound` turns on the
-/// block-shared k-th bound (GridSelect's entry points). Outputs are
-/// packed `batch × k`: problem `p`'s results sit at `p * k`.
+/// `prob`'s elements `start..start + keys.len()`, one warp's segment
+/// (at most `32 · items_per_thread` keys) at a time. `shared_bound`
+/// turns on the block-shared k-th bound (GridSelect's entry points).
+/// Outputs are packed `batch × k`: problem `p`'s results sit at
+/// `p * k`.
 #[allow(clippy::too_many_arguments)]
 fn select_groups_core<T, G, D>(
     gpu: &mut Gpu,
@@ -691,7 +689,10 @@ where
     let out_idx = outs.alloc::<u32>(gpu, "gs_out_idx", batch * k)?;
 
     let queue = cfg.queue;
-    let ipt = cfg.items_per_thread;
+    let warp_elems = WARP_SIZE * cfg.items_per_thread;
+    // Per lockstep group: the qualification compares (one more against
+    // the block-shared bound) and the ballot.
+    let group_ops = if shared_bound { 4 } else { 3 } * WARP_SIZE as u64;
 
     // A block writes problem `block / bpp`'s k-slot row; the `bpp`
     // blocks of one problem share it, so the outputs are declared
@@ -721,18 +722,41 @@ where
             word
         });
 
-        // Grid-stride over this problem's chunks.
+        // Grid-stride over this problem's chunks. Each warp reads its
+        // whole segment into `keys`, then runs it as lockstep groups of
+        // 32 lanes; lanes past the segment's end hold the sentinel, which
+        // never qualifies. With a block-shared bound, a lane qualifies
+        // only below both the warp's threshold and the bound, and a
+        // flush that lowers the warp's threshold lowers the bound too.
+        let sentinel = <T::Ordered as OrderedBits>::MAX;
+        let mut keys = vec![sentinel; warp_elems];
         let mut chunk_start = blk * chunk;
         while chunk_start < n {
             for (w, st) in states.iter_mut().enumerate() {
-                let warp_elems = WARP_SIZE * ipt;
                 let wstart = chunk_start + w * warp_elems;
-                let wend = (wstart + warp_elems).min(n);
-                let mut g = wstart;
-                while g < wend {
-                    let word = bound.as_mut().map(|b| &mut b[0]);
-                    process_group(ctx, &fill, prob, g, wend, st, queue, word);
-                    g += WARP_SIZE;
+                if wstart >= n {
+                    break;
+                }
+                let len = (n - wstart).min(warp_elems);
+                fill(ctx, prob, wstart, &mut keys[..len]);
+                let groups = len.div_ceil(WARP_SIZE);
+                keys[len..groups * WARP_SIZE].fill(sentinel);
+                ctx.ops(groups as u64 * group_ops);
+                for (g, lanes) in keys[..groups * WARP_SIZE]
+                    .chunks_exact(WARP_SIZE)
+                    .enumerate()
+                {
+                    let limit = bound
+                        .as_ref()
+                        .map_or(st.threshold, |b| b[0].min(st.threshold));
+                    let mask = lane_mask(lanes, limit);
+                    if mask != 0 {
+                        let start = wstart + g * WARP_SIZE;
+                        st.insert_mask(ctx, lanes, |lane| (start + lane) as u32, mask, queue);
+                        if let Some(b) = bound.as_mut() {
+                            b[0] = b[0].min(st.threshold);
+                        }
+                    }
                 }
             }
             chunk_start += bpp * chunk;
@@ -800,18 +824,21 @@ where
             let first = gidx * fanin;
             let last = (first + fanin).min(cur);
             let base0 = (prob * bpp + first * step) * klen;
-            let mut keys: Vec<T::Ordered> = ctx
-                .ld_tile(&scratch_keys, base0, base0 + klen)
-                .iter()
-                .collect();
-            let mut idx: Vec<u32> = ctx
-                .ld_tile(&scratch_idx, base0, base0 + klen)
-                .iter()
-                .collect();
+            // The group's running list, and one pair of buffers that
+            // every further list is read into.
+            let mut keys = vec![<T::Ordered as OrderedBits>::MAX; klen];
+            let mut idx = vec![0u32; klen];
+            let (mut qk, mut qi) = (keys.clone(), idx.clone());
+            ctx.ld_tile(&scratch_keys, base0, base0 + klen)
+                .read_into(&mut keys, |v| v);
+            ctx.ld_tile(&scratch_idx, base0, base0 + klen)
+                .read_into(&mut idx, |v| v);
             for l in first + 1..last {
                 let b = (prob * bpp + l * step) * klen;
-                let qk: Vec<T::Ordered> = ctx.ld_tile(&scratch_keys, b, b + klen).iter().collect();
-                let qi: Vec<u32> = ctx.ld_tile(&scratch_idx, b, b + klen).iter().collect();
+                ctx.ld_tile(&scratch_keys, b, b + klen)
+                    .read_into(&mut qk, |v| v);
+                ctx.ld_tile(&scratch_idx, b, b + klen)
+                    .read_into(&mut qi, |v| v);
                 let ops = merge_into_topk(&mut keys, &mut idx, &qk, &qi);
                 ctx.ops(ops);
                 obs::counters().gridselect_list_merges.fetch_add(1, Relaxed);
@@ -840,55 +867,29 @@ where
     Ok((out_val, out_idx))
 }
 
-/// Process one 32-element lockstep group `start..end` (clamped to one
-/// warp) for a warp; lanes past `end` stay idle. With a block-shared
-/// `bound`, a lane qualifies only below both the warp's threshold and
-/// the bound (one more compare per lane), and the bound then takes the
-/// warp's threshold if that is lower.
-#[allow(clippy::too_many_arguments)]
-fn process_group<O, G>(
-    ctx: &mut BlockCtx<'_>,
-    fill: &G,
-    prob: usize,
-    start: usize,
-    end: usize,
-    st: &mut WarpState<O>,
-    queue: QueueKind,
-    bound: Option<&mut O>,
-) where
-    O: OrderedBits,
-    G: Fn(&mut BlockCtx<'_>, usize, usize, &mut [O]),
-{
-    let count = (end - start).min(WARP_SIZE);
-    let mut keys: Lanes<O> = [O::MAX; WARP_SIZE];
-    fill(ctx, prob, start, &mut keys[..count]);
-    let mut idxs: Lanes<u32> = [0; WARP_SIZE];
-    let mut preds: Lanes<bool> = [false; WARP_SIZE];
-    let limit = bound
-        .as_deref()
-        .map_or(st.threshold, |&b| b.min(st.threshold));
-    for lane in 0..count {
-        idxs[lane] = (start + lane) as u32;
-        preds[lane] = keys[lane] < limit;
+/// The warp ballot of one lockstep group: bit `lane` is set when
+/// `keys[lane] < limit`.
+#[inline]
+pub(crate) fn lane_mask<O: OrderedBits>(keys: &[O], limit: O) -> u32 {
+    let keys: &[O; WARP_SIZE] = keys.try_into().expect("one lockstep group");
+    let mut mask = 0u32;
+    for (lane, &key) in keys.iter().enumerate() {
+        mask |= u32::from(key < limit) << lane;
     }
-    let compares = if bound.is_some() { 3 } else { 2 };
-    ctx.ops(compares * WARP_SIZE as u64);
-    st.insert_group(ctx, &keys, &idxs, &preds, queue);
-    if let Some(b) = bound {
-        *b = (*b).min(st.threshold);
-    }
+    mask
 }
 
 impl<O: OrderedBits> WarpState<O> {
-    /// Stage one lockstep group of qualified lanes into the queue,
-    /// flushing into the top-K list when full. `preds[lane]` marks the
-    /// lanes carrying a qualified element; keys are ordered bits.
-    pub(crate) fn insert_group(
+    /// Stage one lockstep group into the queue, flushing into the top-K
+    /// list when full. `mask` is the group's ballot: bit `lane` marks a
+    /// qualified lane carrying key `keys[lane]` and index `idx(lane)`;
+    /// keys are ordered bits. The caller charges the ballot.
+    pub(crate) fn insert_mask(
         &mut self,
         ctx: &mut BlockCtx<'_>,
-        keys: &Lanes<O>,
-        idxs: &Lanes<u32>,
-        preds: &Lanes<bool>,
+        keys: &[O],
+        idx: impl Fn(usize) -> u32,
+        mask: u32,
         queue: QueueKind,
     ) {
         let st = self;
@@ -897,11 +898,6 @@ impl<O: OrderedBits> WarpState<O> {
                 // Parallel two-step insertion (Fig. 5). Qualified lanes
                 // are visited in lane order, so the r-th one has
                 // `lane_rank` r and claims slot `base + r`.
-                let mask = ballot(preds);
-                ctx.ops(WARP_SIZE as u64);
-                if mask == 0 {
-                    return;
-                }
                 let count = mask.count_ones() as usize;
                 let base = st.queue_fill;
                 let mut lanes = mask;
@@ -910,7 +906,7 @@ impl<O: OrderedBits> WarpState<O> {
                 while lanes != 0 && pos < len {
                     let lane = lanes.trailing_zeros() as usize;
                     st.queue_keys[pos] = keys[lane];
-                    st.queue_idx[pos] = idxs[lane];
+                    st.queue_idx[pos] = idx(lane);
                     lanes &= lanes - 1;
                     pos += 1;
                 }
@@ -923,7 +919,7 @@ impl<O: OrderedBits> WarpState<O> {
                     while lanes != 0 {
                         let lane = lanes.trailing_zeros() as usize;
                         st.queue_keys[pos] = keys[lane];
-                        st.queue_idx[pos] = idxs[lane];
+                        st.queue_idx[pos] = idx(lane);
                         lanes &= lanes - 1;
                         pos += 1;
                     }
@@ -937,17 +933,16 @@ impl<O: OrderedBits> WarpState<O> {
                 // on *any* lane forces a whole-warp flush (WarpSelect's
                 // weakness under skew, §4).
                 let mut any_full = false;
-                let mut lanes = ballot(preds);
+                let mut lanes = mask;
                 while lanes != 0 {
                     let lane = lanes.trailing_zeros() as usize;
                     let slot = lane * len + st.lane_fill[lane];
                     st.queue_keys[slot] = keys[lane];
-                    st.queue_idx[slot] = idxs[lane];
+                    st.queue_idx[slot] = idx(lane);
                     st.lane_fill[lane] += 1;
                     any_full |= st.lane_fill[lane] == len;
                     lanes &= lanes - 1;
                 }
-                ctx.ops(WARP_SIZE as u64);
                 if any_full {
                     st.flush_per_thread(ctx);
                 }

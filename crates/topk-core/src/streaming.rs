@@ -20,7 +20,7 @@
 //! workload.
 
 use crate::error::TopKError;
-use crate::gridselect::{queue_slots, QueueKind, WarpState};
+use crate::gridselect::{lane_mask, queue_slots, QueueKind, WarpState};
 use crate::keys::RadixKey;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, Category, TopKAlgorithm, TopKOutput};
@@ -86,18 +86,17 @@ impl WarpSelector {
         valid: &Lanes<bool>,
     ) {
         let mut keys: Lanes<u32> = [u32::MAX; WARP_SIZE];
-        let mut preds: Lanes<bool> = [false; WARP_SIZE];
-        for lane in 0..WARP_SIZE {
-            if valid[lane] {
-                debug_assert!(!values[lane].is_nan(), "NaN pushed into WarpSelector");
-                let bits = values[lane].to_ordered();
-                keys[lane] = bits;
-                preds[lane] = bits < self.state.threshold;
-            }
+        for lane in (0..WARP_SIZE).filter(|&lane| valid[lane]) {
+            debug_assert!(!values[lane].is_nan(), "NaN pushed into WarpSelector");
+            keys[lane] = values[lane].to_ordered();
         }
-        ctx.ops(2 * WARP_SIZE as u64);
-        self.state
-            .insert_group(ctx, &keys, payloads, &preds, self.queue);
+        // Two compares and the ballot per lane.
+        ctx.ops(3 * WARP_SIZE as u64);
+        let mask = lane_mask(&keys, self.state.threshold);
+        if mask != 0 {
+            self.state
+                .insert_mask(ctx, &keys, |lane| payloads[lane], mask, self.queue);
+        }
     }
 
     /// Convenience: push a single `(value, payload)` from one lane.
